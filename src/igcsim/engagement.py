@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames
-from .airframe import AeroConfig
+from .airframe import AeroConfig, AeroConstants
 from .errors import GuardError, SingularityError
 
 # tan(theta_l) and 1/cos(theta_v) blow up toward pi/2; abort integration
@@ -40,16 +40,8 @@ class EngagementState:
     psi_v: float    # velocity azimuth [rad]
 
     def __post_init__(self):
-        values = (self.r, self.vr, self.theta_l, self.phi_l,
-                  self.x01, self.x02, self.theta_v, self.psi_v)
-        if not all(math.isfinite(v) for v in values):
-            raise GuardError("engagement state must be finite")
-        if self.r <= 0.0:
-            raise GuardError(f"range {self.r:.6g} must be positive")
-        if abs(self.theta_l) >= math.pi / 2:
-            raise GuardError(f"LOS elevation {self.theta_l:.6g} outside (-pi/2, pi/2)")
-        if abs(self.theta_v) >= math.pi / 2:
-            raise GuardError(f"velocity elevation {self.theta_v:.6g} outside (-pi/2, pi/2)")
+        check_state(self.r, self.vr, self.theta_l, self.phi_l,
+                    self.x01, self.x02, self.theta_v, self.psi_v)
 
     @property
     def x0(self) -> np.ndarray:
@@ -91,14 +83,20 @@ class EvaderModel:
     def amplitudes(self) -> np.ndarray:
         return np.array([self.accel_r, self.accel_theta, self.accel_phi])
 
+    def sample(self, t: float) -> tuple[float, float, float]:
+        """Acceleration (a_r, a_theta, a_phi) [m/s^2] at time t."""
+        amplitudes = (self.accel_r, self.accel_theta, self.accel_phi)
+        if self.kind == "constant":
+            return amplitudes
+        if self.kind == "step":
+            return amplitudes if t >= self.step_time else (0.0, 0.0, 0.0)
+        s = math.sin(self.frequency * t + self.phase)
+        return amplitudes[0] * s, amplitudes[1] * s, amplitudes[2] * s
+
 
 def evader_accel(model: EvaderModel, t: float) -> np.ndarray:
     """Evader acceleration sample (a_r, a_theta, a_phi) [m/s^2] at time t."""
-    if model.kind == "constant":
-        return model.amplitudes
-    if model.kind == "step":
-        return model.amplitudes if t >= model.step_time else np.zeros(3)
-    return model.amplitudes * math.sin(model.frequency * t + model.phase)
+    return np.array(model.sample(t))
 
 
 @dataclass(frozen=True)
@@ -143,13 +141,17 @@ class VectorSignal:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite")
 
-    def value(self, t: float) -> np.ndarray:
+    def sample(self, t: float) -> tuple[float, float, float]:
         if self.kind == "zero":
-            return np.zeros(3)
-        amps = np.array(self.amplitude)
+            return 0.0, 0.0, 0.0
+        ax, ay, az = self.amplitude
         if self.kind == "constant":
-            return amps
-        return amps * math.sin(self.frequency * t + self.phase)
+            return ax, ay, az
+        s = math.sin(self.frequency * t + self.phase)
+        return ax * s, ay * s, az * s
+
+    def value(self, t: float) -> np.ndarray:
+        return np.array(self.sample(t))
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,64 @@ class DisturbanceModel:
     side: AxisSignal = AxisSignal()
 
 
+def check_state(r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v) -> None:
+    """Raise GuardError unless the geometry is finite, r > 0 and both
+    elevations lie inside (-pi/2, pi/2)."""
+    if not (math.isfinite(r) and math.isfinite(vr) and math.isfinite(theta_l)
+            and math.isfinite(phi_l) and math.isfinite(x01) and math.isfinite(x02)
+            and math.isfinite(theta_v) and math.isfinite(psi_v)):
+        raise GuardError("engagement state must be finite")
+    if r <= 0.0:
+        raise GuardError(f"range {r:.6g} must be positive")
+    if abs(theta_l) >= math.pi / 2:
+        raise GuardError(f"LOS elevation {theta_l:.6g} outside (-pi/2, pi/2)")
+    if abs(theta_v) >= math.pi / 2:
+        raise GuardError(f"velocity elevation {theta_v:.6g} outside (-pi/2, pi/2)")
+
+
+def los_rate_drift(r, vr, theta_l, x01, x02) -> tuple[float, float]:
+    """f0 as floats; see :func:`f0`."""
+    two_vr_r = 2.0 * vr / r
+    tl = math.tan(theta_l)
+    return -two_vr_r * x01 - x02**2 * tl, -two_vr_r * x02 + x01 * x02 * tl
+
+
+def guidance_map(k: AeroConstants, r, theta_l, phi_l, theta_v, psi_v
+                 ) -> tuple[float, float, float, float]:
+    """g0 as four floats, row-major; see :func:`g0`."""
+    m = frames.los_rows(theta_l, phi_l, theta_v, psi_v)
+    m00, m01, m10, m11 = m[4], m[5], m[7], m[8]
+    # |det| of the projection equals |cos(LOS, velocity)|.
+    det_m = m00 * m11 - m01 * m10
+    if abs(det_m) < GEOMETRY_SINGULARITY:
+        raise SingularityError(
+            "guidance", math.inf,
+            f"guidance: velocity orthogonal to LOS (|cos| = {abs(det_m):.3g})",
+        )
+    scale = k.mass * r
+    return (-(m00 * k.lift_gain) / scale, -(m01 * k.side_gain) / scale,
+            -(m10 * k.lift_gain) / scale, -(m11 * k.side_gain) / scale)
+
+
+def relative_rates(r, vr, theta_l, x01, x02, accel_pursuer, accel_evader
+                   ) -> tuple[float, float, float, float, float, float]:
+    """Relative-motion derivatives as floats; see :func:`relative_derivatives`.
+    Both accelerations are float triples."""
+    if abs(theta_l) > LOS_GUARD:
+        raise GuardError(f"LOS elevation {theta_l:.4g} breached guard {LOS_GUARD}")
+    ap0, ap1, ap2 = accel_pursuer
+    ae0, ae1, ae2 = accel_evader
+    drift0, drift1 = los_rate_drift(r, vr, theta_l, x01, x02)
+    return (
+        vr,
+        r * (x01**2 + x02**2) + ae0 - ap0,
+        x01,
+        x02 / math.cos(theta_l),
+        drift0 + (ae1 - ap1) / r,
+        drift1 + (ae2 - ap2) / r,
+    )
+
+
 def f0(state: EngagementState) -> np.ndarray:
     """Drift of the LOS-rate pair [rad/s^2].
 
@@ -173,14 +233,7 @@ def f0(state: EngagementState) -> np.ndarray:
     are orthogonal to x0 in the Lyapunov sense and the guidance law leaves
     them uncancelled.
     """
-    two_vr_r = 2.0 * state.vr / state.r
-    tl = math.tan(state.theta_l)
-    return np.array(
-        [
-            -two_vr_r * state.x01 - state.x02**2 * tl,
-            -two_vr_r * state.x02 + state.x01 * state.x02 * tl,
-        ]
-    )
+    return np.array(los_rate_drift(state.r, state.vr, state.theta_l, state.x01, state.x02))
 
 
 def g0(state: EngagementState, cfg: AeroConfig) -> np.ndarray:
@@ -189,15 +242,9 @@ def g0(state: EngagementState, cfg: AeroConfig) -> np.ndarray:
     Built from the small-angle force model; singular when the pursuer
     velocity is orthogonal to the LOS.
     """
-    m = frames.projection_matrix(state.los, state.vel)
-    # |det| of the projection equals |cos(LOS, velocity)|.
-    det_m = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det_m) < GEOMETRY_SINGULARITY:
-        raise SingularityError(
-            "guidance", math.inf,
-            f"guidance: velocity orthogonal to LOS (|cos| = {abs(det_m):.3g})",
-        )
-    return -(m * np.array([cfg.lift_gain, cfg.side_gain])) / (cfg.mass * state.r)
+    m = guidance_map(AeroConstants(cfg), state.r, state.theta_l, state.phi_l,
+                     state.theta_v, state.psi_v)
+    return np.array(m).reshape(2, 2)
 
 
 def relative_derivatives(
@@ -208,24 +255,19 @@ def relative_derivatives(
     Both acceleration arguments are LOS-frame triples (radial, elevation
     channel, azimuth channel) [m/s^2].
     """
-    if abs(state.theta_l) > LOS_GUARD:
-        raise GuardError(f"LOS elevation {state.theta_l:.4g} breached guard {LOS_GUARD}")
-    a_p = np.asarray(accel_pursuer, dtype=float)
-    a_e = np.asarray(accel_evader, dtype=float)
-    drift = f0(state)
-    r_dot = state.vr
-    vr_dot = state.r * (state.x01**2 + state.x02**2) + a_e[0] - a_p[0]
-    theta_l_dot = state.x01
-    phi_l_dot = state.x02 / math.cos(state.theta_l)
-    x01_dot = drift[0] + (a_e[1] - a_p[1]) / state.r
-    x02_dot = drift[1] + (a_e[2] - a_p[2]) / state.r
-    return r_dot, vr_dot, theta_l_dot, phi_l_dot, x01_dot, x02_dot
+    return relative_rates(state.r, state.vr, state.theta_l, state.x01, state.x02,
+                          [float(a) for a in accel_pursuer],
+                          [float(a) for a in accel_evader])
 
 
 def velocity_angle_derivatives(
-    a_theta: float, a_psi: float, cfg: AeroConfig, theta_v: float
+    a_theta: float, a_psi: float, cfg: AeroConfig | AeroConstants, theta_v: float
 ) -> tuple[float, float]:
-    """Rates of the velocity elevation/azimuth under the frame accelerations."""
+    """Rates of the velocity elevation/azimuth under the frame accelerations.
+
+    Reads only ``cfg.speed``, so the scalar kernel passes its hoisted
+    constants here.
+    """
     if abs(theta_v) > LOS_GUARD:
         raise GuardError(f"velocity elevation {theta_v:.4g} breached guard {LOS_GUARD}")
     return a_theta / cfg.speed, -a_psi / (cfg.speed * math.cos(theta_v))

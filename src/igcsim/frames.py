@@ -98,9 +98,38 @@ def projection_matrix_series(theta_l, phi_l, theta_v, psi_v) -> np.ndarray:
     return np.stack([row0, row1], axis=-2)
 
 
+def los_rows(theta_l: float, phi_l: float, theta_v: float, psi_v: float
+             ) -> tuple[float, ...]:
+    """Velocity-to-LOS acceleration map as nine floats, row-major.
+
+    The closed form of ``los_dcm @ velocity_dcm.T`` with its azimuth row
+    negated.  Rows are the radial, elevation and azimuth channels; columns
+    the velocity-frame axes (a_v, a_theta, a_psi).  The lower-right 2x2 block
+    is :func:`projection_matrix`, written as :func:`projection_matrix_series`
+    writes it.
+    """
+    stl, ctl = math.sin(theta_l), math.cos(theta_l)
+    stv, ctv = math.sin(theta_v), math.cos(theta_v)
+    d = phi_l - psi_v
+    sd, cd = math.sin(d), math.cos(d)
+    return (stl * stv + ctl * ctv * sd, stl * ctv - ctl * stv * sd, ctl * cd,
+            ctl * stv - stl * ctv * sd, stl * stv * sd + ctl * ctv, -stl * cd,
+            ctv * cd, -stv * cd, -sd)
+
+
+def los_accel(theta_l: float, phi_l: float, theta_v: float, psi_v: float,
+              a_v: float, a_theta: float, a_psi: float) -> tuple[float, float, float]:
+    """:func:`accel_velocity_to_los` as floats."""
+    m = los_rows(theta_l, phi_l, theta_v, psi_v)
+    return (m[0] * a_v + m[1] * a_theta + m[2] * a_psi,
+            m[3] * a_v + m[4] * a_theta + m[5] * a_psi,
+            m[6] * a_v + m[7] * a_theta + m[8] * a_psi)
+
+
 def projection_matrix(los: LosAngles, vel: VelocityAngles) -> np.ndarray:
     """2x2 matrix mapping (a_theta, a_psi) into the LOS angular channels."""
-    return projection_matrix_series(los.theta_l, los.phi_l, vel.theta_v, vel.psi_v)
+    m = los_rows(los.theta_l, los.phi_l, vel.theta_v, vel.psi_v)
+    return np.array([[m[4], m[5]], [m[7], m[8]]])
 
 
 def accel_velocity_to_los(
@@ -112,9 +141,9 @@ def accel_velocity_to_los(
     The azimuth channel carries a sign flip relative to the raw frame
     composition; this is the same convention :func:`projection_matrix` uses.
     """
-    composed = los_dcm(los) @ velocity_dcm(vel).T
-    w = composed @ np.asarray(accel, dtype=float)
-    return np.array([w[0], w[1], -w[2]])
+    a_v, a_theta, a_psi = (float(a) for a in accel)
+    return np.array(los_accel(los.theta_l, los.phi_l, vel.theta_v, vel.psi_v,
+                              a_v, a_theta, a_psi))
 
 
 def los_unit_vector(los: LosAngles) -> np.ndarray:

@@ -115,9 +115,6 @@ class SimLog:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.states[:, STATE_FIELDS.index(name)]
-
     def __getattr__(self, name: str) -> np.ndarray:
         if name in STATE_FIELDS:
             return self.states[:, STATE_FIELDS.index(name)]
@@ -187,6 +184,45 @@ def rk4_step(deriv, y, t: float, dt: float):
     return y_next
 
 
+class Kernel(igc.LawConstants):
+    """Per-run constants of a scenario: the law's, plus the plant mode and the
+    exogenous signal generators the derivative samples."""
+
+    __slots__ = ("trig", "rate", "accel", "lift", "side", "evader")
+
+    def __init__(self, scenario: Scenario):
+        super().__init__(scenario.cfg, scenario.gains, delta_max=scenario.delta_max)
+        self.trig = scenario.plant_mode == "trig"
+        d = scenario.disturbances
+        self.rate, self.accel, self.lift, self.side = d.rate, d.accel, d.lift, d.side
+        self.evader = scenario.evader
+
+
+def check_full_state(y) -> None:
+    """The FullState guards on the 15 floats of a state, in the same order."""
+    engagement.check_state(*y[:8])
+    airframe.check_attitude(*y[8:])
+
+
+def derivative(k: Kernel, t: float, y, fins=None) -> list[float]:
+    """Derivative of the 15-state closed loop as a list of floats.
+
+    With ``fins`` (a float triple) the control is held; otherwise the
+    cascade is evaluated at ``y``.
+    """
+    check_full_state(y)
+    if fins is None:
+        fins = igc.law(k, y)[0]
+    r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
+    a_theta, a_psi = airframe.accels(k, alpha, beta, k.lift.value(t), k.side.value(t), k.trig)
+    accel_p = frames.los_accel(theta_l, phi_l, theta_v, psi_v, 0.0, a_theta, a_psi)
+    rel = engagement.relative_rates(r, vr, theta_l, x01, x02, accel_p, k.evader.sample(t))
+    tv_dot, pv_dot = engagement.velocity_angle_derivatives(a_theta, a_psi, k, theta_v)
+    att = airframe.attitude_rates(k, gamma, alpha, beta, wx, wy, wz, pitch, fins,
+                                  k.rate.sample(t), k.accel.sample(t))
+    return [*rel, tv_dot, pv_dot, *att]
+
+
 def closed_loop_derivative(state: FullState, scenario: Scenario,
                            fins: FinDeflections | None = None) -> np.ndarray:
     """Derivative of the 15-state closed loop at ``state``.
@@ -194,28 +230,8 @@ def closed_loop_derivative(state: FullState, scenario: Scenario,
     With ``fins`` given the control is treated as held; otherwise the
     cascade is evaluated at the current state.
     """
-    eng, att, t = state.engagement, state.attitude, state.t
-    if fins is None:
-        fins, _ = igc.igc_step(eng, att, scenario.cfg, scenario.gains,
-                               delta_max=scenario.delta_max)
-    d = scenario.disturbances
-    a_theta, a_psi = airframe.lift_side_accels(
-        att.alpha, att.beta, d.lift.value(t), d.side.value(t),
-        scenario.cfg, scenario.plant_mode,
-    )
-    accel_p = frames.accel_velocity_to_los((0.0, a_theta, a_psi), eng.los, eng.vel)
-    accel_e = engagement.evader_accel(scenario.evader, t)
-    r_dot, vr_dot, tl_dot, pl_dot, x01_dot, x02_dot = engagement.relative_derivatives(
-        eng, accel_p, accel_e)
-    tv_dot, pv_dot = engagement.velocity_angle_derivatives(
-        a_theta, a_psi, scenario.cfg, eng.theta_v)
-    x1_dot, x2_dot, pitch_dot = airframe.attitude_derivatives(
-        att, fins, d.rate.value(t), d.accel.value(t), scenario.cfg)
-    return np.array([
-        r_dot, vr_dot, tl_dot, pl_dot, x01_dot, x02_dot, tv_dot, pv_dot,
-        x1_dot[0], x1_dot[1], x1_dot[2],
-        x2_dot[0], x2_dot[1], x2_dot[2], pitch_dot,
-    ])
+    held = None if fins is None else (fins.delta_x, fins.delta_y, fins.delta_z)
+    return np.array(derivative(Kernel(scenario), state.t, state.as_array().tolist(), held))
 
 
 def _post_transient_sup_x0(t: np.ndarray, x0_norm: np.ndarray) -> float:
@@ -237,45 +253,59 @@ def _miss_distance(log: SimLog) -> float:
     return float(r[-1])
 
 
+# Per-step log row layout: (SimLog field, width).  Rows are written into one
+# float table that doubles when full; it is never sized from t_max, which
+# may be far longer than the flight.
+_LOG_LAYOUT = (
+    ("t", 1), ("states", 15), ("fins", 3), ("x1_sharp_cmd", 2), ("x2_cmd", 3),
+    ("rate_dist", 3), ("accel_dist", 3), ("lift_dist", 1), ("side_dist", 1),
+    ("evader", 3), ("saturated", 1),
+)
+_LOG_WIDTH = sum(width for _, width in _LOG_LAYOUT)
+_LOG_BLOCK = 1024
+
+
+def _sim_log(table: np.ndarray) -> SimLog:
+    columns, start = {}, 0
+    for name, width in _LOG_LAYOUT:
+        block = table[:, start:start + width]
+        columns[name] = np.array(block[:, 0] if width == 1 else block)
+        start += width
+    columns["saturated"] = columns["saturated"].astype(bool)
+    return SimLog(**columns)
+
+
 def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
     """Integrate the closed loop until intercept, miss, guard breach, or timeout."""
     scenario.validate()
     dt = scenario.dt
     r0 = scenario.initial.engagement.r
     hold = scenario.control_update == "hold"
+    k = Kernel(scenario)
 
-    rows_state, rows_fins, rows_x1s, rows_x2c = [], [], [], []
-    rows_rate, rows_accel, rows_lift, rows_side, rows_evader, rows_sat = [], [], [], [], [], []
-    times = []
+    table = np.empty((_LOG_BLOCK, _LOG_WIDTH))
+    n = 0  # logged rows, which is also the index of the current step
 
     y = scenario.initial.as_array()
     outcome, message = OUTCOME_TIMEOUT, ""
-    step = 0
     while True:
-        t = step * dt
-        state = FullState.from_array(y, t)
+        t = n * dt
+        state = y.tolist()
+        check_full_state(state)
         try:
-            fins, diag = igc.igc_step(state.engagement, state.attitude,
-                                      scenario.cfg, scenario.gains,
-                                      delta_max=scenario.delta_max)
+            fins, x1_sharp, x2_cmd, saturated, _, _ = igc.law(k, state)
         except (GuardError, SingularityError) as exc:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
             break
 
-        times.append(t)
-        rows_state.append(y)
-        rows_fins.append(fins.as_array())
-        rows_x1s.append(diag.x1_sharp_cmd)
-        rows_x2c.append(diag.x2_cmd)
-        d = scenario.disturbances
-        rows_rate.append(d.rate.value(t))
-        rows_accel.append(d.accel.value(t))
-        rows_lift.append(d.lift.value(t))
-        rows_side.append(d.side.value(t))
-        rows_evader.append(engagement.evader_accel(scenario.evader, t))
-        rows_sat.append(diag.saturated)
+        if n == table.shape[0]:
+            table = np.concatenate((table, np.empty_like(table)))
+        table[n] = (t, *state, *fins, *x1_sharp, *x2_cmd, *k.rate.sample(t),
+                    *k.accel.sample(t), k.lift.value(t), k.side.value(t),
+                    *k.evader.sample(t), saturated)
+        n += 1
 
-        r, vr = y[0], y[1]
+        r, vr = state[0], state[1]
         if r <= scenario.r_intercept:
             outcome, message = OUTCOME_INTERCEPT, ""
             break
@@ -287,28 +317,14 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
             break
 
         held = fins if hold else None
-        deriv = lambda tt, yy: closed_loop_derivative(
-            FullState.from_array(yy, tt), scenario, held)
         try:
-            y = rk4_step(deriv, y, t, dt)
+            y = rk4_step(lambda tt, yy: np.array(derivative(k, tt, yy.tolist(), held)),
+                         y, t, dt)
         except (GuardError, SingularityError) as exc:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
             break
-        step += 1
 
-    log = SimLog(
-        t=np.array(times),
-        states=np.array(rows_state) if rows_state else np.empty((0, 15)),
-        fins=np.array(rows_fins) if rows_fins else np.empty((0, 3)),
-        x1_sharp_cmd=np.array(rows_x1s) if rows_x1s else np.empty((0, 2)),
-        x2_cmd=np.array(rows_x2c) if rows_x2c else np.empty((0, 3)),
-        rate_dist=np.array(rows_rate) if rows_rate else np.empty((0, 3)),
-        accel_dist=np.array(rows_accel) if rows_accel else np.empty((0, 3)),
-        lift_dist=np.array(rows_lift),
-        side_dist=np.array(rows_side),
-        evader=np.array(rows_evader) if rows_evader else np.empty((0, 3)),
-        saturated=np.array(rows_sat, dtype=bool),
-    )
+    log = _sim_log(table[:n])
     if len(log) > 0:
         summary = SimSummary(
             outcome=outcome,

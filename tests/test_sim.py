@@ -119,13 +119,26 @@ def test_run_miss_on_opening_range():
     assert summary.final_r > 1.1 * 600.0
 
 
-def test_run_guard_breach_reported():
-    blown = DisturbanceModel(rate=VectorSignal(kind="constant",
-                                               amplitude=(0.0, 0.0, 60.0)))
+@pytest.mark.parametrize("amplitude, message", [
+    pytest.param((0.0, 0.0, 60.0), "t=0.022: sideslip 1.204 breached guard 1.2",
+                 id="sideslip"),
+    pytest.param((0.0, 60.0, 0.0), "t=0.081: pitch -1.218 breached guard 1.2",
+                 id="pitch"),
+])
+def test_run_guard_breach_reported(amplitude, message):
+    blown = DisturbanceModel(rate=VectorSignal(kind="constant", amplitude=amplitude))
     scenario = make_scenario(disturbances=blown, t_max=2.0)
     _, summary = run(scenario)
     assert summary.outcome == "guard-breach"
-    assert "t=" in summary.message
+    assert summary.message == message
+
+
+def test_run_long_horizon_intercepts():
+    # The log grows with the flight, never with t_max: sized from this
+    # horizon it would need 1e12 rows.
+    log, summary = run(make_scenario(t_max=1e9))
+    assert summary.outcome == "intercept"
+    assert summary.steps == len(log) == 8065
 
 
 def test_run_deterministic():
