@@ -6,14 +6,13 @@ ISS stages; small-gain certificates and trajectory bound audits check the
 stability claims numerically along simulated trajectories.
 """
 
-from .airframe import AeroConfig, AttitudeState, FinDeflections
+from .airframe import AeroConfig, AttitudeState
 from .analysis import (
     BoundTrace,
     GainCertificate,
     LinearGain,
     bound_audit,
     build_certificate,
-    eta_bound,
     linear_gains,
     small_gain_check,
     spectral_norm,
@@ -29,18 +28,18 @@ from .engagement import (
 )
 from .errors import GuardError, ScenarioError, SingularityError
 from .frames import LosAngles, VelocityAngles
-from .igc import Gains, IgcDiagnostics, igc_step, iss_control
+from .igc import Gains, LawConstants, iss_control, law
 from .sim import FullState, Scenario, SimLog, SimSummary, rk4_step, run, sweep
 
 __all__ = [
-    "AeroConfig", "AttitudeState", "FinDeflections",
+    "AeroConfig", "AttitudeState",
     "BoundTrace", "GainCertificate", "LinearGain",
-    "bound_audit", "build_certificate", "eta_bound", "linear_gains",
+    "bound_audit", "build_certificate", "linear_gains",
     "small_gain_check", "spectral_norm", "theorem2_bound", "x0_bound",
     "AxisSignal", "DisturbanceModel", "EngagementState", "EvaderModel",
     "VectorSignal",
     "GuardError", "ScenarioError", "SingularityError",
     "LosAngles", "VelocityAngles",
-    "Gains", "IgcDiagnostics", "igc_step", "iss_control",
+    "Gains", "LawConstants", "iss_control", "law",
     "FullState", "Scenario", "SimLog", "SimSummary", "rk4_step", "run", "sweep",
 ]

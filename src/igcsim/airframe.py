@@ -93,36 +93,12 @@ class AttitudeState:
         check_attitude(self.gamma, self.alpha, self.beta,
                        self.omega_x, self.omega_y, self.omega_z, self.pitch)
 
-    @property
-    def x1(self) -> np.ndarray:
-        return np.array([self.gamma, self.alpha, self.beta])
-
-    @property
-    def x2(self) -> np.ndarray:
-        return np.array([self.omega_x, self.omega_y, self.omega_z])
-
-
-@dataclass(frozen=True)
-class FinDeflections:
-    """Aileron, rudder, and elevator deflections [rad]."""
-
-    delta_x: float
-    delta_y: float
-    delta_z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.delta_x, self.delta_y, self.delta_z])
-
-    def clamped(self, limit: float) -> "FinDeflections":
-        return FinDeflections(*clamp((self.delta_x, self.delta_y, self.delta_z), limit))
-
 
 class AeroConstants:
     """The constants of an AeroConfig in the form the scalar kernel reads them.
 
-    Built once per run (or once per call of a public adapter); every derived
-    quantity is computed exactly as the formulas below would compute it
-    inline, so hoisting changes no result.
+    Built once per run; every derived quantity is computed exactly as the
+    formulas below would compute it inline, so hoisting changes no result.
     """
 
     __slots__ = ("mass", "thrust", "speed", "mv", "qs_lift", "qs_side",
@@ -168,7 +144,7 @@ def clamp(fins, limit: float) -> tuple[float, float, float]:
 
 
 def attitude_drift(k: AeroConstants, alpha: float, beta: float) -> tuple[float, float, float]:
-    """f1 as floats; see :func:`f1`."""
+    """Drift f1 of the attitude-angle channel [rad/s]."""
     return (
         0.0,
         -(k.thrust * math.sin(alpha) + k.qs_lift * alpha) / (k.mv * math.cos(beta)),
@@ -177,10 +153,12 @@ def attitude_drift(k: AeroConstants, alpha: float, beta: float) -> tuple[float, 
 
 
 def mixer(gamma: float, alpha: float, beta: float, pitch: float) -> tuple[float, ...]:
-    """g1 as nine floats, row-major; see :func:`g1`.
+    """Body-rate-to-attitude-rate mixing matrix g1 as nine floats, row-major.
 
-    The tangents are taken as sin/cos, exactly as :func:`g1_series` takes
-    them, so the scalar and the broadcast matrices agree bit for bit.
+    Invertible throughout a reasonable flight domain; its determinant is -1
+    exactly at zero angles.  The tangents are taken as sin/cos, exactly as
+    :func:`g1_series` takes them, so the scalar and the broadcast matrices
+    agree bit for bit.
     """
     tp = math.sin(pitch) / math.cos(pitch)
     tb = math.sin(beta) / math.cos(beta)
@@ -192,7 +170,7 @@ def mixer(gamma: float, alpha: float, beta: float, pitch: float) -> tuple[float,
 
 def rate_drift(k: AeroConstants, alpha: float, beta: float,
                wx: float, wy: float, wz: float) -> tuple[float, float, float]:
-    """f2 as floats; see :func:`f2`."""
+    """Drift f2 of the body-rate channel [rad/s^2]."""
     gx, gy, gz = k.gyro
     return (
         gx * wy * wz,
@@ -215,15 +193,20 @@ def accels(k: AeroConstants, alpha: float, beta: float, d_lift: float, d_side: f
 
 def attitude_rates(k: AeroConstants, gamma, alpha, beta, wx, wy, wz, pitch,
                    fins, d1, d2) -> tuple[float, ...]:
-    """Derivatives of (gamma, alpha, beta, wx, wy, wz, pitch) as seven floats;
-    see :func:`attitude_derivatives`.  ``fins``, ``d1`` and ``d2`` are triples."""
+    """Derivatives of (gamma, alpha, beta, wx, wy, wz, pitch) as seven floats
+    under fin command and disturbances.
+
+    ``fins``, ``d1`` [rad/s, angle channel] and ``d2`` [rad/s^2, rate
+    channel] are triples.  Raises GuardError once sideslip or pitch leaves
+    the guard band.
+    """
     if abs(beta) > ATTITUDE_GUARD:
         raise GuardError(f"sideslip {beta:.4g} breached guard {ATTITUDE_GUARD}")
     if abs(pitch) > ATTITUDE_GUARD:
         raise GuardError(f"pitch {pitch:.4g} breached guard {ATTITUDE_GUARD}")
     a0, a1, a2 = attitude_drift(k, alpha, beta)
     # The one matrix product left to numpy: it must round exactly as
-    # ``g1(pitch, x1) @ x2`` does, and BLAS may fuse its multiply-adds.
+    # ``g1_series(...) @ x2`` does, and BLAS may fuse its multiply-adds.
     m0, m1, m2 = (np.array(mixer(gamma, alpha, beta, pitch)).reshape(3, 3)
                   @ np.array((wx, wy, wz))).tolist()
     r0, r1, r2 = rate_drift(k, alpha, beta, wx, wy, wz)
@@ -240,11 +223,6 @@ def attitude_rates(k: AeroConstants, gamma, alpha, beta, wx, wy, wz, pitch,
     )
 
 
-def f1(x1, cfg: AeroConfig) -> np.ndarray:
-    """Drift of the attitude-angle channel [rad/s]."""
-    return np.array(attitude_drift(AeroConstants(cfg), float(x1[1]), float(x1[2])))
-
-
 def g1_series(gamma, alpha, beta, pitch) -> np.ndarray:
     """Broadcastable body-rate-to-attitude-rate mixing matrix, shape (..., 3, 3)."""
     gamma = np.asarray(gamma, dtype=float)
@@ -258,27 +236,6 @@ def g1_series(gamma, alpha, beta, pitch) -> np.ndarray:
     row1 = np.stack([-tb * np.cos(alpha) * ones, np.sin(alpha) * tb * ones, ones], axis=-1)
     row2 = np.stack([np.sin(alpha) * ones, np.cos(alpha) * ones, zeros], axis=-1)
     return np.stack([row0, row1, row2], axis=-2)
-
-
-def g1(pitch: float, x1) -> np.ndarray:
-    """Body-rate-to-attitude-rate mixing matrix.
-
-    Invertible throughout a reasonable flight domain; determinant is -1
-    exactly at zero angles.
-    """
-    m = mixer(float(x1[0]), float(x1[1]), float(x1[2]), float(pitch))
-    return np.array(m).reshape(3, 3)
-
-
-def f2(x1, x2, cfg: AeroConfig) -> np.ndarray:
-    """Drift of the body-rate channel [rad/s^2]."""
-    return np.array(rate_drift(AeroConstants(cfg), float(x1[1]), float(x1[2]),
-                               float(x2[0]), float(x2[1]), float(x2[2])))
-
-
-def g2(cfg: AeroConfig) -> np.ndarray:
-    """Diagonal fin-effectiveness matrix [rad/s^2 per rad], constant in time."""
-    return np.diag(AeroConstants(cfg).fin_gain)
 
 
 def lift_side_accels(
@@ -298,20 +255,3 @@ def lift_side_accels(
     if mode not in ("trig", "linear"):
         raise ValueError(f"plant mode must be 'trig' or 'linear', got {mode!r}")
     return accels(AeroConstants(cfg), alpha, beta, d_lift, d_side, mode == "trig")
-
-
-def attitude_derivatives(
-    state: AttitudeState, fins: FinDeflections, d1, d2, cfg: AeroConfig
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Time derivatives of (x1, x2, pitch) under fin command and disturbances.
-
-    d1 [rad/s] perturbs the angle channel, d2 [rad/s^2] the rate channel.
-    Raises GuardError once sideslip or pitch leaves the guard band.
-    """
-    rates = attitude_rates(
-        AeroConstants(cfg), state.gamma, state.alpha, state.beta,
-        state.omega_x, state.omega_y, state.omega_z, state.pitch,
-        (fins.delta_x, fins.delta_y, fins.delta_z),
-        [float(v) for v in d1], [float(v) for v in d2],
-    )
-    return np.array(rates[:3]), np.array(rates[3:6]), rates[6]

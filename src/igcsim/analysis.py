@@ -22,11 +22,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import airframe, frames
+from . import airframe, frames, sim
 from .airframe import AeroConfig
+from .engagement import DisturbanceModel, EvaderModel, VectorSignal
 from .igc import Gains
 
 DEFAULT_SLACK = 0.05
+
+# The central differences of the command derivatives need three samples.
+MIN_AUDIT_SAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -77,11 +81,6 @@ def theorem2_bound(t, x0_norm: float, k: float, delta: float, d_sup) -> float | 
         + delta / math.sqrt(2.0 * k) * np.sqrt(1.0 - np.exp(-2.0 * k * t)) * d_sup
     )
     return float(bound) if bound.ndim == 0 else bound
-
-
-def eta_bound(t, eta0_norm: float, k: float, delta: float, combined_disturbance_sup):
-    """Tracking-error envelope; identical in form with the summed disturbance."""
-    return theorem2_bound(t, eta0_norm, k, delta, combined_disturbance_sup)
 
 
 def x0_bound(t, x0_norm_initial: float, gains: Gains, r_m: float, d0_sup, y1_sup):
@@ -255,7 +254,7 @@ def bound_audit(log, gains: Gains, cfg: AeroConfig, r_m: float,
     """
     t = log.t
     n = t.shape[0]
-    if n < 3:
+    if n < MIN_AUDIT_SAMPLES:
         raise ValueError(f"log too short for finite differences: {n} samples")
     steps = np.diff(t)
     dt = steps[0]
@@ -297,7 +296,7 @@ def bound_audit(log, gains: Gains, cfg: AeroConfig, r_m: float,
         + _running_sup(np.linalg.norm(y0, axis=-1))
         + _running_sup(np.linalg.norm(y3, axis=-1))
     )
-    bound_eta1 = eta_bound(t, float(eta1_norm[0]), gains.k1, gains.delta1, combined1)
+    bound_eta1 = theorem2_bound(t, float(eta1_norm[0]), gains.k1, gains.delta1, combined1)
 
     # Rate channel: disturbance is the moment noise plus the rate-command
     # derivative.
@@ -307,7 +306,7 @@ def bound_audit(log, gains: Gains, cfg: AeroConfig, r_m: float,
         _running_sup(np.linalg.norm(log.accel_dist, axis=-1))
         + _running_sup(np.linalg.norm(y2, axis=-1))
     )
-    bound_eta2 = eta_bound(t, float(eta2_norm[0]), gains.k2, gains.delta2, combined2)
+    bound_eta2 = theorem2_bound(t, float(eta2_norm[0]), gains.k2, gains.delta2, combined2)
 
     traces = []
     total = 0
@@ -336,9 +335,6 @@ def estimate_loop_gain(scenario, loop: str, base_amplitude: float,
     guard within its horizon: the probe needs a pair of full-length,
     endgame-free trajectories.
     """
-    from . import sim as _sim
-    from .engagement import EvaderModel, DisturbanceModel, VectorSignal
-
     if loop not in ("guidance", "rate"):
         raise ValueError(f"loop must be 'guidance' or 'rate', got {loop!r}")
     if not base_amplitude > 0.0 or not scale > 1.0:
@@ -346,7 +342,7 @@ def estimate_loop_gain(scenario, loop: str, base_amplitude: float,
 
     # Start on the command manifold and strip the scenario's own inputs so
     # the paired responses differ only through the injected signal.
-    quiet = _sim.trim_attitude_to_commands(
+    quiet = sim.trim_attitude_to_commands(
         replace(scenario, evader=EvaderModel(), disturbances=DisturbanceModel()))
     outputs, inputs = [], []
     for amplitude in (base_amplitude, scale * base_amplitude):
@@ -365,7 +361,7 @@ def estimate_loop_gain(scenario, loop: str, base_amplitude: float,
                                       frequency=frequency),
                 ),
             )
-        log, summary = _sim.run(probe)
+        log, summary = sim.run(probe)
         if summary.outcome != "timeout":
             raise ValueError(
                 f"probe run ended with {summary.outcome!r}; supply a scenario "

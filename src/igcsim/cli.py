@@ -14,52 +14,55 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, sim
 from .airframe import AeroConfig, AttitudeState
-from .engagement import AxisSignal, DisturbanceModel, EngagementState, EvaderModel, VectorSignal
+from .engagement import DisturbanceModel, EngagementState, EvaderModel
 from .errors import GuardError, ScenarioError
 from .igc import Gains
 from .sim import FullState, Scenario, SimLog, SimSummary
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
-_PURSUER_KEYS = (
-    "mass", "thrust", "speed", "air_density", "ref_area", "ref_length",
-    "lift_slope", "side_slope", "roll_moment_fin", "yaw_moment_beta",
-    "yaw_moment_fin", "pitch_moment_alpha", "pitch_moment_fin",
-    "inertia_x", "inertia_y", "inertia_z",
-)
-_INITIAL_KEYS = sim.STATE_FIELDS
-_GAINS_KEYS = ("k0", "k1", "k2", "delta0", "delta1", "delta2")
-_EVADER_KEYS = ("kind", "accel_r", "accel_theta", "accel_phi",
-                "frequency", "phase", "step_time")
-_DISTURBANCE_KEYS = (
-    "rate_kind", "rate_amp_x", "rate_amp_y", "rate_amp_z", "rate_frequency", "rate_phase",
-    "accel_kind", "accel_amp_x", "accel_amp_y", "accel_amp_z", "accel_frequency", "accel_phase",
-    "lift_kind", "lift_amplitude", "lift_frequency", "lift_phase",
-    "side_kind", "side_amplitude", "side_frequency", "side_phase",
-)
-_SIM_KEYS = ("dt", "t_max", "r_intercept", "r_min", "r_max", "plant_mode",
-             "delta_max", "divergence_factor", "control_update")
-_SECTIONS = {
-    "pursuer": _PURSUER_KEYS,
-    "initial": _INITIAL_KEYS,
-    "gains": _GAINS_KEYS,
-    "evader": _EVADER_KEYS,
-    "disturbance": _DISTURBANCE_KEYS,
-    "sim": _SIM_KEYS,
-}
-_STRING_KEYS = {
-    ("evader", "kind"), ("sim", "plant_mode"), ("sim", "control_update"),
-    ("disturbance", "rate_kind"), ("disturbance", "accel_kind"),
-    ("disturbance", "lift_kind"), ("disturbance", "side_kind"),
+# Marks a key that a scenario file must give; every other key has a default.
+REQUIRED = object()
+
+# The [sim] keys are the Scenario fields other than its five parts.
+_SCENARIO_PARTS = ("cfg", "gains", "initial", "evader", "disturbances")
+_SIM_REQUIRED = ("dt", "t_max", "r_min", "r_max")
+
+
+def _disturbance_items(model: DisturbanceModel):
+    """(key, value) pairs of the flat [disturbance] section: ``<signal>_<field>``,
+    with a three-axis amplitude as ``<signal>_amp_x/_y/_z``."""
+    for signal in fields(model):
+        source = getattr(model, signal.name)
+        for field in fields(source):
+            value = getattr(source, field.name)
+            if isinstance(value, tuple):
+                for axis, component in zip("xyz", value):
+                    yield f"{signal.name}_amp_{axis}", component
+            else:
+                yield f"{signal.name}_{field.name}", value
+
+
+# The scenario file layout, in file order: section -> key -> default.  A key
+# whose default is a str takes a word; every other key takes a decimal.
+SCHEMA = {
+    "pursuer": dict.fromkeys((f.name for f in fields(AeroConfig)), REQUIRED),
+    "initial": dict.fromkeys(sim.STATE_FIELDS, REQUIRED),
+    "gains": dict.fromkeys((f.name for f in fields(Gains)), REQUIRED),
+    "evader": {f.name: f.default for f in fields(EvaderModel)},
+    "disturbance": dict(_disturbance_items(DisturbanceModel())),
+    "sim": {f.name: REQUIRED if f.name in _SIM_REQUIRED else f.default
+            for f in fields(Scenario) if f.name not in _SCENARIO_PARTS},
 }
 
 CSV_COLUMNS = (
@@ -81,7 +84,7 @@ def _parse_sections(text: str, source: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current_name = line[1:-1].strip()
-            if current_name not in _SECTIONS:
+            if current_name not in SCHEMA:
                 raise ScenarioError(f"{source}:{lineno}: unknown section [{current_name}]")
             if current_name in sections:
                 raise ScenarioError(f"{source}:{lineno}: duplicate section [{current_name}]")
@@ -92,34 +95,48 @@ def _parse_sections(text: str, source: str) -> dict[str, dict[str, str]]:
         if current is None:
             raise ScenarioError(f"{source}:{lineno}: key outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTIONS[current_name]:
+        if key not in SCHEMA[current_name]:
             raise ScenarioError(
                 f"{source}:{lineno}: unknown key {key!r} in section [{current_name}]")
         if key in current:
             raise ScenarioError(f"{source}:{lineno}: duplicate key {key!r}")
-        if (current_name, key) not in _STRING_KEYS and not _NUMBER.match(value):
+        if not isinstance(SCHEMA[current_name][key], str) and not _NUMBER.match(value):
             raise ScenarioError(
                 f"{source}:{lineno}: {current_name}.{key}: not a decimal number: {value!r}")
         current[key] = value
     return sections
 
 
-def _require(sections, section: str, keys) -> dict[str, float]:
-    table = sections.get(section)
-    if table is None:
-        raise ScenarioError(f"missing required section [{section}]")
-    missing = [k for k in keys if k not in table]
+def _section(sections, name: str) -> dict:
+    """Typed values of one section, with the defaults of the keys not given."""
+    schema = SCHEMA[name]
+    given = sections.get(name)
+    if given is None:
+        if REQUIRED in schema.values():
+            raise ScenarioError(f"missing required section [{name}]")
+        given = {}
+    missing = [key for key, default in schema.items()
+               if default is REQUIRED and key not in given]
     if missing:
         raise ScenarioError(
-            f"missing required key(s) in [{section}]: " + ", ".join(missing))
-    return {k: float(table[k]) for k in keys}
+            f"missing required key(s) in [{name}]: " + ", ".join(missing))
+    values = {}
+    for key, default in schema.items():
+        if key not in given:
+            values[key] = default
+        elif isinstance(default, str):
+            values[key] = given[key]
+        else:
+            values[key] = float(given[key])
+    return values
 
 
-def _build(section: str, factory, *args, **kwargs):
+def _build(section: str, factory, kwargs, key_prefix: str = ""):
     try:
-        return factory(*args, **kwargs)
+        return factory(**kwargs)
     except (ValueError, GuardError) as exc:
-        raise ScenarioError(f"{section}.{exc}" if ":" in str(exc) else f"{section}: {exc}")
+        raise ScenarioError(
+            f"{section}.{key_prefix}{exc}" if ":" in str(exc) else f"{section}: {exc}")
 
 
 def parse_scenario(path) -> Scenario:
@@ -128,84 +145,31 @@ def parse_scenario(path) -> Scenario:
     text = Path(path).read_text(encoding="utf-8")
     sections = _parse_sections(text, source)
 
-    cfg = _build("pursuer", AeroConfig, **_require(sections, "pursuer", _PURSUER_KEYS))
-    gains = _build("gains", Gains, **_require(sections, "gains", _GAINS_KEYS))
-    init = _require(sections, "initial", _INITIAL_KEYS)
+    cfg = _build("pursuer", AeroConfig, _section(sections, "pursuer"))
+    gains = _build("gains", Gains, _section(sections, "gains"))
+    init = _section(sections, "initial")
     initial = FullState(
         engagement=_build("initial", EngagementState,
-                          **{k: init[k] for k in sim.STATE_FIELDS[:8]}),
+                          {k: init[k] for k in sim.STATE_FIELDS[:8]}),
         attitude=_build("initial", AttitudeState,
-                        **{k: init[k] for k in sim.STATE_FIELDS[8:]}),
+                        {k: init[k] for k in sim.STATE_FIELDS[8:]}),
     )
+    evader = _build("evader", EvaderModel, _section(sections, "evader"))
 
-    ev = sections.get("evader", {})
-    evader = _build(
-        "evader", EvaderModel,
-        kind=ev.get("kind", "constant"),
-        accel_r=float(ev.get("accel_r", 0.0)),
-        accel_theta=float(ev.get("accel_theta", 0.0)),
-        accel_phi=float(ev.get("accel_phi", 0.0)),
-        frequency=float(ev.get("frequency", 0.0)),
-        phase=float(ev.get("phase", 0.0)),
-        step_time=float(ev.get("step_time", 0.0)),
-    )
+    flat = _section(sections, "disturbance")
+    signals = {}
+    for signal in fields(DisturbanceModel):
+        signal_type, prefix = type(signal.default), f"{signal.name}_"
+        kwargs = {
+            f.name: (tuple(flat[f"{prefix}amp_{axis}"] for axis in "xyz")
+                     if isinstance(f.default, tuple) else flat[prefix + f.name])
+            for f in fields(signal_type)
+        }
+        signals[signal.name] = _build("disturbance", signal_type, kwargs, key_prefix=prefix)
 
-    dist = sections.get("disturbance", {})
-
-    def vector_signal(prefix: str) -> VectorSignal:
-        try:
-            return VectorSignal(
-                kind=dist.get(f"{prefix}_kind", "zero"),
-                amplitude=(
-                    float(dist.get(f"{prefix}_amp_x", 0.0)),
-                    float(dist.get(f"{prefix}_amp_y", 0.0)),
-                    float(dist.get(f"{prefix}_amp_z", 0.0)),
-                ),
-                frequency=float(dist.get(f"{prefix}_frequency", 0.0)),
-                phase=float(dist.get(f"{prefix}_phase", 0.0)),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"disturbance.{prefix}_{exc}")
-
-    def axis_signal(prefix: str) -> AxisSignal:
-        try:
-            return AxisSignal(
-                kind=dist.get(f"{prefix}_kind", "zero"),
-                amplitude=float(dist.get(f"{prefix}_amplitude", 0.0)),
-                frequency=float(dist.get(f"{prefix}_frequency", 0.0)),
-                phase=float(dist.get(f"{prefix}_phase", 0.0)),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"disturbance.{prefix}_{exc}")
-
-    disturbances = DisturbanceModel(
-        rate=vector_signal("rate"),
-        accel=vector_signal("accel"),
-        lift=axis_signal("lift"),
-        side=axis_signal("side"),
-    )
-
-    sim_table = sections.get("sim")
-    if sim_table is None:
-        raise ScenarioError("missing required section [sim]")
-    required_sim = _require(sections, "sim", ("dt", "t_max", "r_min", "r_max"))
-    delta_max = sim_table.get("delta_max")
-    scenario = Scenario(
-        cfg=cfg,
-        gains=gains,
-        initial=initial,
-        evader=evader,
-        disturbances=disturbances,
-        dt=required_sim["dt"],
-        t_max=required_sim["t_max"],
-        r_intercept=float(sim_table.get("r_intercept", 1.0)),
-        r_min=required_sim["r_min"],
-        r_max=required_sim["r_max"],
-        plant_mode=sim_table.get("plant_mode", "trig"),
-        delta_max=float(delta_max) if delta_max is not None else None,
-        divergence_factor=float(sim_table.get("divergence_factor", 1.5)),
-        control_update=sim_table.get("control_update", "hold"),
-    )
+    scenario = Scenario(cfg=cfg, gains=gains, initial=initial, evader=evader,
+                        disturbances=DisturbanceModel(**signals),
+                        **_section(sections, "sim"))
     try:
         scenario.validate()
     except ValueError as exc:
@@ -219,42 +183,24 @@ def _fmt(value: float) -> str:
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario back to the file format (parse round-trips exactly)."""
-    cfg, gains = scenario.cfg, scenario.gains
-    e, a = scenario.initial.engagement, scenario.initial.attitude
-    ev, d = scenario.evader, scenario.disturbances
-    lines = ["[pursuer]"]
-    lines += [f"{k} = {_fmt(getattr(cfg, k))}" for k in _PURSUER_KEYS]
-    lines += ["", "[initial]"]
-    lines += [f"{k} = {_fmt(getattr(e, k))}" for k in sim.STATE_FIELDS[:8]]
-    lines += [f"{k} = {_fmt(getattr(a, k))}" for k in sim.STATE_FIELDS[8:]]
-    lines += ["", "[gains]"]
-    lines += [f"{k} = {_fmt(getattr(gains, k))}" for k in _GAINS_KEYS]
-    lines += ["", "[evader]", f"kind = {ev.kind}"]
-    lines += [f"{k} = {_fmt(getattr(ev, k))}" for k in _EVADER_KEYS[1:]]
-    lines += ["", "[disturbance]"]
-    for prefix, signal in (("rate", d.rate), ("accel", d.accel)):
-        lines.append(f"{prefix}_kind = {signal.kind}")
-        for axis, value in zip(("x", "y", "z"), signal.amplitude):
-            lines.append(f"{prefix}_amp_{axis} = {_fmt(value)}")
-        lines.append(f"{prefix}_frequency = {_fmt(signal.frequency)}")
-        lines.append(f"{prefix}_phase = {_fmt(signal.phase)}")
-    for prefix, signal in (("lift", d.lift), ("side", d.side)):
-        lines.append(f"{prefix}_kind = {signal.kind}")
-        lines.append(f"{prefix}_amplitude = {_fmt(signal.amplitude)}")
-        lines.append(f"{prefix}_frequency = {_fmt(signal.frequency)}")
-        lines.append(f"{prefix}_phase = {_fmt(signal.phase)}")
-    lines += ["", "[sim]"]
-    lines.append(f"dt = {_fmt(scenario.dt)}")
-    lines.append(f"t_max = {_fmt(scenario.t_max)}")
-    lines.append(f"r_intercept = {_fmt(scenario.r_intercept)}")
-    lines.append(f"r_min = {_fmt(scenario.r_min)}")
-    lines.append(f"r_max = {_fmt(scenario.r_max)}")
-    lines.append(f"plant_mode = {scenario.plant_mode}")
-    if scenario.delta_max is not None:
-        lines.append(f"delta_max = {_fmt(scenario.delta_max)}")
-    lines.append(f"divergence_factor = {_fmt(scenario.divergence_factor)}")
-    lines.append(f"control_update = {scenario.control_update}")
-    return "\n".join(lines) + "\n"
+    values = {
+        "pursuer": vars(scenario.cfg),
+        "initial": {**vars(scenario.initial.engagement), **vars(scenario.initial.attitude)},
+        "gains": vars(scenario.gains),
+        "evader": vars(scenario.evader),
+        "disturbance": dict(_disturbance_items(scenario.disturbances)),
+        "sim": vars(scenario),
+    }
+    blocks = []
+    for name, schema in SCHEMA.items():
+        lines = [f"[{name}]"]
+        for key, default in schema.items():
+            value = values[name][key]
+            if value is None:  # an unset optional value, such as no fin limit
+                continue
+            lines.append(f"{key} = {value if isinstance(default, str) else _fmt(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def write_csv_log(log: SimLog, path) -> None:
@@ -296,7 +242,9 @@ def _summary_dict(summary: SimSummary) -> dict:
     }
     if summary.audit_violations is not None:
         out["audit_violations"] = list(summary.audit_violations)
-    return out
+    # Strict JSON has no NaN or infinity, e.g. the sup over a zero-step run.
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in out.items()}
 
 
 def _print_summary(summary: SimSummary) -> None:
@@ -313,18 +261,21 @@ def cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     log, summary = sim.run(scenario)
     write_csv_log(log, args.out_csv)
-    if args.audit:
+    traces = None
+    if args.audit and len(log) >= analysis.MIN_AUDIT_SAMPLES:
         traces, total = analysis.bound_audit(log, scenario.gains, scenario.cfg,
                                              scenario.r_min)
         summary = replace(summary,
                           audit_violations=tuple(tr.violations for tr in traces))
-        _print_summary(summary)
+    _print_summary(summary)
+    if traces is not None:
         print(f"bound audit: {total} violation(s)")
         for trace in traces:
             print(f"  {trace.channel}: {trace.violations} violation(s), "
                   f"worst margin {trace.worst_margin:.6g}")
-    else:
-        _print_summary(summary)
+    elif args.audit:
+        print(f"bound audit: skipped, {len(log)} sample(s) logged "
+              f"(needs {analysis.MIN_AUDIT_SAMPLES})")
     if args.summary_json:
         Path(args.summary_json).write_text(
             json.dumps(_summary_dict(summary), indent=2) + "\n", encoding="utf-8")
@@ -338,8 +289,9 @@ def _parse_grid(specs, base: Gains) -> list[Gains]:
             raise ScenarioError(f"malformed grid spec {spec!r}, expected name=v1,v2,...")
         name, _, values = spec.partition("=")
         name = name.strip()
-        if name not in _GAINS_KEYS:
-            raise ScenarioError(f"grid parameter must be one of {', '.join(_GAINS_KEYS)}, got {name!r}")
+        if name not in SCHEMA["gains"]:
+            raise ScenarioError(
+                f"grid parameter must be one of {', '.join(SCHEMA['gains'])}, got {name!r}")
         try:
             parsed = [float(v) for v in values.split(",") if v.strip()]
         except ValueError:
@@ -362,12 +314,12 @@ def cmd_sweep(args) -> int:
     scenario = parse_scenario(args.scenario)
     grid = _parse_grid(args.grid, scenario.gains)
     points = sim.sweep(scenario, grid)
-    header = list(_GAINS_KEYS) + ["outcome", "final_r", "flight_time",
+    header = list(SCHEMA["gains"]) + ["outcome", "final_r", "flight_time",
                                   "miss_distance", "post_transient_sup_x0", "error"]
     with open(args.out_table, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for point in points:
-            cells = [_fmt(getattr(point.gains, k)) for k in _GAINS_KEYS]
+            cells = [_fmt(getattr(point.gains, k)) for k in SCHEMA["gains"]]
             if point.summary is not None:
                 s = point.summary
                 cells += [s.outcome, _fmt(s.final_r), _fmt(s.flight_time),

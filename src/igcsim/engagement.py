@@ -44,10 +44,6 @@ class EngagementState:
                     self.x01, self.x02, self.theta_v, self.psi_v)
 
     @property
-    def x0(self) -> np.ndarray:
-        return np.array([self.x01, self.x02])
-
-    @property
     def los(self) -> frames.LosAngles:
         return frames.LosAngles(self.theta_l, self.phi_l)
 
@@ -79,10 +75,6 @@ class EvaderModel:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite")
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.accel_r, self.accel_theta, self.accel_phi])
-
     def sample(self, t: float) -> tuple[float, float, float]:
         """Acceleration (a_r, a_theta, a_phi) [m/s^2] at time t."""
         amplitudes = (self.accel_r, self.accel_theta, self.accel_phi)
@@ -92,11 +84,6 @@ class EvaderModel:
             return amplitudes if t >= self.step_time else (0.0, 0.0, 0.0)
         s = math.sin(self.frequency * t + self.phase)
         return amplitudes[0] * s, amplitudes[1] * s, amplitudes[2] * s
-
-
-def evader_accel(model: EvaderModel, t: float) -> np.ndarray:
-    """Evader acceleration sample (a_r, a_theta, a_phi) [m/s^2] at time t."""
-    return np.array(model.sample(t))
 
 
 @dataclass(frozen=True)
@@ -149,9 +136,6 @@ class VectorSignal:
             return ax, ay, az
         s = math.sin(self.frequency * t + self.phase)
         return ax * s, ay * s, az * s
-
-    def value(self, t: float) -> np.ndarray:
-        return np.array(self.sample(t))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import airframe, engagement
-from .airframe import AeroConfig, AttitudeState, FinDeflections
-from .engagement import EngagementState
+from .airframe import AeroConfig
 from .errors import SingularityError
 
 COND_LIMIT = 1e6
@@ -39,20 +38,6 @@ class Gains:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name}: must be > 0, got {value!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class IgcDiagnostics:
-    """Per-call command and error snapshot for logging and audits."""
-
-    x1_sharp_cmd: np.ndarray  # commanded (attack, sideslip) [rad]
-    x1_cmd: np.ndarray        # commanded attitude with zero roll [rad]
-    x2_cmd: np.ndarray        # commanded body rates [rad/s]
-    eta1: np.ndarray          # attitude tracking error [rad]
-    eta2: np.ndarray          # rate tracking error [rad/s]
-    cond_g0: float            # condition estimate of the guidance input map
-    cond_g1: float            # condition estimate of the rate mixing matrix
-    saturated: bool = False
 
 
 def _gated_inverse(matrix, cond_limit: float, stage: str) -> tuple[np.ndarray, float]:
@@ -85,8 +70,8 @@ def iss_control(f, g, x, k: float, delta: float,
     Dimension-generic; the closed loop x_dot = f + g u + d then satisfies
     ||x(t)|| <= exp(-k t) ||x(0)||
               + delta / sqrt(2 k) * sqrt(1 - exp(-2 k t)) * sup||d||.
-    The three stages of :func:`igc_step` apply the same formula through
-    their closed-form inverses.
+    The three stages of :func:`law` apply the same formula through their
+    closed-form inverses.
     """
     f = np.asarray(f, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -205,7 +190,10 @@ def law(k: LawConstants, y):
 
     Returns (fins, x1_sharp_cmd, x2_cmd, saturated, cond_g0, cond_g1), the
     vectors as float tuples.  Each stage inverts its matrix once, in closed
-    form, and takes its condition estimate from that inverse.
+    form, and takes its condition estimate from that inverse.  Roll is
+    commanded to zero (skid-to-turn).  Raises SingularityError naming the
+    stage whose map is not invertible at ``y``.  With ``k.delta_max`` set the
+    fins are clamped to it and ``saturated`` flags the clamp.
     """
     r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
     g0 = engagement.guidance_map(k, r, theta_l, phi_l, theta_v, psi_v)
@@ -223,68 +211,3 @@ def law(k: LawConstants, y):
         saturated = clamped != fins
         fins = clamped
     return fins, (alpha_cmd, beta_cmd), x2_cmd, saturated, cond_g0, cond_g1
-
-
-def _floats(v) -> list[float]:
-    return [float(x) for x in v]
-
-
-def alpha_beta_command(state: EngagementState, g0_matrix, gains: Gains,
-                       cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """Commanded (attack, sideslip) that regulates the LOS rate.
-
-    Cancels only the radial drift -2 (vr / r) x0; the tan(theta_l) cross
-    couplings are orthogonal to x0 and are deliberately left alone.
-    """
-    g = _floats(np.asarray(g0_matrix, dtype=float).ravel())
-    u0, u1, _ = guidance_stage(feedback(gains.k0, gains.delta0), state.r, state.vr,
-                               state.x01, state.x02, g, cond_limit)
-    return np.array([u0, u1])
-
-
-def rate_command(x1, x1_cmd, g1_matrix, f1_vector, gains: Gains,
-                 cond_limit: float = COND_LIMIT) -> np.ndarray:
-    """Commanded body rates that track the attitude command."""
-    g = _floats(np.asarray(g1_matrix, dtype=float).ravel())
-    u0, u1, u2, _ = attitude_stage(feedback(gains.k1, gains.delta1), _floats(x1),
-                                   _floats(x1_cmd), g, _floats(f1_vector), cond_limit)
-    return np.array([u0, u1, u2])
-
-
-def fin_command(x1, x2, x2_cmd, cfg: AeroConfig, gains: Gains,
-                cond_limit: float = COND_LIMIT) -> FinDeflections:
-    """Fin deflections that track the body-rate command."""
-    k = airframe.AeroConstants(cfg)
-    x1, x2 = _floats(x1), _floats(x2)
-    f2 = airframe.rate_drift(k, x1[1], x1[2], *x2)
-    return FinDeflections(*fin_stage(feedback(gains.k2, gains.delta2), x2, _floats(x2_cmd),
-                                     f2, k.fin_gain, cond_limit))
-
-
-def igc_step(eng: EngagementState, att: AttitudeState, cfg: AeroConfig,
-             gains: Gains, cond_limit: float = COND_LIMIT,
-             delta_max: float | None = None) -> tuple[FinDeflections, IgcDiagnostics]:
-    """One pure evaluation of the full guidance-to-fin cascade.
-
-    Roll is commanded to zero (skid-to-turn).  Raises SingularityError
-    naming the stage when the guidance or rate map is not invertible at the
-    current state.  An optional symmetric fin limit clamps the output and
-    flags the diagnostics.
-    """
-    y = (eng.r, eng.vr, eng.theta_l, eng.phi_l, eng.x01, eng.x02, eng.theta_v, eng.psi_v,
-         att.gamma, att.alpha, att.beta, att.omega_x, att.omega_y, att.omega_z, att.pitch)
-    fins, x1_sharp, x2_cmd, saturated, cond_g0, cond_g1 = law(
-        LawConstants(cfg, gains, cond_limit, delta_max), y)
-    x1_cmd = np.array([0.0, *x1_sharp])
-    x2_cmd = np.array(x2_cmd)
-    diag = IgcDiagnostics(
-        x1_sharp_cmd=np.array(x1_sharp),
-        x1_cmd=x1_cmd,
-        x2_cmd=x2_cmd,
-        eta1=att.x1 - x1_cmd,
-        eta2=att.x2 - x2_cmd,
-        cond_g0=cond_g0,
-        cond_g1=cond_g1,
-        saturated=saturated,
-    )
-    return FinDeflections(*fins), diag

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import airframe, engagement, frames, igc
-from .airframe import AeroConfig, AttitudeState, FinDeflections
+from .airframe import AeroConfig, AttitudeState
 from .engagement import DisturbanceModel, EngagementState, EvaderModel
 from .errors import GuardError, SingularityError
 from .igc import Gains
@@ -32,11 +32,10 @@ OUTCOME_TIMEOUT = "timeout"
 
 @dataclass(frozen=True)
 class FullState:
-    """Engagement plus attitude state at a point in time."""
+    """Engagement plus attitude state."""
 
     engagement: EngagementState
     attitude: AttitudeState
-    t: float = 0.0
 
     def as_array(self) -> np.ndarray:
         e, a = self.engagement, self.attitude
@@ -44,15 +43,6 @@ class FullState:
             e.r, e.vr, e.theta_l, e.phi_l, e.x01, e.x02, e.theta_v, e.psi_v,
             a.gamma, a.alpha, a.beta, a.omega_x, a.omega_y, a.omega_z, a.pitch,
         ])
-
-    @classmethod
-    def from_array(cls, values, t: float) -> "FullState":
-        v = [float(x) for x in values]
-        return cls(
-            engagement=EngagementState(*v[:8]),
-            attitude=AttitudeState(*v[8:15]),
-            t=t,
-        )
 
 
 @dataclass(frozen=True)
@@ -223,17 +213,6 @@ def derivative(k: Kernel, t: float, y, fins=None) -> list[float]:
     return [*rel, tv_dot, pv_dot, *att]
 
 
-def closed_loop_derivative(state: FullState, scenario: Scenario,
-                           fins: FinDeflections | None = None) -> np.ndarray:
-    """Derivative of the 15-state closed loop at ``state``.
-
-    With ``fins`` given the control is treated as held; otherwise the
-    cascade is evaluated at the current state.
-    """
-    held = None if fins is None else (fins.delta_x, fins.delta_y, fins.delta_z)
-    return np.array(derivative(Kernel(scenario), state.t, state.as_array().tolist(), held))
-
-
 def _post_transient_sup_x0(t: np.ndarray, x0_norm: np.ndarray) -> float:
     """Supremum of the LOS-rate norm over the final 20% of the flight."""
     window = t >= 0.8 * t[-1]
@@ -377,16 +356,15 @@ def trim_attitude_to_commands(scenario: Scenario) -> Scenario:
     body rates to the resulting rate command, so both tracking errors start
     at zero.
     """
-    eng = scenario.initial.engagement
-    g0_matrix = engagement.g0(eng, scenario.cfg)
-    x1_sharp = igc.alpha_beta_command(eng, g0_matrix, scenario.gains)
-    x1_cmd = np.array([0.0, x1_sharp[0], x1_sharp[1]])
-    f1_vector = airframe.f1(x1_cmd, scenario.cfg)
-    g1_matrix = airframe.g1(scenario.initial.attitude.pitch, x1_cmd)
-    x2_cmd = igc.rate_command(x1_cmd, x1_cmd, g1_matrix, f1_vector, scenario.gains)
+    k = igc.LawConstants(scenario.cfg, scenario.gains)
+    y = scenario.initial.as_array().tolist()
+    alpha_cmd, beta_cmd = igc.law(k, y)[1]
+    # The rate command evaluated on the attitude command itself.
+    y[8:11] = (0.0, alpha_cmd, beta_cmd)
+    omega_x, omega_y, omega_z = igc.law(k, y)[2]
     attitude = AttitudeState(
-        gamma=0.0, alpha=float(x1_cmd[1]), beta=float(x1_cmd[2]),
-        omega_x=float(x2_cmd[0]), omega_y=float(x2_cmd[1]), omega_z=float(x2_cmd[2]),
+        gamma=0.0, alpha=alpha_cmd, beta=beta_cmd,
+        omega_x=omega_x, omega_y=omega_y, omega_z=omega_z,
         pitch=scenario.initial.attitude.pitch,
     )
     initial = replace(scenario.initial, attitude=attitude)

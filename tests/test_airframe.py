@@ -6,21 +6,21 @@ from hypothesis import given, strategies as st
 
 from igcsim.airframe import (
     AeroConfig,
+    AeroConstants,
     AttitudeState,
-    FinDeflections,
-    attitude_derivatives,
-    f1,
-    f2,
-    g1,
+    attitude_drift,
+    attitude_rates,
     g1_series,
-    g2,
     lift_side_accels,
+    mixer,
+    rate_drift,
 )
 from igcsim.errors import GuardError
 from igcsim.igc import condition_estimate
 
 from .conftest import make_cfg
 
+ZERO3 = (0.0, 0.0, 0.0)
 small_angles = st.floats(min_value=-0.3, max_value=0.3)
 rates = st.floats(min_value=-5.0, max_value=5.0)
 
@@ -40,12 +40,12 @@ def test_dynamic_pressure_derived_exactly(cfg):
 
 
 def test_f1_zero_angles(cfg):
-    assert np.array_equal(f1((0.0, 0.0, 0.0), cfg), np.zeros(3))
+    assert np.array_equal(attitude_drift(AeroConstants(cfg), 0.0, 0.0), np.zeros(3))
 
 
 def test_f1_attack_row(cfg):
     # Independent arithmetic: thrust and lift terms over m V cos(beta).
-    out = f1((0.0, 0.01, 0.0), cfg)
+    out = attitude_drift(AeroConstants(cfg), 0.01, 0.0)
     qs_lift = 0.5 * 1.0 * 600.0**2 * 0.05 * 40.0
     expected = -(2000.0 * math.sin(0.01) + qs_lift * 0.01) / (100.0 * 600.0)
     assert math.isclose(out[1], expected, rel_tol=1e-15)
@@ -53,20 +53,20 @@ def test_f1_attack_row(cfg):
 
 
 def test_f1_sideslip_row(cfg):
-    out = f1((0.0, 0.0, 0.01), cfg)
+    out = attitude_drift(AeroConstants(cfg), 0.0, 0.01)
     qs_side = 0.5 * 1.0 * 600.0**2 * 0.05 * (-40.0)
     expected = (qs_side * 0.01 - 2000.0 * math.sin(0.01)) / (100.0 * 600.0)
     assert math.isclose(out[2], expected, rel_tol=1e-15)
 
 
 def test_g1_zero_angles():
-    m = g1(0.0, (0.0, 0.0, 0.0))
+    m = np.reshape(mixer(0.0, 0.0, 0.0, 0.0), (3, 3))
     assert np.array_equal(m, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
     assert math.isclose(np.linalg.det(m), -1.0, abs_tol=1e-15)
 
 
 def test_g1_small_angle_determinant():
-    det = np.linalg.det(g1(0.05, (0.0, 0.05, 0.05)))
+    det = np.linalg.det(np.reshape(mixer(0.0, 0.05, 0.05, 0.05), (3, 3)))
     assert -1.1 < det < -0.9
 
 
@@ -76,32 +76,35 @@ def test_g1_determinant_over_flight_domain():
         for alpha in grid:
             for beta in grid:
                 for gamma in (-3.0, -1.0, 0.0, 2.0):
-                    assert abs(np.linalg.det(g1(pitch, (gamma, alpha, beta)))) > 0.5
+                    m = np.reshape(mixer(gamma, alpha, beta, pitch), (3, 3))
+                    assert abs(np.linalg.det(m)) > 0.5
 
 
 def test_g1_near_vertical_pitch_flagged():
-    m = g1(math.pi / 2 - 1e-8, (0.0, 0.0, 0.0))
+    m = np.reshape(mixer(0.0, 0.0, 0.0, math.pi / 2 - 1e-8), (3, 3))
     assert condition_estimate(m) > 1e6
 
 
 @given(small_angles, small_angles, small_angles, small_angles)
 def test_g1_series_matches_scalar(gamma, alpha, beta, pitch):
-    assert np.array_equal(g1_series(gamma, alpha, beta, pitch), g1(pitch, (gamma, alpha, beta)))
+    assert np.array_equal(g1_series(gamma, alpha, beta, pitch),
+                          np.reshape(mixer(gamma, alpha, beta, pitch), (3, 3)))
 
 
 def test_f2_zero_state(cfg):
-    assert np.array_equal(f2(np.zeros(3), np.zeros(3), cfg), np.zeros(3))
+    assert np.array_equal(rate_drift(AeroConstants(cfg), 0.0, 0.0, 0.0, 0.0, 0.0),
+                          np.zeros(3))
 
 
 def test_f2_gyroscopic_row(cfg):
-    out = f2(np.zeros(3), (0.0, 1.0, 1.0), cfg)
+    out = rate_drift(AeroConstants(cfg), 0.0, 0.0, 0.0, 1.0, 1.0)
     assert np.allclose(out, [(50.0 - 50.0) / 10.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_f2_full_state(cfg):
     alpha, beta = 0.04, -0.03
     wx, wy, wz = 0.4, -0.2, 0.6
-    out = f2((0.1, alpha, beta), (wx, wy, wz), cfg)
+    out = rate_drift(AeroConstants(cfg), alpha, beta, wx, wy, wz)
     qsl = 0.5 * 1.0 * 600.0**2 * 0.05 * 1.0
     expected = np.array([
         (50.0 - 50.0) / 10.0 * wy * wz,
@@ -119,17 +122,17 @@ def test_g2_unit_parameters():
         pitch_moment_alpha=0.0, pitch_moment_fin=1.0,
         inertia_x=1.0, inertia_y=1.0, inertia_z=1.0,
     )
-    assert np.array_equal(g2(unit), np.eye(3))
+    assert np.array_equal(np.diag(AeroConstants(unit).fin_gain), np.eye(3))
 
 
 def test_g2_nominal_diagonal(cfg):
     qsl = 0.5 * 1.0 * 600.0**2 * 0.05 * 1.0
     expected = np.diag([qsl * -5.0 / 10.0, qsl * -15.0 / 50.0, qsl * -15.0 / 50.0])
-    assert np.array_equal(g2(cfg), expected)
+    assert np.array_equal(np.diag(AeroConstants(cfg).fin_gain), expected)
 
 
 def test_g2_constant_for_fixed_config(cfg):
-    assert np.array_equal(g2(cfg), g2(cfg))
+    assert AeroConstants(cfg).fin_gain == AeroConstants(cfg).fin_gain
 
 
 def test_lift_side_zero(cfg):
@@ -165,41 +168,42 @@ def test_linear_mode_is_matrix_form(alpha, beta, d_lift, d_side, ):
 
 
 def test_attitude_derivatives_zero(cfg):
-    state = AttitudeState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    x1_dot, x2_dot, pitch_dot = attitude_derivatives(
-        state, FinDeflections(0.0, 0.0, 0.0), np.zeros(3), np.zeros(3), cfg)
-    assert np.array_equal(x1_dot, np.zeros(3))
-    assert np.array_equal(x2_dot, np.zeros(3))
-    assert pitch_dot == 0.0
+    rates = attitude_rates(AeroConstants(cfg), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                           ZERO3, ZERO3, ZERO3)
+    assert np.array_equal(rates[:3], np.zeros(3))
+    assert np.array_equal(rates[3:6], np.zeros(3))
+    assert rates[6] == 0.0
 
 
 def test_pitch_rate_kinematics(cfg):
-    state = AttitudeState(0.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.0)
-    _, _, pitch_dot = attitude_derivatives(
-        state, FinDeflections(0.0, 0.0, 0.0), np.zeros(3), np.zeros(3), cfg)
-    assert math.isclose(pitch_dot, 0.1, rel_tol=1e-15)
+    rates = attitude_rates(AeroConstants(cfg), 0.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.0,
+                           ZERO3, ZERO3, ZERO3)
+    assert math.isclose(rates[6], 0.1, rel_tol=1e-15)
 
 
 @given(small_angles, small_angles, small_angles, rates, rates, rates,
        small_angles, st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
 def test_attitude_derivatives_recompose(gamma, alpha, beta, wx, wy, wz, pitch,
                                         dx, dy, dz):
-    # Oracle: reassemble the angle-channel derivative from the tested pieces.
-    cfg = make_cfg()
-    state = AttitudeState(gamma, alpha, beta, wx, wy, wz, pitch)
-    fins = FinDeflections(dx, dy, dz)
+    # Oracle: reassemble the derivatives from the tested pieces, with the
+    # mixing matrix from the broadcast reference.
+    k = AeroConstants(make_cfg())
+    x2 = np.array([wx, wy, wz])
+    fins = np.array([dx, dy, dz])
     d1 = np.array([0.01, -0.02, 0.03])
     d2 = np.array([-0.5, 0.25, 0.1])
-    x1_dot, x2_dot, _ = attitude_derivatives(state, fins, d1, d2, cfg)
-    assert np.array_equal(x1_dot, f1(state.x1, cfg) + g1(pitch, state.x1) @ state.x2 + d1)
-    assert np.array_equal(x2_dot, f2(state.x1, state.x2, cfg) + g2(cfg) @ fins.as_array() + d2)
+    rates = attitude_rates(k, gamma, alpha, beta, wx, wy, wz, pitch,
+                           (dx, dy, dz), tuple(d1), tuple(d2))
+    assert np.array_equal(rates[:3], attitude_drift(k, alpha, beta)
+                          + g1_series(gamma, alpha, beta, pitch) @ x2 + d1)
+    assert np.array_equal(rates[3:6], rate_drift(k, alpha, beta, wx, wy, wz)
+                          + np.diag(k.fin_gain) @ fins + d2)
 
 
 def test_attitude_guard_band(cfg):
-    state = AttitudeState(0.0, 0.0, 1.25, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(GuardError, match="sideslip"):
-        attitude_derivatives(state, FinDeflections(0.0, 0.0, 0.0),
-                             np.zeros(3), np.zeros(3), cfg)
+        attitude_rates(AeroConstants(cfg), 0.0, 0.0, 1.25, 0.0, 0.0, 0.0, 0.0,
+                       ZERO3, ZERO3, ZERO3)
 
 
 def test_attitude_state_invariants():

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from igcsim import analysis
+from igcsim.airframe import g1_series
 from igcsim.analysis import (
     LinearGain,
     bound_audit,
     build_certificate,
     estimate_loop_gain,
-    eta_bound,
     linear_gains,
     small_gain_check,
     spectral_norm,
@@ -51,14 +51,6 @@ def test_theorem2_bound_monotonicity(t, x0n, k, delta, d_sup, bump):
     assert theorem2_bound(t, x0n, k, delta + bump, d_sup) >= base - 1e-12
     assert theorem2_bound(t, x0n + bump, k, delta, d_sup) >= base
     assert theorem2_bound(t, x0n, k, delta, d_sup + bump) >= base
-
-
-def test_eta_bound_cases():
-    assert eta_bound(0.0, 0.42, 5.0, 0.1, 2.0) == 0.42
-    assert math.isclose(eta_bound(1e3, 0.0, 5.0, 0.1, 2.0),
-                        0.2 / math.sqrt(10.0), rel_tol=1e-12)
-    assert math.isclose(eta_bound(0.5, 0.42, 5.0, 0.1, 0.0),
-                        0.42 * math.exp(-2.5), rel_tol=1e-15)
 
 
 def test_x0_bound_cases(gains):
@@ -131,8 +123,7 @@ def test_worst_case_norms(cfg):
     assert math.isclose(worst_case_g0_norm(cfg, 500.0),
                         362000.0 / (100.0 * 500.0), rel_tol=1e-15)
     bound = worst_case_g1_norm(half_width=0.3)
-    from igcsim.airframe import g1
-    sampled = spectral_norm(g1(0.3, (1.1, -0.3, 0.3)))
+    sampled = spectral_norm(g1_series(1.1, -0.3, 0.3, 0.3))
     assert bound >= sampled - 1e-9
 
 

@@ -1,4 +1,6 @@
-import math
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,16 +14,31 @@ from igcsim.cli import (
     write_csv_log,
     CSV_COLUMNS,
 )
+from igcsim.engagement import AxisSignal, DisturbanceModel, EvaderModel, VectorSignal
 from igcsim.errors import ScenarioError
 from igcsim.sim import run
 
 from .conftest import SCENARIO_DIR, make_gains, make_initial, make_scenario
 
 NOMINAL = SCENARIO_DIR / "nominal.cfg"
+WEAVE = SCENARIO_DIR / "weave_disturbed.cfg"
+
+values = st.floats(-1e6, 1e6)
+signal_kinds = st.sampled_from(["zero", "constant", "sinusoid"])
+vector_signals = st.builds(VectorSignal, kind=signal_kinds,
+                           amplitude=st.tuples(values, values, values),
+                           frequency=values, phase=values)
+axis_signals = st.builds(AxisSignal, kind=signal_kinds, amplitude=values,
+                         frequency=values, phase=values)
+disturbance_models = st.builds(DisturbanceModel, rate=vector_signals, accel=vector_signals,
+                               lift=axis_signals, side=axis_signals)
+evader_models = st.builds(EvaderModel, kind=st.sampled_from(["constant", "step", "weave"]),
+                          accel_r=values, accel_theta=values, accel_phi=values,
+                          frequency=values, phase=values, step_time=values)
 
 
-def write_variant(tmp_path, name, replacements):
-    text = NOMINAL.read_text()
+def write_variant(tmp_path, name, replacements, source=NOMINAL):
+    text = source.read_text()
     for old, new in replacements.items():
         assert old in text
         text = text.replace(old, new)
@@ -71,17 +88,44 @@ def test_parse_rejects_non_numeric_value(tmp_path):
         parse_scenario(path)
 
 
+@pytest.mark.parametrize("source, old, new, message", [
+    (NOMINAL, NOMINAL.read_text()[NOMINAL.read_text().index("[sim]"):], "",
+     "missing required section [sim]"),
+    (NOMINAL, "dt = 0.001\n", "", "missing required key(s) in [sim]: dt"),
+    (NOMINAL, "r = 4000.0", "r = -1.0", "initial: range -1 must be positive"),
+    (NOMINAL, "plant_mode = linear", "plant_mode = exact",
+     "sim.plant_mode: must be trig or linear, got 'exact'"),
+    (WEAVE, "kind = weave", "kind = spiral",
+     "evader.kind: must be constant, step, or weave, got 'spiral'"),
+    (WEAVE, "rate_kind = sinusoid", "rate_kind = ramp",
+     "disturbance.rate_kind: must be zero, constant, or sinusoid, got 'ramp'"),
+    (WEAVE, "accel_amp_y = 2.0", "accel_amp_y = 1e999",
+     "disturbance.accel_amplitude: must be three finite values"),
+], ids=["no-sim", "no-dt", "range", "plant-mode", "evader-kind", "signal-kind",
+        "amplitude"])
+def test_parse_error_names_section_and_key(tmp_path, source, old, new, message):
+    path = write_variant(tmp_path, "variant.cfg", {old: new}, source)
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(path)
+    assert str(info.value) == message
+
+
 def test_parse_rejects_unknown_section(tmp_path):
     path = write_variant(tmp_path, "section.cfg", {"[gains]": "[tuning]"})
     with pytest.raises(ScenarioError, match=r"unknown section \[tuning\]"):
         parse_scenario(path)
 
 
-@given(st.floats(0.05, 0.95), st.floats(1.0, 25.0), st.floats(600.0, 5000.0))
-def test_scenario_round_trip(delta0, k1, r):
+@given(st.floats(0.05, 0.95), st.floats(1.0, 25.0), st.floats(600.0, 5000.0),
+       evader_models, disturbance_models, st.none() | st.floats(1e-3, 1.0),
+       st.sampled_from(["trig", "linear"]), st.sampled_from(["hold", "substep"]))
+def test_scenario_round_trip(delta0, k1, r, evader, disturbances, delta_max,
+                             plant_mode, control_update):
     scenario = make_scenario(gains=make_gains(delta0=delta0, k1=k1),
-                             initial=make_initial(r=r), r_max=2.0 * r)
-    import tempfile, os
+                             initial=make_initial(r=r), r_max=2.0 * r,
+                             evader=evader, disturbances=disturbances,
+                             delta_max=delta_max, plant_mode=plant_mode,
+                             control_update=control_update)
     with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as handle:
         handle.write(serialize_scenario(scenario))
         path = handle.name
@@ -89,6 +133,15 @@ def test_scenario_round_trip(delta0, k1, r):
         assert parse_scenario(path) == scenario
     finally:
         os.unlink(path)
+
+
+@pytest.mark.parametrize("name", ["nominal.cfg", "weave_disturbed.cfg"])
+def test_shipped_scenario_round_trip(tmp_path, name):
+    # weave_disturbed.cfg is the shipped file with [evader] and [disturbance].
+    scenario = parse_scenario(SCENARIO_DIR / name)
+    path = tmp_path / name
+    path.write_text(serialize_scenario(scenario))
+    assert parse_scenario(path) == scenario
 
 
 def test_csv_round_trip(tmp_path):
@@ -115,7 +168,6 @@ def test_cmd_run_nominal(tmp_path, capsys):
     assert "bound audit: 0 violation(s)" in captured.out
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
-    import json
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["outcome"] == "intercept"
     assert len(lines) == summary["steps"] + 1
@@ -129,6 +181,40 @@ def test_cmd_run_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert missing == 1
     assert "nope.cfg" in captured.err
+
+
+def test_cmd_run_audit_skipped_on_short_log(tmp_path, capsys):
+    # Too few samples for the audit's finite differences: the run still
+    # reports its outcome, summary and exit code.
+    timeout = write_variant(tmp_path, "timeout.cfg", {"t_max = 15.0": "t_max = 0.0"})
+    code = main(["run", str(timeout), str(tmp_path / "t.csv"), "--audit",
+                 "--summary-json", str(tmp_path / "summary.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "outcome: timeout" in captured.out
+    assert "bound audit: skipped, 1 sample(s) logged (needs 3)" in captured.out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["outcome"] == "timeout" and summary["steps"] == 1
+    assert "audit_violations" not in summary
+
+
+def test_cmd_run_summary_json_is_strict(tmp_path, capsys):
+    # Velocity orthogonal to the LOS at t=0: a zero-step run whose
+    # post-transient sup is undefined.
+    orthogonal = write_variant(tmp_path, "orthogonal.cfg", {
+        "phi_l = 0.3": "phi_l = 0.0", "theta_v = 0.24": "theta_v = 0.0",
+        "psi_v = -1.2207963267948966": "psi_v = 0.0"})
+    code = main(["run", str(orthogonal), str(tmp_path / "o.csv"),
+                 "--summary-json", str(tmp_path / "summary.json")])
+    capsys.readouterr()
+    assert code == 2
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert summary["outcome"] == "guard-breach" and summary["steps"] == 0
+    assert summary["post_transient_sup_x0"] is None
 
 
 def test_cmd_run_deterministic_bytes(tmp_path):

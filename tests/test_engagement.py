@@ -11,7 +11,6 @@ from igcsim.engagement import (
     EngagementState,
     EvaderModel,
     VectorSignal,
-    evader_accel,
     f0,
     g0,
     relative_derivatives,
@@ -162,19 +161,19 @@ def test_engagement_state_guards():
 
 def test_evader_constant():
     model = EvaderModel(kind="constant", accel_theta=3.0, accel_phi=-3.0)
-    assert np.array_equal(evader_accel(model, 0.0), [0.0, 3.0, -3.0])
-    assert np.array_equal(evader_accel(model, 17.3), [0.0, 3.0, -3.0])
+    assert np.array_equal(model.sample(0.0), [0.0, 3.0, -3.0])
+    assert np.array_equal(model.sample(17.3), [0.0, 3.0, -3.0])
 
 
 def test_evader_weave():
     model = EvaderModel(kind="weave", accel_theta=3.0, frequency=math.pi)
-    assert np.allclose(evader_accel(model, 0.5), [0.0, 3.0, 0.0], rtol=1e-12)
+    assert np.allclose(model.sample(0.5), [0.0, 3.0, 0.0], rtol=1e-12)
 
 
 def test_evader_step():
     model = EvaderModel(kind="step", accel_r=1.0, accel_theta=2.0, step_time=2.0)
-    assert np.array_equal(evader_accel(model, 1.9), np.zeros(3))
-    assert np.array_equal(evader_accel(model, 2.0), [1.0, 2.0, 0.0])
+    assert np.array_equal(model.sample(1.9), np.zeros(3))
+    assert np.array_equal(model.sample(2.0), [1.0, 2.0, 0.0])
 
 
 def test_evader_rejects_unknown_kind():
@@ -186,8 +185,9 @@ def test_evader_rejects_unknown_kind():
 def test_evader_bounded_by_amplitudes(t):
     model = EvaderModel(kind="weave", accel_r=1.0, accel_theta=3.0,
                         accel_phi=-2.0, frequency=2.2, phase=0.4)
-    sample = np.abs(evader_accel(model, t))
-    assert np.all(sample <= np.abs(model.amplitudes) + 1e-15)
+    sample = np.abs(model.sample(t))
+    amplitudes = np.array([model.accel_r, model.accel_theta, model.accel_phi])
+    assert np.all(sample <= np.abs(amplitudes) + 1e-15)
 
 
 def test_axis_signal_values():
@@ -199,5 +199,5 @@ def test_axis_signal_values():
 
 def test_vector_signal_values():
     sig = VectorSignal(kind="sinusoid", amplitude=(1.0, -2.0, 3.0), frequency=2.0)
-    assert np.allclose(sig.value(0.7), np.array([1.0, -2.0, 3.0]) * math.sin(1.4), rtol=1e-15)
-    assert np.array_equal(VectorSignal().value(5.0), np.zeros(3))
+    assert np.allclose(sig.sample(0.7), np.array([1.0, -2.0, 3.0]) * math.sin(1.4), rtol=1e-15)
+    assert np.array_equal(VectorSignal().sample(5.0), np.zeros(3))

@@ -4,36 +4,38 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from igcsim.airframe import AeroConfig, AttitudeState, f1, f2, g1, g2
-from igcsim.engagement import EngagementState
+from igcsim import sim
+from igcsim.airframe import AeroConfig, AeroConstants, attitude_drift, g1_series, mixer, rate_drift
+from igcsim.engagement import guidance_map
 from igcsim.errors import SingularityError
 from igcsim.igc import (
-    Gains,
-    alpha_beta_command,
-    fin_command,
-    igc_step,
+    COND_LIMIT,
+    LawConstants,
+    attitude_stage,
+    feedback,
+    fin_stage,
+    guidance_stage,
     iss_control,
-    rate_command,
+    law,
 )
 
-from .conftest import make_cfg, make_gains
+from .conftest import make_cfg, make_gains, make_initial, make_scenario
 
 small_angles = st.floats(min_value=-0.25, max_value=0.25)
 errors = st.floats(min_value=-0.5, max_value=0.5)
 
-
-def make_state(**overrides) -> EngagementState:
-    values = dict(r=3000.0, vr=-300.0, theta_l=0.1, phi_l=0.3,
+ENGAGEMENT = dict(r=3000.0, vr=-300.0, theta_l=0.1, phi_l=0.3,
                   x01=0.01, x02=-0.02, theta_v=0.12, psi_v=0.3 - math.pi / 2 + 0.03)
-    values.update(overrides)
-    return EngagementState(**values)
+ATTITUDE = dict(gamma=0.01, alpha=0.03, beta=-0.02,
+                omega_x=0.1, omega_y=-0.2, omega_z=0.3, pitch=0.15)
+QUIET_ATTITUDE = dict.fromkeys(ATTITUDE, 0.0)
+ZERO3 = (0.0, 0.0, 0.0)
 
 
-def make_attitude(**overrides) -> AttitudeState:
-    values = dict(gamma=0.01, alpha=0.03, beta=-0.02,
-                  omega_x=0.1, omega_y=-0.2, omega_z=0.3, pitch=0.15)
-    values.update(overrides)
-    return AttitudeState(**values)
+def make_state(**overrides) -> list[float]:
+    """The 15 floats of a state, in sim.STATE_FIELDS order."""
+    values = {**ENGAGEMENT, **ATTITUDE, **overrides}
+    return [values[name] for name in sim.STATE_FIELDS]
 
 
 def test_gains_positive():
@@ -72,61 +74,60 @@ def test_iss_control_singular_gate():
     assert info.value.condition > 1e6
 
 
-def test_alpha_beta_command_zero_rate(cfg):
-    state = make_state(x01=0.0, x02=0.0)
-    out = alpha_beta_command(state, np.diag([-2.0, 2.0]), make_gains())
-    assert np.array_equal(out, np.zeros(2))
+def test_alpha_beta_command_zero_rate():
+    c0 = feedback(2.0, 0.5)
+    out = guidance_stage(c0, 3000.0, -300.0, 0.0, 0.0, (-2.0, 0.0, 0.0, 2.0), COND_LIMIT)
+    assert np.array_equal(out[:2], np.zeros(2))
 
 
 def test_alpha_beta_command_scalar_structure():
     # Scalar factor 2 vr / r - 1/(2 delta0^2) - k0 = -52.2, then the inverse
     # of the diagonal input map.
-    gains = make_gains(k0=2.0, delta0=0.1)
-    state = make_state(vr=-300.0, r=3000.0, x01=0.01, x02=-0.02)
     scalar = 2.0 * (-300.0) / 3000.0 - 0.5 / 0.1**2 - 2.0
     assert math.isclose(scalar, -52.2, rel_tol=1e-15)
-    out = alpha_beta_command(state, np.diag([-2.0, 2.0]), gains)
-    assert np.allclose(out, [0.261, 0.522], atol=1e-12)
+    out = guidance_stage(feedback(2.0, 0.1), 3000.0, -300.0, 0.01, -0.02,
+                         (-2.0, 0.0, 0.0, 2.0), COND_LIMIT)
+    assert np.allclose(out[:2], [0.261, 0.522], atol=1e-12)
 
 
 @given(st.floats(0.001, 0.2), st.floats(0.001, 0.2))
 def test_alpha_beta_command_linear_in_rate(x01, x02):
-    cfg = make_cfg()
     gains = make_gains()
-    from igcsim.engagement import g0
-    base = make_state(x01=x01, x02=x02)
-    doubled = make_state(x01=2.0 * x01, x02=2.0 * x02)
-    g = g0(base, cfg)
-    assert np.allclose(alpha_beta_command(doubled, g, gains),
-                       2.0 * alpha_beta_command(base, g, gains), rtol=1e-12)
+    c0 = feedback(gains.k0, gains.delta0)
+    r, vr, theta_l, phi_l = 3000.0, -300.0, ENGAGEMENT["theta_l"], ENGAGEMENT["phi_l"]
+    g = guidance_map(AeroConstants(make_cfg()), r, theta_l, phi_l,
+                     ENGAGEMENT["theta_v"], ENGAGEMENT["psi_v"])
+    base = guidance_stage(c0, r, vr, x01, x02, g, COND_LIMIT)
+    doubled = guidance_stage(c0, r, vr, 2.0 * x01, 2.0 * x02, g, COND_LIMIT)
+    assert np.allclose(doubled[:2], 2.0 * np.array(base[:2]), rtol=1e-12)
 
 
 def test_rate_command_zero_error():
-    out = rate_command(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3), make_gains())
-    assert np.array_equal(out, np.zeros(3))
+    identity = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    out = attitude_stage(feedback(10.0, 0.2), ZERO3, ZERO3, identity, ZERO3, COND_LIMIT)
+    assert np.array_equal(out[:3], np.zeros(3))
 
 
 def test_rate_command_permutation_mixer():
-    mixer = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    gains = make_gains(k1=5.0, delta1=0.2)
-    out = rate_command(np.array([0.1, 0.0, 0.0]), np.zeros(3), mixer,
-                       np.zeros(3), gains)
-    assert np.allclose(out, [-1.75, 0.0, 0.0], atol=1e-14)
+    permutation = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0)
+    out = attitude_stage(feedback(5.0, 0.2), (0.1, 0.0, 0.0), ZERO3, permutation, ZERO3,
+                         COND_LIMIT)
+    assert np.allclose(out[:3], [-1.75, 0.0, 0.0], atol=1e-14)
 
 
 @given(small_angles, small_angles, small_angles, small_angles,
        errors, errors, errors)
 def test_rate_command_cancellation_identity(gamma, alpha, beta, pitch,
                                             e1, e2, e3):
-    # Closed-form content of the stage: g1 x2* + f1 = -(k1 + 1/(2 d1^2)) eta1.
-    cfg = make_cfg()
+    # Closed-form content of the stage: g1 x2* + f1 = -(k1 + 1/(2 d1^2)) eta1,
+    # with g1 from the broadcast reference.
     gains = make_gains()
     x1 = np.array([gamma, alpha, beta])
     eta1 = np.array([e1, e2, e3])
-    mixer = g1(pitch, x1)
-    drift = f1(x1, cfg)
-    out = rate_command(x1, x1 - eta1, mixer, drift, gains)
-    lhs = mixer @ out + drift
+    drift = attitude_drift(AeroConstants(make_cfg()), alpha, beta)
+    out = attitude_stage(feedback(gains.k1, gains.delta1), tuple(x1), tuple(x1 - eta1),
+                         mixer(gamma, alpha, beta, pitch), drift, COND_LIMIT)
+    lhs = g1_series(gamma, alpha, beta, pitch) @ out[:3] + drift
     rhs = -(gains.k1 + 0.5 / gains.delta1**2) * eta1
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
@@ -139,76 +140,87 @@ def test_fin_command_diagonal_case():
         pitch_moment_alpha=0.0, pitch_moment_fin=2.0,
         inertia_x=1.0, inertia_y=1.0, inertia_z=1.0,
     )
-    assert np.array_equal(g2(cfg), 2.0 * np.eye(3))
-    gains = make_gains(k2=10.0, delta2=0.2)
-    fins = fin_command(np.zeros(3), np.array([0.1, 0.0, 0.0]), np.zeros(3), cfg, gains)
-    assert np.allclose(fins.as_array(), [-1.125, 0.0, 0.0], atol=1e-14)
+    k = AeroConstants(cfg)
+    assert np.array_equal(np.diag(k.fin_gain), 2.0 * np.eye(3))
+    x2 = (0.1, 0.0, 0.0)
+    fins = fin_stage(feedback(10.0, 0.2), x2, ZERO3, rate_drift(k, 0.0, 0.0, *x2),
+                     k.fin_gain, COND_LIMIT)
+    assert np.allclose(fins, [-1.125, 0.0, 0.0], atol=1e-14)
 
 
 @given(small_angles, small_angles, st.floats(-2, 2), st.floats(-2, 2),
        st.floats(-2, 2), errors, errors, errors)
 def test_fin_command_cancellation_identity(alpha, beta, wx, wy, wz, e1, e2, e3):
-    cfg = make_cfg()
     gains = make_gains()
-    x1 = np.array([0.0, alpha, beta])
+    k = AeroConstants(make_cfg())
     x2 = np.array([wx, wy, wz])
     eta2 = np.array([e1, e2, e3])
-    fins = fin_command(x1, x2, x2 - eta2, cfg, gains)
-    lhs = g2(cfg) @ fins.as_array() + f2(x1, x2, cfg)
+    drift = rate_drift(k, alpha, beta, wx, wy, wz)
+    fins = fin_stage(feedback(gains.k2, gains.delta2), tuple(x2), tuple(x2 - eta2), drift,
+                     k.fin_gain, COND_LIMIT)
+    lhs = np.diag(k.fin_gain) @ fins + drift
     rhs = -(gains.k2 + 0.5 / gains.delta2**2) * eta2
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_igc_step_quiescent(cfg, gains):
-    state = make_state(x01=0.0, x02=0.0)
-    attitude = AttitudeState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    fins, diag = igc_step(state, attitude, cfg, gains)
-    assert np.array_equal(fins.as_array(), np.zeros(3))
-    assert np.array_equal(diag.x2_cmd, np.zeros(3))
+    state = make_state(x01=0.0, x02=0.0, **QUIET_ATTITUDE)
+    fins, _, x2_cmd, _, _, _ = law(LawConstants(cfg, gains), state)
+    assert np.array_equal(fins, np.zeros(3))
+    assert np.array_equal(x2_cmd, np.zeros(3))
 
 
 def test_igc_step_memoryless(cfg, gains):
-    state, attitude = make_state(), make_attitude()
-    fins_a, diag_a = igc_step(state, attitude, cfg, gains)
-    fins_b, diag_b = igc_step(state, attitude, cfg, gains)
+    k, state = LawConstants(cfg, gains), make_state()
+    fins_a, sharp_a, x2_cmd_a, _, _, _ = law(k, state)
+    fins_b, sharp_b, x2_cmd_b, _, _, _ = law(k, state)
     assert fins_a == fins_b
-    assert np.array_equal(diag_a.x2_cmd, diag_b.x2_cmd)
-    assert np.array_equal(diag_a.x1_sharp_cmd, diag_b.x1_sharp_cmd)
+    assert np.array_equal(x2_cmd_a, x2_cmd_b)
+    assert np.array_equal(sharp_a, sharp_b)
 
 
 def test_igc_step_error_definitions(cfg, gains):
-    state, attitude = make_state(), make_attitude()
-    _, diag = igc_step(state, attitude, cfg, gains)
-    assert np.array_equal(diag.eta1, attitude.x1 - diag.x1_cmd)
-    assert np.array_equal(diag.eta2, attitude.x2 - diag.x2_cmd)
-    assert np.array_equal(diag.x1_cmd[1:], diag.x1_sharp_cmd)
+    # The logged tracking errors are the state minus the law's commands,
+    # the attitude command being (0, alpha_cmd, beta_cmd).
+    state = make_state()
+    log, _ = sim.run(make_scenario(initial=make_initial(**ENGAGEMENT, **ATTITUDE),
+                                   t_max=0.0))
+    _, x1_sharp, x2_cmd, _, _, _ = law(LawConstants(cfg, gains), state)
+    assert np.array_equal(log.x1_sharp_cmd[0], x1_sharp)
+    assert np.array_equal(log.eta1[0], np.array(state[8:11]) - np.array([0.0, *x1_sharp]))
+    assert np.array_equal(log.eta2[0], np.array(state[11:14]) - np.array(x2_cmd))
 
 
 @given(st.floats(-0.15, 0.15), st.floats(-0.15, 0.15),
        st.floats(-0.8, -0.1), st.floats(900.0, 5000.0))
 def test_roll_command_identically_zero(x01, x02, theta_v, r):
-    # Skid-to-turn: the commanded roll is zero for every state.
-    cfg = make_cfg()
-    gains = make_gains()
+    # Skid-to-turn: the rate command tracks a zero roll command for every
+    # state.
+    k = LawConstants(make_cfg(), make_gains())
     state = make_state(x01=x01, x02=x02, theta_v=theta_v, r=r)
-    _, diag = igc_step(state, make_attitude(), cfg, gains)
-    assert diag.x1_cmd[0] == 0.0
+    _, (alpha_cmd, beta_cmd), x2_cmd, _, _, _ = law(k, state)
+    gamma, alpha, beta = state[8:11]
+    tracked = attitude_stage(k.c1, (gamma, alpha, beta), (0.0, alpha_cmd, beta_cmd),
+                             mixer(gamma, alpha, beta, state[14]),
+                             attitude_drift(k, alpha, beta), k.cond_limit)
+    assert x2_cmd == tracked[:3]
 
 
 def test_igc_step_saturation(cfg, gains):
-    state, attitude = make_state(), make_attitude()
-    fins_free, diag_free = igc_step(state, attitude, cfg, gains)
-    assert not diag_free.saturated
-    limit = 0.5 * max(abs(v) for v in fins_free.as_array())
-    fins, diag = igc_step(state, attitude, cfg, gains, delta_max=limit)
-    assert diag.saturated
-    assert max(abs(v) for v in fins.as_array()) <= limit
+    state = make_state()
+    fins_free, _, _, saturated_free, _, _ = law(LawConstants(cfg, gains), state)
+    assert not saturated_free
+    limit = 0.5 * max(abs(v) for v in fins_free)
+    fins, _, _, saturated, _, _ = law(LawConstants(cfg, gains, delta_max=limit), state)
+    assert saturated
+    assert max(abs(v) for v in fins) <= limit
 
 
 def test_igc_step_singularity_stages(cfg, gains):
-    orthogonal = make_state(theta_v=0.0, psi_v=make_state().phi_l)
+    k = LawConstants(cfg, gains)
+    orthogonal = make_state(theta_v=0.0, psi_v=ENGAGEMENT["phi_l"])
     with pytest.raises(SingularityError, match="guidance"):
-        igc_step(orthogonal, make_attitude(), cfg, gains)
-    vertical = make_attitude(pitch=math.pi / 2 - 1e-9)
+        law(k, orthogonal)
+    vertical = make_state(pitch=math.pi / 2 - 1e-9)
     with pytest.raises(SingularityError, match="rate"):
-        igc_step(make_state(), vertical, cfg, gains)
+        law(k, vertical)

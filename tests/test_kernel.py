@@ -11,9 +11,10 @@ import numpy as np
 from hypothesis import assume, given, strategies as st
 
 from igcsim import airframe, engagement, frames, igc
-from igcsim.airframe import AttitudeState
+from igcsim.airframe import AttitudeState, g1_series
 from igcsim.engagement import EngagementState
 from igcsim.frames import los_dcm, projection_matrix_series, velocity_dcm
+from igcsim.sim import FullState
 
 from .conftest import make_cfg, make_gains
 
@@ -79,8 +80,9 @@ def test_condition_estimates_match_reference(state):
     proj = projection_matrix_series(eng.theta_l, eng.phi_l, eng.theta_v, eng.psi_v)
     assume(abs(np.linalg.det(proj)) >= engagement.GEOMETRY_SINGULARITY)
     ref_g0 = igc.condition_estimate(engagement.g0(eng, cfg))
-    ref_g1 = igc.condition_estimate(airframe.g1(att.pitch, att.x1))
+    ref_g1 = igc.condition_estimate(g1_series(att.gamma, att.alpha, att.beta, att.pitch))
     assume(max(ref_g0, ref_g1) <= COND_COMPARED)
-    _, diag = igc.igc_step(eng, att, cfg, make_gains())
-    assert_close(diag.cond_g0, ref_g0)
-    assert_close(diag.cond_g1, ref_g1)
+    y = FullState(eng, att).as_array().tolist()
+    _, _, _, _, cond_g0, cond_g1 = igc.law(igc.LawConstants(cfg, make_gains()), y)
+    assert_close(cond_g0, ref_g0)
+    assert_close(cond_g1, ref_g1)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from igcsim import airframe, engagement, frames, igc
-from igcsim.engagement import VectorSignal, DisturbanceModel
+from igcsim.airframe import AttitudeState
+from igcsim.engagement import DisturbanceModel, EngagementState, VectorSignal
 from igcsim.sim import (
+    STATE_FIELDS,
     FullState,
-    Scenario,
-    closed_loop_derivative,
+    Kernel,
+    derivative,
     rk4_step,
     run,
     sweep,
@@ -58,7 +60,7 @@ def test_closed_loop_derivative_quiescent():
     scenario = make_scenario(
         initial=make_initial(x01=0.0, x02=0.0, alpha=0.0, beta=0.0,
                              gamma=0.0, pitch=0.0))
-    deriv = closed_loop_derivative(scenario.initial, scenario)
+    deriv = derivative(Kernel(scenario), 0.0, scenario.initial.as_array().tolist())
     expected = np.zeros(15)
     expected[0] = scenario.initial.engagement.vr
     assert np.allclose(deriv, expected, atol=1e-15)
@@ -67,15 +69,13 @@ def test_closed_loop_derivative_quiescent():
 def test_closed_loop_derivative_composition():
     scenario = make_scenario()
     state = scenario.initial
-    fins, _ = igc.igc_step(state.engagement, state.attitude, scenario.cfg,
-                           scenario.gains)
-    deriv = closed_loop_derivative(state, scenario, fins)
+    k = Kernel(scenario)
+    y = state.as_array().tolist()
+    fins = igc.law(k, y)[0]
+    deriv = derivative(k, 0.0, y, fins)
 
-    x1_dot, x2_dot, pitch_dot = airframe.attitude_derivatives(
-        state.attitude, fins, np.zeros(3), np.zeros(3), scenario.cfg)
-    assert np.array_equal(deriv[8:11], x1_dot)
-    assert np.array_equal(deriv[11:14], x2_dot)
-    assert deriv[14] == pitch_dot
+    zeros = (0.0, 0.0, 0.0)
+    assert deriv[8:] == list(airframe.attitude_rates(k, *y[8:], fins, zeros, zeros))
 
     a_theta, a_psi = airframe.lift_side_accels(
         state.attitude.alpha, state.attitude.beta, 0.0, 0.0,
@@ -86,6 +86,8 @@ def test_closed_loop_derivative_composition():
     expected_rel = engagement.relative_derivatives(
         state.engagement, accel_p, np.zeros(3))
     assert np.array_equal(deriv[:6], expected_rel)
+    assert tuple(deriv[6:8]) == engagement.velocity_angle_derivatives(
+        a_theta, a_psi, scenario.cfg, state.engagement.theta_v)
 
 
 def test_run_nominal_intercepts():
@@ -170,10 +172,13 @@ def test_scenario_validation_messages():
 
 def test_trimmed_attitude_zeroes_tracking_errors():
     scenario = trim_attitude_to_commands(make_scenario())
-    _, diag = igc.igc_step(scenario.initial.engagement, scenario.initial.attitude,
-                           scenario.cfg, scenario.gains)
-    assert np.abs(diag.eta1).max() < 1e-12
-    assert np.abs(diag.eta2).max() < 1e-12
+    y = scenario.initial.as_array()
+    _, x1_sharp, x2_cmd, _, _, _ = igc.law(igc.LawConstants(scenario.cfg, scenario.gains),
+                                           y.tolist())
+    eta1 = y[8:11] - np.array([0.0, *x1_sharp])
+    eta2 = y[11:14] - np.array(x2_cmd)
+    assert np.abs(eta1).max() < 1e-12
+    assert np.abs(eta2).max() < 1e-12
 
 
 def test_disturbance_free_decay_rate():
@@ -227,7 +232,12 @@ def test_substep_control_mode_runs():
 
 
 def test_full_state_array_round_trip():
+    # The array runs in STATE_FIELDS order, engagement first, and its
+    # floats rebuild the same state.
     state = make_initial()
-    again = FullState.from_array(state.as_array(), t=0.0)
-    assert again.engagement == state.engagement
-    assert again.attitude == state.attitude
+    values = state.as_array().tolist()
+    assert values == [getattr(state.engagement, name) for name in STATE_FIELDS[:8]] \
+        + [getattr(state.attitude, name) for name in STATE_FIELDS[8:]]
+    again = FullState(engagement=EngagementState(*values[:8]),
+                      attitude=AttitudeState(*values[8:]))
+    assert again == state
