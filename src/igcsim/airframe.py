@@ -9,15 +9,11 @@ for a valid configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import GuardError
-
-# Flight-envelope guard on the tan() angles; past this the model terms are
-# meaningless and integration aborts rather than emitting garbage.
-ATTITUDE_GUARD = 1.2
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,12 @@ class AttitudeState:
     pitch: float    # pitch angle [rad], |pitch| < pi/2
 
     def __post_init__(self):
-        check_attitude(self.gamma, self.alpha, self.beta,
-                       self.omega_x, self.omega_y, self.omega_z, self.pitch)
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise GuardError("attitude state must be finite")
+        if abs(self.beta) >= math.pi / 2:
+            raise GuardError(f"sideslip {self.beta:.6g} outside (-pi/2, pi/2)")
+        if abs(self.pitch) >= math.pi / 2:
+            raise GuardError(f"pitch {self.pitch:.6g} outside (-pi/2, pi/2)")
 
 
 class AeroConstants:
@@ -121,18 +121,6 @@ class AeroConstants:
         self.fin_gain = (qsl * cfg.roll_moment_fin / jx,
                          qsl * cfg.yaw_moment_fin / jy,
                          qsl * cfg.pitch_moment_fin / jz)
-
-
-def check_attitude(gamma, alpha, beta, omega_x, omega_y, omega_z, pitch) -> None:
-    """Raise GuardError unless the attitude is finite with |beta|, |pitch| < pi/2."""
-    if not (math.isfinite(gamma) and math.isfinite(alpha) and math.isfinite(beta)
-            and math.isfinite(omega_x) and math.isfinite(omega_y)
-            and math.isfinite(omega_z) and math.isfinite(pitch)):
-        raise GuardError("attitude state must be finite")
-    if abs(beta) >= math.pi / 2:
-        raise GuardError(f"sideslip {beta:.6g} outside (-pi/2, pi/2)")
-    if abs(pitch) >= math.pi / 2:
-        raise GuardError(f"pitch {pitch:.6g} outside (-pi/2, pi/2)")
 
 
 def clamp(fins, limit: float) -> tuple[float, float, float]:
@@ -197,13 +185,8 @@ def attitude_rates(k: AeroConstants, gamma, alpha, beta, wx, wy, wz, pitch,
     under fin command and disturbances.
 
     ``fins``, ``d1`` [rad/s, angle channel] and ``d2`` [rad/s^2, rate
-    channel] are triples.  Raises GuardError once sideslip or pitch leaves
-    the guard band.
+    channel] are triples.
     """
-    if abs(beta) > ATTITUDE_GUARD:
-        raise GuardError(f"sideslip {beta:.4g} breached guard {ATTITUDE_GUARD}")
-    if abs(pitch) > ATTITUDE_GUARD:
-        raise GuardError(f"pitch {pitch:.4g} breached guard {ATTITUDE_GUARD}")
     a0, a1, a2 = attitude_drift(k, alpha, beta)
     # The one matrix product left to numpy: it must round exactly as
     # ``g1_series(...) @ x2`` does, and BLAS may fuse its multiply-adds.

@@ -76,9 +76,11 @@ def theorem2_bound(t, x0_norm: float, k: float, delta: float, d_sup) -> float | 
     Vectorized over t (and over a matching running-supremum array d_sup).
     """
     t = np.asarray(t, dtype=float)
+    # 1 - exp(-2 k t) as -expm1(-2 k t): the difference cancels for small k t
+    # and would break the bound's monotonicity in k.
     bound = (
         np.exp(-k * t) * x0_norm
-        + delta / math.sqrt(2.0 * k) * np.sqrt(1.0 - np.exp(-2.0 * k * t)) * d_sup
+        + delta / math.sqrt(2.0 * k) * np.sqrt(-np.expm1(-2.0 * k * t)) * d_sup
     )
     return float(bound) if bound.ndim == 0 else bound
 
@@ -141,13 +143,9 @@ def worst_case_g1_norm(half_width: float = 0.3, points: int = 9) -> float:
     """
     angles = np.linspace(-half_width, half_width, points)
     rolls = np.linspace(-math.pi, math.pi, 2 * points)
-    worst = 0.0
-    for pitch in angles:
-        for alpha in angles:
-            for beta in angles:
-                block = airframe.g1_series(rolls, alpha, beta, pitch)
-                worst = max(worst, float(np.linalg.norm(block, 2, axis=(-2, -1)).max()))
-    return worst
+    pitch, alpha, beta, gamma = np.meshgrid(angles, angles, angles, rolls, indexing="ij")
+    blocks = airframe.g1_series(gamma, alpha, beta, pitch)
+    return float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max())
 
 
 @dataclass(frozen=True)
@@ -265,16 +263,14 @@ def bound_audit(log, gains: Gains, cfg: AeroConfig, r_m: float,
 
     # Guidance channel: disturbance is (evader + force uncertainty)/r plus
     # the attitude tracking error mapped through the input matrix.
-    x0 = np.stack([log.x01, log.x02], axis=-1)
-    x0_norm = np.linalg.norm(x0, axis=-1)
+    x0_norm = log.x0_norm
     proj = frames.projection_matrix_series(log.theta_l, log.phi_l,
                                            log.theta_v, log.psi_v)
     d_force = np.stack([log.lift_dist, log.side_dist], axis=-1) / cfg.mass
     d0 = -np.einsum("nij,nj->ni", proj, d_force) + log.evader[:, 1:3]
     g0_series = -(proj * np.array([cfg.lift_gain, cfg.side_gain])) \
         / (cfg.mass * log.r)[:, None, None]
-    eta1_sharp = np.stack([log.alpha - log.alpha_cmd, log.beta - log.beta_cmd], axis=-1)
-    y1 = np.einsum("nij,nj->ni", g0_series, eta1_sharp)
+    y1 = np.einsum("nij,nj->ni", g0_series, log.eta1[:, 1:])
     # Keep the 1/r scaling sound even if the final sample dips below r_m.
     r_floor = min(r_m, float(log.r.min()))
     bound_x0 = x0_bound(t, float(x0_norm[0]), gains, r_floor,
@@ -283,14 +279,10 @@ def bound_audit(log, gains: Gains, cfg: AeroConfig, r_m: float,
 
     # Attitude channel: disturbance is the rate noise, the command
     # derivative, and the rate tracking error mapped through the mixer.
-    x1_cmd = np.stack([np.zeros(n), log.alpha_cmd, log.beta_cmd], axis=-1)
-    eta1 = np.stack([log.gamma, log.alpha - log.alpha_cmd,
-                     log.beta - log.beta_cmd], axis=-1)
-    eta1_norm = np.linalg.norm(eta1, axis=-1)
-    y0 = -_central_differences(x1_cmd, dt)
+    eta1_norm = log.eta1_norm
+    y0 = -_central_differences(log.x1_cmd, dt)
     g1_series = airframe.g1_series(log.gamma, log.alpha, log.beta, log.pitch)
-    eta2 = log.omega - log.x2_cmd
-    y3 = np.einsum("nij,nj->ni", g1_series, eta2)
+    y3 = np.einsum("nij,nj->ni", g1_series, log.eta2)
     combined1 = (
         _running_sup(np.linalg.norm(log.rate_dist, axis=-1))
         + _running_sup(np.linalg.norm(y0, axis=-1))
@@ -300,7 +292,7 @@ def bound_audit(log, gains: Gains, cfg: AeroConfig, r_m: float,
 
     # Rate channel: disturbance is the moment noise plus the rate-command
     # derivative.
-    eta2_norm = np.linalg.norm(eta2, axis=-1)
+    eta2_norm = log.eta2_norm
     y2 = -_central_differences(log.x2_cmd, dt)
     combined2 = (
         _running_sup(np.linalg.norm(log.accel_dist, axis=-1))
@@ -368,7 +360,7 @@ def estimate_loop_gain(scenario, loop: str, base_amplitude: float,
                 f"whose horizon stays clear of intercept and guards")
         dt = float(log.t[1] - log.t[0])
         if loop == "guidance":
-            cmd = np.stack([np.zeros(len(log.t)), log.alpha_cmd, log.beta_cmd], axis=-1)
+            cmd = log.x1_cmd
             forcing = np.linalg.norm(log.evader[:, 1:3], axis=-1) / log.r
         else:
             cmd = log.x2_cmd

@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -208,11 +208,10 @@ def write_csv_log(log: SimLog, path) -> None:
     rows = np.column_stack([
         log.t, log.states, log.fins, log.x1_sharp_cmd, log.x2_cmd,
         log.x0_norm, log.eta1_norm, log.eta2_norm,
-    ]) if len(log) else np.empty((0, len(CSV_COLUMNS)))
+    ])
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(handle, rows, fmt="%.17g", delimiter=",",
+                   header=",".join(CSV_COLUMNS), comments="")
 
 
 def read_csv_log(path) -> dict[str, np.ndarray]:
@@ -231,17 +230,9 @@ def read_csv_log(path) -> dict[str, np.ndarray]:
 
 
 def _summary_dict(summary: SimSummary) -> dict:
-    out = {
-        "outcome": summary.outcome,
-        "final_r": summary.final_r,
-        "flight_time": summary.flight_time,
-        "miss_distance": summary.miss_distance,
-        "post_transient_sup_x0": summary.post_transient_sup_x0,
-        "steps": summary.steps,
-        "message": summary.message,
-    }
-    if summary.audit_violations is not None:
-        out["audit_violations"] = list(summary.audit_violations)
+    out = asdict(summary)
+    if summary.audit_violations is None:
+        del out["audit_violations"]
     # Strict JSON has no NaN or infinity, e.g. the sup over a zero-step run.
     return {k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in out.items()}

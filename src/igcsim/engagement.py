@@ -10,17 +10,13 @@ reproducible for bound audits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import frames
 from .airframe import AeroConfig, AeroConstants
 from .errors import GuardError, SingularityError
-
-# tan(theta_l) and 1/cos(theta_v) blow up toward pi/2; abort integration
-# at the same envelope bound the airframe uses.
-LOS_GUARD = 1.2
 
 # |cos(LOS, velocity)| below which the guidance channel is declared singular.
 GEOMETRY_SINGULARITY = 1e-9
@@ -40,8 +36,14 @@ class EngagementState:
     psi_v: float    # velocity azimuth [rad]
 
     def __post_init__(self):
-        check_state(self.r, self.vr, self.theta_l, self.phi_l,
-                    self.x01, self.x02, self.theta_v, self.psi_v)
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise GuardError("engagement state must be finite")
+        if self.r <= 0.0:
+            raise GuardError(f"range {self.r:.6g} must be positive")
+        if abs(self.theta_l) >= math.pi / 2:
+            raise GuardError(f"LOS elevation {self.theta_l:.6g} outside (-pi/2, pi/2)")
+        if abs(self.theta_v) >= math.pi / 2:
+            raise GuardError(f"velocity elevation {self.theta_v:.6g} outside (-pi/2, pi/2)")
 
     @property
     def los(self) -> frames.LosAngles:
@@ -152,21 +154,6 @@ class DisturbanceModel:
     side: AxisSignal = AxisSignal()
 
 
-def check_state(r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v) -> None:
-    """Raise GuardError unless the geometry is finite, r > 0 and both
-    elevations lie inside (-pi/2, pi/2)."""
-    if not (math.isfinite(r) and math.isfinite(vr) and math.isfinite(theta_l)
-            and math.isfinite(phi_l) and math.isfinite(x01) and math.isfinite(x02)
-            and math.isfinite(theta_v) and math.isfinite(psi_v)):
-        raise GuardError("engagement state must be finite")
-    if r <= 0.0:
-        raise GuardError(f"range {r:.6g} must be positive")
-    if abs(theta_l) >= math.pi / 2:
-        raise GuardError(f"LOS elevation {theta_l:.6g} outside (-pi/2, pi/2)")
-    if abs(theta_v) >= math.pi / 2:
-        raise GuardError(f"velocity elevation {theta_v:.6g} outside (-pi/2, pi/2)")
-
-
 def los_rate_drift(r, vr, theta_l, x01, x02) -> tuple[float, float]:
     """f0 as floats; see :func:`f0`."""
     two_vr_r = 2.0 * vr / r
@@ -195,8 +182,6 @@ def relative_rates(r, vr, theta_l, x01, x02, accel_pursuer, accel_evader
                    ) -> tuple[float, float, float, float, float, float]:
     """Relative-motion derivatives as floats; see :func:`relative_derivatives`.
     Both accelerations are float triples."""
-    if abs(theta_l) > LOS_GUARD:
-        raise GuardError(f"LOS elevation {theta_l:.4g} breached guard {LOS_GUARD}")
     ap0, ap1, ap2 = accel_pursuer
     ae0, ae1, ae2 = accel_evader
     drift0, drift1 = los_rate_drift(r, vr, theta_l, x01, x02)
@@ -252,6 +237,4 @@ def velocity_angle_derivatives(
     Reads only ``cfg.speed``, so the scalar kernel passes its hoisted
     constants here.
     """
-    if abs(theta_v) > LOS_GUARD:
-        raise GuardError(f"velocity elevation {theta_v:.4g} breached guard {LOS_GUARD}")
     return a_theta / cfg.speed, -a_psi / (cfg.speed * math.cos(theta_v))

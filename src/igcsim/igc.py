@@ -19,6 +19,8 @@ from . import airframe, engagement
 from .airframe import AeroConfig
 from .errors import SingularityError
 
+# Frobenius condition estimate (an upper bound on cond_2) at or past which
+# a stage's input map no longer counts as invertible.
 COND_LIMIT = 1e6
 
 
@@ -40,31 +42,35 @@ class Gains:
                 raise ValueError(f"{name}: must be > 0, got {value!r}")
 
 
-def _gated_inverse(matrix, cond_limit: float, stage: str) -> tuple[np.ndarray, float]:
-    """Invert with a Frobenius condition-estimate gate (upper bounds cond_2)."""
+def _singular(stage: str) -> SingularityError:
+    return SingularityError(stage, math.inf, f"{stage}: matrix is exactly singular")
+
+
+def _gate(stage: str, cond: float) -> float:
+    """The invertibility gate of every stage: ``cond`` if it is below
+    COND_LIMIT, else SingularityError."""
+    if not cond < COND_LIMIT:
+        raise SingularityError(stage, cond)
+    return cond
+
+
+def _inverse(matrix) -> tuple[np.ndarray | None, float]:
+    """Inverse and Frobenius condition estimate of ``matrix``; (None, inf) if
+    it is exactly singular."""
     m = np.asarray(matrix, dtype=float)
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        raise SingularityError(stage, math.inf, f"{stage}: matrix is exactly singular")
-    cond = float(np.sqrt((m * m).sum() * (inv * inv).sum()))
-    if not cond < cond_limit:
-        raise SingularityError(stage, cond)
-    return inv, cond
+        return None, math.inf
+    return inv, float(np.sqrt((m * m).sum() * (inv * inv).sum()))
 
 
 def condition_estimate(matrix) -> float:
     """Frobenius condition estimate; inf if exactly singular."""
-    m = np.asarray(matrix, dtype=float)
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return math.inf
-    return float(np.sqrt((m * m).sum() * (inv * inv).sum()))
+    return _inverse(matrix)[1]
 
 
-def iss_control(f, g, x, k: float, delta: float,
-                cond_limit: float = COND_LIMIT, stage: str = "iss") -> np.ndarray:
+def iss_control(f, g, x, k: float, delta: float) -> np.ndarray:
     """Drift-cancelling ISS feedback u = g^-1 (-f - k x - x / (2 delta^2)).
 
     Dimension-generic; the closed loop x_dot = f + g u + d then satisfies
@@ -75,7 +81,10 @@ def iss_control(f, g, x, k: float, delta: float,
     """
     f = np.asarray(f, dtype=float)
     x = np.asarray(x, dtype=float)
-    g_inv, _ = _gated_inverse(g, cond_limit, stage)
+    g_inv, cond = _inverse(g)
+    if g_inv is None:
+        raise _singular("iss")
+    _gate("iss", cond)
     return g_inv @ (-f - feedback(k, delta) * x)
 
 
@@ -84,104 +93,74 @@ def feedback(k: float, delta: float) -> float:
     return k + 0.5 / delta**2
 
 
-def _singular(stage: str) -> SingularityError:
-    return SingularityError(stage, math.inf, f"{stage}: matrix is exactly singular")
-
-
-def _gate(stage: str, cond: float, cond_limit: float) -> None:
-    if not cond < cond_limit:
-        raise SingularityError(stage, cond)
-
-
-def _solve2(g, v0: float, v1: float, cond_limit: float, stage: str):
-    """(g^-1 v, Frobenius condition estimate) for a 2x2 ``g`` given row-major."""
-    a, b, c, d = g
+def guidance_stage(c0: float, r, vr, x01, x02, g0):
+    """Commanded (attack, sideslip) and cond(g0); cancels only the radial
+    drift -2 (vr / r) x0.  ``g0`` is the 2x2 input map, row-major."""
+    a, b, c, d = g0
     det = a * d - b * c
     if det == 0.0:
-        raise _singular(stage)
-    # ||g^-1||_F = ||g||_F / |det| for a 2x2 matrix.
-    cond = (a * a + b * b + c * c + d * d) / abs(det)
-    _gate(stage, cond, cond_limit)
+        raise _singular("guidance")
+    # ||g0^-1||_F = ||g0||_F / |det| for a 2x2 matrix.
+    cond = _gate("guidance", (a * a + b * b + c * c + d * d) / abs(det))
+    s = -2.0 * vr / r
+    v0, v1 = -(s * x01) - c0 * x01, -(s * x02) - c0 * x02
     return (d * v0 - b * v1) / det, (a * v1 - c * v0) / det, cond
 
 
-def _solve3(g, v0: float, v1: float, v2: float, cond_limit: float, stage: str):
-    """(g^-1 v, Frobenius condition estimate) for a 3x3 ``g`` given row-major,
-    through its adjugate."""
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = g
-    c00 = m11 * m22 - m12 * m21
-    c01 = m12 * m20 - m10 * m22
-    c02 = m10 * m21 - m11 * m20
-    c10 = m02 * m21 - m01 * m22
-    c11 = m00 * m22 - m02 * m20
-    c12 = m01 * m20 - m00 * m21
-    c20 = m01 * m12 - m02 * m11
-    c21 = m02 * m10 - m00 * m12
-    c22 = m00 * m11 - m01 * m10
-    det = m00 * c00 + m01 * c01 + m02 * c02
+def attitude_stage(c1: float, x1, x1_cmd, g1, f1):
+    """Commanded body rates and cond(g1).  ``g1`` is the 3x3 mixer,
+    row-major, solved through its adjugate."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = g1
+    a00 = m11 * m22 - m12 * m21
+    a01 = m12 * m20 - m10 * m22
+    a02 = m10 * m21 - m11 * m20
+    a10 = m02 * m21 - m01 * m22
+    a11 = m00 * m22 - m02 * m20
+    a12 = m01 * m20 - m00 * m21
+    a20 = m01 * m12 - m02 * m11
+    a21 = m02 * m10 - m00 * m12
+    a22 = m00 * m11 - m01 * m10
+    det = m00 * a00 + m01 * a01 + m02 * a02
     if det == 0.0:
-        raise _singular(stage)
+        raise _singular("rate")
     norm_g = (m00 * m00 + m01 * m01 + m02 * m02 + m10 * m10 + m11 * m11
               + m12 * m12 + m20 * m20 + m21 * m21 + m22 * m22)
-    norm_adj = (c00 * c00 + c01 * c01 + c02 * c02 + c10 * c10 + c11 * c11
-                + c12 * c12 + c20 * c20 + c21 * c21 + c22 * c22)
-    cond = math.sqrt(norm_g * norm_adj) / abs(det)
-    _gate(stage, cond, cond_limit)
-    return ((c00 * v0 + c10 * v1 + c20 * v2) / det,
-            (c01 * v0 + c11 * v1 + c21 * v2) / det,
-            (c02 * v0 + c12 * v1 + c22 * v2) / det,
+    norm_adj = (a00 * a00 + a01 * a01 + a02 * a02 + a10 * a10 + a11 * a11
+                + a12 * a12 + a20 * a20 + a21 * a21 + a22 * a22)
+    cond = _gate("rate", math.sqrt(norm_g * norm_adj) / abs(det))
+    v0 = -f1[0] - c1 * (x1[0] - x1_cmd[0])
+    v1 = -f1[1] - c1 * (x1[1] - x1_cmd[1])
+    v2 = -f1[2] - c1 * (x1[2] - x1_cmd[2])
+    return ((a00 * v0 + a10 * v1 + a20 * v2) / det,
+            (a01 * v0 + a11 * v1 + a21 * v2) / det,
+            (a02 * v0 + a12 * v1 + a22 * v2) / det,
             cond)
 
 
-def _solve_diagonal(b, v0: float, v1: float, v2: float, cond_limit: float, stage: str):
-    """(g^-1 v, Frobenius condition estimate) for g = diag(b)."""
-    bx, by, bz = b
+def fin_stage(c2: float, x2, x2_cmd, f2, fin_gain):
+    """Fin deflections (three floats) tracking the body-rate command through
+    the diagonal fin map diag(fin_gain)."""
+    bx, by, bz = fin_gain
     if bx == 0.0 or by == 0.0 or bz == 0.0:
-        raise _singular(stage)
+        raise _singular("fin")
     ix, iy, iz = 1.0 / bx, 1.0 / by, 1.0 / bz
-    cond = math.sqrt((bx * bx + by * by + bz * bz) * (ix * ix + iy * iy + iz * iz))
-    _gate(stage, cond, cond_limit)
-    return ix * v0, iy * v1, iz * v2, cond
-
-
-def guidance_stage(c0: float, r, vr, x01, x02, g0, cond_limit: float):
-    """Commanded (attack, sideslip) and cond(g0); cancels only the radial
-    drift -2 (vr / r) x0."""
-    s = -2.0 * vr / r
-    return _solve2(g0, -(s * x01) - c0 * x01, -(s * x02) - c0 * x02, cond_limit, "guidance")
-
-
-def attitude_stage(c1: float, x1, x1_cmd, g1, f1, cond_limit: float):
-    """Commanded body rates and cond(g1)."""
-    return _solve3(g1,
-                   -f1[0] - c1 * (x1[0] - x1_cmd[0]),
-                   -f1[1] - c1 * (x1[1] - x1_cmd[1]),
-                   -f1[2] - c1 * (x1[2] - x1_cmd[2]),
-                   cond_limit, "rate")
-
-
-def fin_stage(c2: float, x2, x2_cmd, f2, fin_gain, cond_limit: float):
-    """Fin deflections (three floats) tracking the body-rate command."""
-    return _solve_diagonal(fin_gain,
-                           -f2[0] - c2 * (x2[0] - x2_cmd[0]),
-                           -f2[1] - c2 * (x2[1] - x2_cmd[1]),
-                           -f2[2] - c2 * (x2[2] - x2_cmd[2]),
-                           cond_limit, "fin")[:3]
+    _gate("fin", math.sqrt((bx * bx + by * by + bz * bz) * (ix * ix + iy * iy + iz * iz)))
+    return (ix * (-f2[0] - c2 * (x2[0] - x2_cmd[0])),
+            iy * (-f2[1] - c2 * (x2[1] - x2_cmd[1])),
+            iz * (-f2[2] - c2 * (x2[2] - x2_cmd[2])))
 
 
 class LawConstants(airframe.AeroConstants):
-    """AeroConstants plus the stage feedback coefficients, the invertibility
-    gate and the optional fin limit: everything :func:`law` reads."""
+    """AeroConstants plus the stage feedback coefficients and the optional
+    fin limit: everything :func:`law` reads."""
 
-    __slots__ = ("c0", "c1", "c2", "cond_limit", "delta_max")
+    __slots__ = ("c0", "c1", "c2", "delta_max")
 
-    def __init__(self, cfg: AeroConfig, gains: Gains, cond_limit: float = COND_LIMIT,
-                 delta_max: float | None = None):
+    def __init__(self, cfg: AeroConfig, gains: Gains, delta_max: float | None = None):
         super().__init__(cfg)
         self.c0 = feedback(gains.k0, gains.delta0)
         self.c1 = feedback(gains.k1, gains.delta1)
         self.c2 = feedback(gains.k2, gains.delta2)
-        self.cond_limit = cond_limit
         self.delta_max = delta_max
 
 
@@ -197,14 +176,13 @@ def law(k: LawConstants, y):
     """
     r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
     g0 = engagement.guidance_map(k, r, theta_l, phi_l, theta_v, psi_v)
-    alpha_cmd, beta_cmd, cond_g0 = guidance_stage(k.c0, r, vr, x01, x02, g0, k.cond_limit)
+    alpha_cmd, beta_cmd, cond_g0 = guidance_stage(k.c0, r, vr, x01, x02, g0)
     wx_cmd, wy_cmd, wz_cmd, cond_g1 = attitude_stage(
         k.c1, (gamma, alpha, beta), (0.0, alpha_cmd, beta_cmd),
-        airframe.mixer(gamma, alpha, beta, pitch), airframe.attitude_drift(k, alpha, beta),
-        k.cond_limit)
+        airframe.mixer(gamma, alpha, beta, pitch), airframe.attitude_drift(k, alpha, beta))
     x2_cmd = (wx_cmd, wy_cmd, wz_cmd)
     fins = fin_stage(k.c2, (wx, wy, wz), x2_cmd,
-                     airframe.rate_drift(k, alpha, beta, wx, wy, wz), k.fin_gain, k.cond_limit)
+                     airframe.rate_drift(k, alpha, beta, wx, wy, wz), k.fin_gain)
     saturated = False
     if k.delta_max is not None:
         clamped = airframe.clamp(fins, k.delta_max)

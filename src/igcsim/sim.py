@@ -9,6 +9,7 @@ studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,14 @@ OUTCOME_INTERCEPT = "intercept"
 OUTCOME_MISS = "miss"
 OUTCOME_GUARD = "guard-breach"
 OUTCOME_TIMEOUT = "timeout"
+
+# Flight envelope of the plant model on |theta_l|, |theta_v|, |beta| and
+# |pitch| [rad]: tan() and 1/cos() of these angles blow up toward pi/2, so
+# past this band the model terms are meaningless and integration aborts
+# rather than emitting garbage.
+GUARD = 1.2
+# The variables GUARD bounds: (name in messages, index in STATE_FIELDS).
+_BANDED = (("LOS elevation", 2), ("velocity elevation", 6), ("sideslip", 10), ("pitch", 14))
 
 
 @dataclass(frozen=True)
@@ -123,15 +132,17 @@ class SimLog:
         return self.x1_sharp_cmd[:, 1]
 
     @property
+    def x1_cmd(self) -> np.ndarray:
+        """(n, 3) commanded (roll, attack, sideslip); roll is commanded to zero."""
+        return np.column_stack([np.zeros(len(self)), self.x1_sharp_cmd])
+
+    @property
     def x0_norm(self) -> np.ndarray:
         return np.hypot(self.x01, self.x02)
 
     @property
     def eta1(self) -> np.ndarray:
-        return np.stack(
-            [self.gamma, self.alpha - self.alpha_cmd, self.beta - self.beta_cmd],
-            axis=-1,
-        )
+        return self.states[:, 8:11] - self.x1_cmd
 
     @property
     def eta2(self) -> np.ndarray:
@@ -188,10 +199,19 @@ class Kernel(igc.LawConstants):
         self.evader = scenario.evader
 
 
-def check_full_state(y) -> None:
-    """The FullState guards on the 15 floats of a state, in the same order."""
-    engagement.check_state(*y[:8])
-    airframe.check_attitude(*y[8:])
+def check_envelope(y) -> None:
+    """Raise GuardError naming the first variable of the 15-float state ``y``
+    that leaves the flight envelope: every entry finite, the range positive,
+    and |theta_l|, |theta_v|, |beta|, |pitch| within GUARD."""
+    if not all(map(math.isfinite, y)):
+        for name, value in zip(STATE_FIELDS, y):
+            if not math.isfinite(value):
+                raise GuardError(f"{name} {value} must be finite")
+    if y[0] <= 0.0:
+        raise GuardError(f"range {y[0]:.6g} must be positive")
+    for label, i in _BANDED:
+        if abs(y[i]) > GUARD:
+            raise GuardError(f"{label} {y[i]:.4g} breached guard {GUARD}")
 
 
 def derivative(k: Kernel, t: float, y, fins=None) -> list[float]:
@@ -200,7 +220,7 @@ def derivative(k: Kernel, t: float, y, fins=None) -> list[float]:
     With ``fins`` (a float triple) the control is held; otherwise the
     cascade is evaluated at ``y``.
     """
-    check_full_state(y)
+    check_envelope(y)
     if fins is None:
         fins = igc.law(k, y)[0]
     r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
@@ -270,8 +290,8 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
     while True:
         t = n * dt
         state = y.tolist()
-        check_full_state(state)
         try:
+            check_envelope(state)
             fins, x1_sharp, x2_cmd, saturated, _, _ = igc.law(k, state)
         except (GuardError, SingularityError) as exc:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"

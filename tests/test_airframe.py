@@ -200,12 +200,6 @@ def test_attitude_derivatives_recompose(gamma, alpha, beta, wx, wy, wz, pitch,
                           + np.diag(k.fin_gain) @ fins + d2)
 
 
-def test_attitude_guard_band(cfg):
-    with pytest.raises(GuardError, match="sideslip"):
-        attitude_rates(AeroConstants(cfg), 0.0, 0.0, 1.25, 0.0, 0.0, 0.0, 0.0,
-                       ZERO3, ZERO3, ZERO3)
-
-
 def test_attitude_state_invariants():
     with pytest.raises(GuardError):
         AttitudeState(0.0, 0.0, 1.6, 0.0, 0.0, 0.0, 0.0)

@@ -173,6 +173,16 @@ def test_bound_audit_clean_short_run():
         assert np.all(trace.measured <= trace.bound * 1.05)
 
 
+def test_bound_audit_measures_logged_channels():
+    # The audited norms are the log's own channel definitions, which the CSV
+    # writes as norm_x0, norm_eta1 and norm_eta2, bit for bit.
+    scenario = make_scenario(t_max=1.5)
+    log, _ = run(scenario)
+    traces, _ = bound_audit(log, scenario.gains, scenario.cfg, scenario.r_min)
+    for trace, logged in zip(traces, (log.x0_norm, log.eta1_norm, log.eta2_norm)):
+        assert np.array_equal(trace.measured, logged)
+
+
 def test_bound_audit_flags_violations(gains, cfg):
     # A constant nonzero LOS rate with no logged disturbance cannot satisfy
     # a decaying envelope.

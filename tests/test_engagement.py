@@ -147,11 +147,6 @@ def test_velocity_angle_derivatives_signs(cfg):
     assert theta_dot == 0.0 and math.isclose(psi_dot, -0.01, rel_tol=1e-15)
 
 
-def test_velocity_angle_guard(cfg):
-    with pytest.raises(GuardError, match="velocity elevation"):
-        velocity_angle_derivatives(0.0, 0.0, cfg, 1.25)
-
-
 def test_engagement_state_guards():
     with pytest.raises(GuardError):
         make_state(r=-1.0)

@@ -9,7 +9,6 @@ from igcsim.airframe import AeroConfig, AeroConstants, attitude_drift, g1_series
 from igcsim.engagement import guidance_map
 from igcsim.errors import SingularityError
 from igcsim.igc import (
-    COND_LIMIT,
     LawConstants,
     attitude_stage,
     feedback,
@@ -76,7 +75,7 @@ def test_iss_control_singular_gate():
 
 def test_alpha_beta_command_zero_rate():
     c0 = feedback(2.0, 0.5)
-    out = guidance_stage(c0, 3000.0, -300.0, 0.0, 0.0, (-2.0, 0.0, 0.0, 2.0), COND_LIMIT)
+    out = guidance_stage(c0, 3000.0, -300.0, 0.0, 0.0, (-2.0, 0.0, 0.0, 2.0))
     assert np.array_equal(out[:2], np.zeros(2))
 
 
@@ -86,7 +85,7 @@ def test_alpha_beta_command_scalar_structure():
     scalar = 2.0 * (-300.0) / 3000.0 - 0.5 / 0.1**2 - 2.0
     assert math.isclose(scalar, -52.2, rel_tol=1e-15)
     out = guidance_stage(feedback(2.0, 0.1), 3000.0, -300.0, 0.01, -0.02,
-                         (-2.0, 0.0, 0.0, 2.0), COND_LIMIT)
+                         (-2.0, 0.0, 0.0, 2.0))
     assert np.allclose(out[:2], [0.261, 0.522], atol=1e-12)
 
 
@@ -97,21 +96,20 @@ def test_alpha_beta_command_linear_in_rate(x01, x02):
     r, vr, theta_l, phi_l = 3000.0, -300.0, ENGAGEMENT["theta_l"], ENGAGEMENT["phi_l"]
     g = guidance_map(AeroConstants(make_cfg()), r, theta_l, phi_l,
                      ENGAGEMENT["theta_v"], ENGAGEMENT["psi_v"])
-    base = guidance_stage(c0, r, vr, x01, x02, g, COND_LIMIT)
-    doubled = guidance_stage(c0, r, vr, 2.0 * x01, 2.0 * x02, g, COND_LIMIT)
+    base = guidance_stage(c0, r, vr, x01, x02, g)
+    doubled = guidance_stage(c0, r, vr, 2.0 * x01, 2.0 * x02, g)
     assert np.allclose(doubled[:2], 2.0 * np.array(base[:2]), rtol=1e-12)
 
 
 def test_rate_command_zero_error():
     identity = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-    out = attitude_stage(feedback(10.0, 0.2), ZERO3, ZERO3, identity, ZERO3, COND_LIMIT)
+    out = attitude_stage(feedback(10.0, 0.2), ZERO3, ZERO3, identity, ZERO3)
     assert np.array_equal(out[:3], np.zeros(3))
 
 
 def test_rate_command_permutation_mixer():
     permutation = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0)
-    out = attitude_stage(feedback(5.0, 0.2), (0.1, 0.0, 0.0), ZERO3, permutation, ZERO3,
-                         COND_LIMIT)
+    out = attitude_stage(feedback(5.0, 0.2), (0.1, 0.0, 0.0), ZERO3, permutation, ZERO3)
     assert np.allclose(out[:3], [-1.75, 0.0, 0.0], atol=1e-14)
 
 
@@ -126,7 +124,7 @@ def test_rate_command_cancellation_identity(gamma, alpha, beta, pitch,
     eta1 = np.array([e1, e2, e3])
     drift = attitude_drift(AeroConstants(make_cfg()), alpha, beta)
     out = attitude_stage(feedback(gains.k1, gains.delta1), tuple(x1), tuple(x1 - eta1),
-                         mixer(gamma, alpha, beta, pitch), drift, COND_LIMIT)
+                         mixer(gamma, alpha, beta, pitch), drift)
     lhs = g1_series(gamma, alpha, beta, pitch) @ out[:3] + drift
     rhs = -(gains.k1 + 0.5 / gains.delta1**2) * eta1
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
@@ -144,7 +142,7 @@ def test_fin_command_diagonal_case():
     assert np.array_equal(np.diag(k.fin_gain), 2.0 * np.eye(3))
     x2 = (0.1, 0.0, 0.0)
     fins = fin_stage(feedback(10.0, 0.2), x2, ZERO3, rate_drift(k, 0.0, 0.0, *x2),
-                     k.fin_gain, COND_LIMIT)
+                     k.fin_gain)
     assert np.allclose(fins, [-1.125, 0.0, 0.0], atol=1e-14)
 
 
@@ -157,7 +155,7 @@ def test_fin_command_cancellation_identity(alpha, beta, wx, wy, wz, e1, e2, e3):
     eta2 = np.array([e1, e2, e3])
     drift = rate_drift(k, alpha, beta, wx, wy, wz)
     fins = fin_stage(feedback(gains.k2, gains.delta2), tuple(x2), tuple(x2 - eta2), drift,
-                     k.fin_gain, COND_LIMIT)
+                     k.fin_gain)
     lhs = np.diag(k.fin_gain) @ fins + drift
     rhs = -(gains.k2 + 0.5 / gains.delta2**2) * eta2
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
@@ -202,7 +200,7 @@ def test_roll_command_identically_zero(x01, x02, theta_v, r):
     gamma, alpha, beta = state[8:11]
     tracked = attitude_stage(k.c1, (gamma, alpha, beta), (0.0, alpha_cmd, beta_cmd),
                              mixer(gamma, alpha, beta, state[14]),
-                             attitude_drift(k, alpha, beta), k.cond_limit)
+                             attitude_drift(k, alpha, beta))
     assert x2_cmd == tracked[:3]
 
 

@@ -6,10 +6,12 @@ import pytest
 from igcsim import airframe, engagement, frames, igc
 from igcsim.airframe import AttitudeState
 from igcsim.engagement import DisturbanceModel, EngagementState, VectorSignal
+from igcsim.errors import GuardError
 from igcsim.sim import (
     STATE_FIELDS,
     FullState,
     Kernel,
+    check_envelope,
     derivative,
     rk4_step,
     run,
@@ -38,7 +40,6 @@ def test_rk4_rejects_bad_step():
 
 
 def test_rk4_detects_nonfinite():
-    from igcsim.errors import GuardError
     with pytest.raises(GuardError):
         rk4_step(lambda t, x: x * np.inf, np.array([1.0]), 0.0, 0.1)
 
@@ -133,6 +134,39 @@ def test_run_guard_breach_reported(amplitude, message):
     _, summary = run(scenario)
     assert summary.outcome == "guard-breach"
     assert summary.message == message
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("theta_l", 1.25, "LOS elevation 1.25 breached guard 1.2", id="theta_l"),
+    pytest.param("theta_v", -1.25, "velocity elevation -1.25 breached guard 1.2",
+                 id="theta_v"),
+    # At pi/2 the band, not the (-pi/2, pi/2) domain of AttitudeState, reports.
+    pytest.param("beta", math.pi / 2, "sideslip 1.571 breached guard 1.2", id="beta"),
+    pytest.param("pitch", -1.21, "pitch -1.21 breached guard 1.2", id="pitch"),
+    pytest.param("r", -2.37536, "range -2.37536 must be positive", id="r"),
+    pytest.param("omega_y", math.inf, "omega_y inf must be finite", id="nonfinite"),
+])
+def test_envelope_guard(field, value, message):
+    # The one envelope check, alone and at the head of every derivative.
+    scenario = make_scenario()
+    y = scenario.initial.as_array().tolist()
+    y[STATE_FIELDS.index(field)] = value
+    with pytest.raises(GuardError) as alone:
+        check_envelope(y)
+    with pytest.raises(GuardError) as in_derivative:
+        derivative(Kernel(scenario), 0.0, y, (0.0, 0.0, 0.0))
+    assert str(alone.value) == str(in_derivative.value) == message
+
+
+@pytest.mark.parametrize("field, label", [
+    ("beta", "sideslip"), ("pitch", "pitch"), ("theta_l", "LOS elevation"),
+], ids=("beta", "pitch", "theta_l"))
+def test_run_out_of_band_initial_state(field, label):
+    # A step state outside the band ends the run before it is logged.
+    log, summary = run(make_scenario(initial=make_initial(**{field: 1.3})))
+    assert summary.outcome == "guard-breach"
+    assert summary.message == f"t=0: {label} 1.3 breached guard 1.2"
+    assert summary.steps == len(log) == 0
 
 
 def test_run_long_horizon_intercepts():
