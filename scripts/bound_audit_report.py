@@ -8,7 +8,7 @@ free, model-matched run.
 import argparse
 from pathlib import Path
 
-from igcsim.analysis import bound_audit
+from igcsim.analysis import MIN_AUDIT_SAMPLES, bound_audit
 from igcsim.cli import parse_scenario
 from igcsim.sim import run
 
@@ -23,7 +23,10 @@ def main() -> None:
 
     scenario = parse_scenario(args.scenario)
     log, summary = run(scenario)
-    traces, total = bound_audit(log, scenario.gains, scenario.cfg, scenario.r_min)
+    # As in `igcsim run --audit`, a log too short to audit is reported, not an
+    # error; the CSV then holds only its header.
+    audited = len(log) >= MIN_AUDIT_SAMPLES
+    traces, total = bound_audit(log, scenario) if audited else ((), 0)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("channel,t,measured,bound,margin\n")
         for trace in traces:
@@ -31,7 +34,11 @@ def main() -> None:
                 handle.write(f"{trace.channel},{trace.time[i]:.6f},"
                              f"{trace.measured[i]:.9e},{trace.bound[i]:.9e},"
                              f"{trace.margin[i]:.9e}\n")
-    print(f"outcome: {summary.outcome}; audit violations: {total} -> {args.out}")
+    if audited:
+        print(f"outcome: {summary.outcome}; audit violations: {total} -> {args.out}")
+    else:
+        print(f"outcome: {summary.outcome} -> {args.out}")
+        print(f"bound audit: skipped, {len(log)} sample(s) logged (needs {MIN_AUDIT_SAMPLES})")
     for trace in traces:
         print(f"  {trace.channel}: worst margin {trace.worst_margin:.6g}")
 

@@ -60,7 +60,7 @@ class AeroConfig:
     @property
     def dynamic_pressure(self) -> float:
         """0.5 * rho * V^2 [Pa]; constant because the speed is constant."""
-        return 0.5 * self.air_density * self.speed**2
+        return 0.5 * self.air_density * (self.speed * self.speed)
 
     @property
     def lift_gain(self) -> float:
@@ -169,7 +169,12 @@ def rate_drift(k: AeroConstants, alpha: float, beta: float,
 
 def accels(k: AeroConstants, alpha: float, beta: float, d_lift: float, d_side: float,
            trig: bool) -> tuple[float, float]:
-    """(a_theta, a_psi) as floats; see :func:`lift_side_accels`."""
+    """Velocity-frame normal/lateral accelerations (a_theta, a_psi) [m/s^2].
+
+    ``trig`` evaluates the exact thrust projection; otherwise the small-angle
+    model the guidance law is designed against.  d_lift/d_side are additive
+    force uncertainties [N].
+    """
     if trig:
         return (
             (k.thrust * math.sin(alpha) + k.qs_lift * alpha + d_lift) / k.mass,
@@ -229,12 +234,7 @@ def lift_side_accels(
     cfg: AeroConfig,
     mode: str = "trig",
 ) -> tuple[float, float]:
-    """Velocity-frame normal/lateral accelerations (a_theta, a_psi) [m/s^2].
-
-    ``trig`` evaluates the exact thrust projection; ``linear`` is the
-    small-angle model the guidance law is designed against.  d_lift/d_side
-    are additive force uncertainties [N].
-    """
+    """:func:`accels` with the plant mode by name, ``trig`` or ``linear``."""
     if mode not in ("trig", "linear"):
         raise ValueError(f"plant mode must be 'trig' or 'linear', got {mode!r}")
     return accels(AeroConstants(cfg), alpha, beta, d_lift, d_side, mode == "trig")

@@ -6,10 +6,12 @@ trajectory:
     ||x(t)|| <= exp(-K t) ||x(0)||
               + delta / sqrt(2 K) * sqrt(1 - exp(-2 K t)) * sup||d||
 
-with d the channel's lumped disturbance.  The audit replays a simulation
-log, reconstructs each channel's disturbance from logged signals (command
-derivatives via finite differences), and counts samples where the measured
-norm exceeds the envelope beyond a slack covering discretization error.
+with d the channel's lumped disturbance.  The audit replays the log of a
+scenario's run, reconstructs each channel's disturbance from the logged
+states and commands (command derivatives via finite differences) and the
+scenario's signals at the logged times, and counts samples where the
+measured norm exceeds the envelope beyond a slack covering discretization
+error.
 Disturbance suprema are combined as sums of per-component running suprema,
 which upper-bounds the supremum of the sum, so the audit is conservative
 and therefore sound as a test.
@@ -240,9 +242,10 @@ def _running_sup(norms: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(norms)
 
 
-def bound_audit(log, gains: Gains, cfg: AeroConfig, r_m: float,
-                slack: float = DEFAULT_SLACK) -> tuple[tuple[BoundTrace, ...], int]:
-    """Channelwise envelope audit of a simulation log.
+def bound_audit(log: sim.SimLog, scenario: sim.Scenario, slack: float = DEFAULT_SLACK
+                ) -> tuple[tuple[BoundTrace, ...], int]:
+    """Channelwise envelope audit of the log of a run of ``scenario``, whose
+    gains, plant constants, ``r_min`` and signals (at the logged times) it reads.
 
     Returns one trace per channel (LOS rate, attitude error, rate error) and
     the total violation count; a sample violates when measured exceeds
@@ -258,21 +261,22 @@ def bound_audit(log, gains: Gains, cfg: AeroConfig, r_m: float,
     dt = steps[0]
     if not np.all(np.abs(steps - dt) <= 1e-9 * max(dt, 1.0)):
         raise ValueError("log timestamps are not uniform")
-    if not r_m > 0.0:
-        raise ValueError(f"r_m: must be > 0, got {r_m!r}")
+    scenario.validate()  # r_min > 0 bounds the 1/r scaling below
+    gains, cfg, r_min = scenario.gains, scenario.cfg, scenario.r_min
+    rate, accel, lift, side, evader = sim.inputs(scenario, t)
 
     # Guidance channel: disturbance is (evader + force uncertainty)/r plus
     # the attitude tracking error mapped through the input matrix.
     x0_norm = log.x0_norm
     proj = frames.projection_matrix_series(log.theta_l, log.phi_l,
                                            log.theta_v, log.psi_v)
-    d_force = np.stack([log.lift_dist, log.side_dist], axis=-1) / cfg.mass
-    d0 = -np.einsum("nij,nj->ni", proj, d_force) + log.evader[:, 1:3]
+    d_force = np.stack([lift, side], axis=-1) / cfg.mass
+    d0 = -np.einsum("nij,nj->ni", proj, d_force) + evader[:, 1:3]
     g0_series = -(proj * np.array([cfg.lift_gain, cfg.side_gain])) \
         / (cfg.mass * log.r)[:, None, None]
     y1 = np.einsum("nij,nj->ni", g0_series, log.eta1[:, 1:])
-    # Keep the 1/r scaling sound even if the final sample dips below r_m.
-    r_floor = min(r_m, float(log.r.min()))
+    # Keep the 1/r scaling sound even if the final sample dips below r_min.
+    r_floor = min(r_min, float(log.r.min()))
     bound_x0 = x0_bound(t, float(x0_norm[0]), gains, r_floor,
                         _running_sup(np.linalg.norm(d0, axis=-1)),
                         _running_sup(np.linalg.norm(y1, axis=-1)))
@@ -284,7 +288,7 @@ def bound_audit(log, gains: Gains, cfg: AeroConfig, r_m: float,
     g1_series = airframe.g1_series(log.gamma, log.alpha, log.beta, log.pitch)
     y3 = np.einsum("nij,nj->ni", g1_series, log.eta2)
     combined1 = (
-        _running_sup(np.linalg.norm(log.rate_dist, axis=-1))
+        _running_sup(np.linalg.norm(rate, axis=-1))
         + _running_sup(np.linalg.norm(y0, axis=-1))
         + _running_sup(np.linalg.norm(y3, axis=-1))
     )
@@ -295,7 +299,7 @@ def bound_audit(log, gains: Gains, cfg: AeroConfig, r_m: float,
     eta2_norm = log.eta2_norm
     y2 = -_central_differences(log.x2_cmd, dt)
     combined2 = (
-        _running_sup(np.linalg.norm(log.accel_dist, axis=-1))
+        _running_sup(np.linalg.norm(accel, axis=-1))
         + _running_sup(np.linalg.norm(y2, axis=-1))
     )
     bound_eta2 = theorem2_bound(t, float(eta2_norm[0]), gains.k2, gains.delta2, combined2)
@@ -358,15 +362,15 @@ def estimate_loop_gain(scenario, loop: str, base_amplitude: float,
             raise ValueError(
                 f"probe run ended with {summary.outcome!r}; supply a scenario "
                 f"whose horizon stays clear of intercept and guards")
-        dt = float(log.t[1] - log.t[0])
+        rate, _, _, _, evader = sim.inputs(probe, log.t)
         if loop == "guidance":
             cmd = log.x1_cmd
-            forcing = np.linalg.norm(log.evader[:, 1:3], axis=-1) / log.r
+            forcing = np.linalg.norm(evader[:, 1:3], axis=-1) / log.r
         else:
             cmd = log.x2_cmd
-            forcing = np.linalg.norm(log.rate_dist, axis=-1)
+            forcing = np.linalg.norm(rate, axis=-1)
         # Drop the one-sided finite-difference endpoints.
-        outputs.append(_central_differences(cmd, dt)[2:-2])
+        outputs.append(_central_differences(cmd, probe.dt)[2:-2])
         inputs.append(float(forcing.max()))
     span = inputs[1] - inputs[0]
     if span <= 0.0:

@@ -254,10 +254,8 @@ def cmd_run(args) -> int:
     write_csv_log(log, args.out_csv)
     traces = None
     if args.audit and len(log) >= analysis.MIN_AUDIT_SAMPLES:
-        traces, total = analysis.bound_audit(log, scenario.gains, scenario.cfg,
-                                             scenario.r_min)
-        summary = replace(summary,
-                          audit_violations=tuple(tr.violations for tr in traces))
+        traces, total = analysis.bound_audit(log, scenario)
+        summary = replace(summary, audit_violations=tuple(tr.violations for tr in traces))
     _print_summary(summary)
     if traces is not None:
         print(f"bound audit: {total} violation(s)")

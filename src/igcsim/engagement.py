@@ -155,15 +155,20 @@ class DisturbanceModel:
 
 
 def los_rate_drift(r, vr, theta_l, x01, x02) -> tuple[float, float]:
-    """f0 as floats; see :func:`f0`."""
+    """Drift f0 of the LOS-rate pair [rad/s^2]: the radial term -2 (vr / r) x0
+    plus the tan(theta_l) elevation/azimuth cross couplings, which are
+    orthogonal to x0 in the Lyapunov sense and left uncancelled by the law."""
     two_vr_r = 2.0 * vr / r
     tl = math.tan(theta_l)
-    return -two_vr_r * x01 - x02**2 * tl, -two_vr_r * x02 + x01 * x02 * tl
+    # x * x, not x**2: a float power raises OverflowError where a product gives inf.
+    return -two_vr_r * x01 - x02 * x02 * tl, -two_vr_r * x02 + x01 * x02 * tl
 
 
 def guidance_map(k: AeroConstants, r, theta_l, phi_l, theta_v, psi_v
                  ) -> tuple[float, float, float, float]:
-    """g0 as four floats, row-major; see :func:`g0`."""
+    """Input map g0 from (attack, sideslip) to the LOS-rate derivatives as four
+    floats, row-major, built from the small-angle force model; singular when
+    the pursuer velocity is orthogonal to the LOS."""
     m = frames.los_rows(theta_l, phi_l, theta_v, psi_v)
     m00, m01, m10, m11 = m[4], m[5], m[7], m[8]
     # |det| of the projection equals |cos(LOS, velocity)|.
@@ -180,14 +185,15 @@ def guidance_map(k: AeroConstants, r, theta_l, phi_l, theta_v, psi_v
 
 def relative_rates(r, vr, theta_l, x01, x02, accel_pursuer, accel_evader
                    ) -> tuple[float, float, float, float, float, float]:
-    """Relative-motion derivatives as floats; see :func:`relative_derivatives`.
-    Both accelerations are float triples."""
+    """Time derivatives (r, vr, theta_l, phi_l, x01, x02) of the relative
+    motion.  Both accelerations are LOS-frame float triples (radial,
+    elevation channel, azimuth channel) [m/s^2]."""
     ap0, ap1, ap2 = accel_pursuer
     ae0, ae1, ae2 = accel_evader
     drift0, drift1 = los_rate_drift(r, vr, theta_l, x01, x02)
     return (
         vr,
-        r * (x01**2 + x02**2) + ae0 - ap0,
+        r * (x01 * x01 + x02 * x02) + ae0 - ap0,
         x01,
         x02 / math.cos(theta_l),
         drift0 + (ae1 - ap1) / r,
@@ -196,21 +202,12 @@ def relative_rates(r, vr, theta_l, x01, x02, accel_pursuer, accel_evader
 
 
 def f0(state: EngagementState) -> np.ndarray:
-    """Drift of the LOS-rate pair [rad/s^2].
-
-    The tan(theta_l) terms are the elevation/azimuth cross couplings; they
-    are orthogonal to x0 in the Lyapunov sense and the guidance law leaves
-    them uncancelled.
-    """
+    """:func:`los_rate_drift` of ``state`` as an array [rad/s^2]."""
     return np.array(los_rate_drift(state.r, state.vr, state.theta_l, state.x01, state.x02))
 
 
 def g0(state: EngagementState, cfg: AeroConfig) -> np.ndarray:
-    """Input map from (attack, sideslip) to the LOS-rate derivatives.
-
-    Built from the small-angle force model; singular when the pursuer
-    velocity is orthogonal to the LOS.
-    """
+    """:func:`guidance_map` of ``state`` as a 2x2 array."""
     m = guidance_map(AeroConstants(cfg), state.r, state.theta_l, state.phi_l,
                      state.theta_v, state.psi_v)
     return np.array(m).reshape(2, 2)
@@ -219,11 +216,7 @@ def g0(state: EngagementState, cfg: AeroConfig) -> np.ndarray:
 def relative_derivatives(
     state: EngagementState, accel_pursuer, accel_evader
 ) -> tuple[float, float, float, float, float, float]:
-    """Time derivatives (r, vr, theta_l, phi_l, x01, x02) of the relative motion.
-
-    Both acceleration arguments are LOS-frame triples (radial, elevation
-    channel, azimuth channel) [m/s^2].
-    """
+    """:func:`relative_rates` of ``state`` under array-like accelerations."""
     return relative_rates(state.r, state.vr, state.theta_l, state.x01, state.x02,
                           [float(a) for a in accel_pursuer],
                           [float(a) for a in accel_evader])

@@ -40,6 +40,12 @@ class Gains:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name}: must be > 0, got {value!r}")
+        for channel in "012":
+            k, delta = getattr(self, "k" + channel), getattr(self, "delta" + channel)
+            # delta * delta underflows to 0 below 1e-162; the feedback overflows just above.
+            if delta * delta == 0.0 or not math.isfinite(feedback(k, delta)):
+                raise ValueError(f"delta{channel}: feedback k{channel} + 1/(2 delta{channel}^2) "
+                                 f"must be finite, got {delta!r}")
 
 
 def _singular(stage: str) -> SingularityError:
@@ -90,7 +96,8 @@ def iss_control(f, g, x, k: float, delta: float) -> np.ndarray:
 
 def feedback(k: float, delta: float) -> float:
     """Proportional coefficient k + 1/(2 delta^2) of the ISS primitive."""
-    return k + 0.5 / delta**2
+    # delta * delta, not delta**2, which raises OverflowError for a large delta.
+    return k + 0.5 / (delta * delta)
 
 
 def guidance_stage(c0: float, r, vr, x01, x02, g0):

@@ -95,41 +95,52 @@ class Scenario:
             raise ValueError(f"sim.divergence_factor: must be > 1, got {self.divergence_factor!r}")
 
 
+# Per-step log row layout, in row order: (block, width), the one declaration
+# of the log.  Rows are written into one float table that doubles when full;
+# it is never sized from t_max, which may be far longer than the flight.
+_LOG_LAYOUT = (("t", 1), ("states", 15), ("fins", 3), ("x1_sharp_cmd", 2), ("x2_cmd", 3),
+               ("saturated", 1))
+_LOG_BLOCK = 1024
+
+
+def _log_columns() -> tuple[dict[str, int | slice], int]:
+    """Column or column slice of every named view of the log, and its width."""
+    columns, start = {}, 0
+    for name, width in _LOG_LAYOUT:
+        columns[name] = start if width == 1 else slice(start, start + width)
+        start += width
+    for block, names in (("states", STATE_FIELDS), ("x1_sharp_cmd", ("alpha_cmd", "beta_cmd"))):
+        columns.update(zip(names, range(columns[block].start, columns[block].stop)))
+    columns["x1"] = slice(columns["gamma"], columns["beta"] + 1)
+    columns["omega"] = slice(columns["omega_x"], columns["omega_z"] + 1)
+    return columns, start
+
+
+_COLUMNS, LOG_WIDTH = _log_columns()
+
+
 @dataclass(frozen=True, eq=False)
 class SimLog:
-    """Column-oriented per-step record of a run."""
+    """Per-step record of a run: its (n, LOG_WIDTH) step table.  Each layout
+    block, each STATE_FIELDS name, ``x1`` (roll, attack, sideslip), ``omega``,
+    ``alpha_cmd`` and ``beta_cmd`` read as views of the table by name.  The
+    exogenous inputs are not logged; :func:`inputs` samples them."""
 
-    t: np.ndarray
-    states: np.ndarray       # (n, 15) in STATE_FIELDS order
-    fins: np.ndarray         # (n, 3)
-    x1_sharp_cmd: np.ndarray  # (n, 2) commanded (attack, sideslip)
-    x2_cmd: np.ndarray       # (n, 3) commanded body rates
-    rate_dist: np.ndarray    # (n, 3) attitude-rate disturbance samples
-    accel_dist: np.ndarray   # (n, 3) body-rate disturbance samples
-    lift_dist: np.ndarray    # (n,) lift force disturbance samples
-    side_dist: np.ndarray    # (n,) side force disturbance samples
-    evader: np.ndarray       # (n, 3) evader acceleration samples
-    saturated: np.ndarray    # (n,) bool
+    table: np.ndarray
 
     def __len__(self) -> int:
-        return self.t.shape[0]
+        return self.table.shape[0]
 
     def __getattr__(self, name: str) -> np.ndarray:
-        if name in STATE_FIELDS:
-            return self.states[:, STATE_FIELDS.index(name)]
-        raise AttributeError(name)
+        column = _COLUMNS.get(name)
+        if column is None:
+            raise AttributeError(name)
+        return self.table[:, column]
 
     @property
-    def omega(self) -> np.ndarray:
-        return self.states[:, 11:14]
-
-    @property
-    def alpha_cmd(self) -> np.ndarray:
-        return self.x1_sharp_cmd[:, 0]
-
-    @property
-    def beta_cmd(self) -> np.ndarray:
-        return self.x1_sharp_cmd[:, 1]
+    def saturated(self) -> np.ndarray:
+        """(n,) bool: the fin limit clamped the command at that step."""
+        return self.table[:, _COLUMNS["saturated"]] != 0.0
 
     @property
     def x1_cmd(self) -> np.ndarray:
@@ -142,7 +153,7 @@ class SimLog:
 
     @property
     def eta1(self) -> np.ndarray:
-        return self.states[:, 8:11] - self.x1_cmd
+        return self.x1 - self.x1_cmd
 
     @property
     def eta2(self) -> np.ndarray:
@@ -233,12 +244,6 @@ def derivative(k: Kernel, t: float, y, fins=None) -> list[float]:
     return [*rel, tv_dot, pv_dot, *att]
 
 
-def _post_transient_sup_x0(t: np.ndarray, x0_norm: np.ndarray) -> float:
-    """Supremum of the LOS-rate norm over the final 20% of the flight."""
-    window = t >= 0.8 * t[-1]
-    return float(x0_norm[window].max())
-
-
 def _miss_distance(log: SimLog) -> float:
     """Final range, refined by linear interpolation across the last step
     when the range rate changed sign inside it."""
@@ -252,26 +257,17 @@ def _miss_distance(log: SimLog) -> float:
     return float(r[-1])
 
 
-# Per-step log row layout: (SimLog field, width).  Rows are written into one
-# float table that doubles when full; it is never sized from t_max, which
-# may be far longer than the flight.
-_LOG_LAYOUT = (
-    ("t", 1), ("states", 15), ("fins", 3), ("x1_sharp_cmd", 2), ("x2_cmd", 3),
-    ("rate_dist", 3), ("accel_dist", 3), ("lift_dist", 1), ("side_dist", 1),
-    ("evader", 3), ("saturated", 1),
-)
-_LOG_WIDTH = sum(width for _, width in _LOG_LAYOUT)
-_LOG_BLOCK = 1024
-
-
-def _sim_log(table: np.ndarray) -> SimLog:
-    columns, start = {}, 0
-    for name, width in _LOG_LAYOUT:
-        block = table[:, start:start + width]
-        columns[name] = np.array(block[:, 0] if width == 1 else block)
-        start += width
-    columns["saturated"] = columns["saturated"].astype(bool)
-    return SimLog(**columns)
+def inputs(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The scenario's exogenous inputs at the times ``t``, sampled with the
+    methods the plant derivative uses: (rate (n, 3), accel (n, 3), lift (n,),
+    side (n,), evader (n, 3)).  At a log's ``t`` these are, bit for bit, the
+    inputs the run saw at its logged steps."""
+    d, evader = scenario.disturbances, scenario.evader
+    out = np.empty((len(t), 11))
+    for row, ti in zip(out, t.tolist()):
+        row[:] = (*d.rate.sample(ti), *d.accel.sample(ti), d.lift.value(ti),
+                  d.side.value(ti), *evader.sample(ti))
+    return out[:, 0:3], out[:, 3:6], out[:, 6], out[:, 7], out[:, 8:11]
 
 
 def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
@@ -282,55 +278,45 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
     hold = scenario.control_update == "hold"
     k = Kernel(scenario)
 
-    table = np.empty((_LOG_BLOCK, _LOG_WIDTH))
+    table = np.empty((_LOG_BLOCK, LOG_WIDTH))
     n = 0  # logged rows, which is also the index of the current step
 
     y = scenario.initial.as_array()
-    outcome, message = OUTCOME_TIMEOUT, ""
-    while True:
+    outcome, message = None, ""
+    while outcome is None:
         t = n * dt
         state = y.tolist()
         try:
             check_envelope(state)
             fins, x1_sharp, x2_cmd, saturated, _, _ = igc.law(k, state)
+            if n == table.shape[0]:
+                table = np.concatenate((table, np.empty_like(table)))
+            table[n] = (t, *state, *fins, *x1_sharp, *x2_cmd, saturated)  # _LOG_LAYOUT order
+            n += 1
+
+            r, vr = state[0], state[1]
+            if r <= scenario.r_intercept:
+                outcome = OUTCOME_INTERCEPT
+            elif vr > 0.0 and r > scenario.divergence_factor * r0:
+                outcome, message = OUTCOME_MISS, f"range opened past {scenario.divergence_factor:g} x initial"
+            elif t >= scenario.t_max - 0.5 * dt:
+                outcome = OUTCOME_TIMEOUT
+            else:
+                held = fins if hold else None
+                y = rk4_step(lambda tt, yy: np.array(derivative(k, tt, yy.tolist(), held)),
+                             y, t, dt)
         except (GuardError, SingularityError) as exc:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
-            break
 
-        if n == table.shape[0]:
-            table = np.concatenate((table, np.empty_like(table)))
-        table[n] = (t, *state, *fins, *x1_sharp, *x2_cmd, *k.rate.sample(t),
-                    *k.accel.sample(t), k.lift.value(t), k.side.value(t),
-                    *k.evader.sample(t), saturated)
-        n += 1
-
-        r, vr = state[0], state[1]
-        if r <= scenario.r_intercept:
-            outcome, message = OUTCOME_INTERCEPT, ""
-            break
-        if vr > 0.0 and r > scenario.divergence_factor * r0:
-            outcome, message = OUTCOME_MISS, f"range opened past {scenario.divergence_factor:g} x initial"
-            break
-        if t >= scenario.t_max - 0.5 * dt:
-            outcome, message = OUTCOME_TIMEOUT, ""
-            break
-
-        held = fins if hold else None
-        try:
-            y = rk4_step(lambda tt, yy: np.array(derivative(k, tt, yy.tolist(), held)),
-                         y, t, dt)
-        except (GuardError, SingularityError) as exc:
-            outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
-            break
-
-    log = _sim_log(table[:n])
+    log = SimLog(table[:n])
     if len(log) > 0:
+        post_transient = log.t >= 0.8 * log.t[-1]  # the final 20% of the flight
         summary = SimSummary(
             outcome=outcome,
             final_r=float(log.r[-1]),
             flight_time=float(log.t[-1]),
             miss_distance=_miss_distance(log),
-            post_transient_sup_x0=_post_transient_sup_x0(log.t, log.x0_norm),
+            post_transient_sup_x0=float(log.x0_norm[post_transient].max()),
             steps=len(log),
             message=message,
         )

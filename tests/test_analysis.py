@@ -20,9 +20,11 @@ from igcsim.analysis import (
     worst_case_g1_norm,
     x0_bound,
 )
-from igcsim.sim import SimLog, run
+from igcsim.cli import parse_scenario
+from igcsim.engagement import DisturbanceModel
+from igcsim.sim import LOG_WIDTH, SimLog, inputs, run
 
-from .conftest import make_gains, make_scenario
+from .conftest import SCENARIO_DIR, make_gains, make_scenario
 
 positive = st.floats(min_value=0.1, max_value=10.0)
 nonneg = st.floats(min_value=0.0, max_value=10.0)
@@ -128,45 +130,61 @@ def test_worst_case_norms(cfg):
 
 
 def _constant_log(n=5, dt=0.01):
-    zeros3 = np.zeros((n, 3))
-    return SimLog(
-        t=np.arange(n) * dt,
-        states=np.zeros((n, 15)) + np.array([1000.0, -10.0] + [0.0] * 13),
-        fins=zeros3.copy(),
-        x1_sharp_cmd=np.zeros((n, 2)),
-        x2_cmd=zeros3.copy(),
-        rate_dist=zeros3.copy(),
-        accel_dist=zeros3.copy(),
-        lift_dist=np.zeros(n),
-        side_dist=np.zeros(n),
-        evader=zeros3.copy(),
-        saturated=np.zeros(n, dtype=bool),
-    )
+    # Zero fins, commands and saturation; the scenario's inputs are zero too.
+    log = SimLog(np.zeros((n, LOG_WIDTH)))
+    log.t[:] = np.arange(n) * dt
+    log.states[:] = [1000.0, -10.0] + [0.0] * 13
+    return log
 
 
-def test_bound_audit_constant_log(gains, cfg):
-    traces, total = bound_audit(_constant_log(), gains, cfg, r_m=100.0)
+def test_bound_audit_constant_log():
+    traces, total = bound_audit(_constant_log(), make_scenario(r_min=100.0))
     assert total == 0
     assert all(trace.violations == 0 for trace in traces)
 
 
-def test_bound_audit_rejects_short_log(gains, cfg):
+def test_bound_audit_rejects_short_log():
     log = _constant_log(n=2)
     with pytest.raises(ValueError, match="too short"):
-        bound_audit(log, gains, cfg, r_m=100.0)
+        bound_audit(log, make_scenario(r_min=100.0))
 
 
-def test_bound_audit_rejects_nonuniform_log(gains, cfg):
+def test_bound_audit_rejects_nonuniform_log():
     log = _constant_log()
     log.t[-1] += 0.5
     with pytest.raises(ValueError, match="uniform"):
-        bound_audit(log, gains, cfg, r_m=100.0)
+        bound_audit(log, make_scenario(r_min=100.0))
+
+
+def test_bound_audit_rejects_invalid_r_min():
+    with pytest.raises(ValueError, match="r_min"):
+        bound_audit(_constant_log(), make_scenario(r_min=-1.0))
+
+
+def test_bound_audit_covers_scenario_inputs():
+    # The attitude and rate channels are driven by the scenario's rate and
+    # accel disturbances, which the audit samples at the logged times: their
+    # share of each envelope is the gain times the disturbance supremum.
+    scenario = replace(parse_scenario(SCENARIO_DIR / "weave_disturbed.cfg"), t_max=0.5)
+    log, _ = run(scenario)
+    (_, attitude, rate_channel), _ = bound_audit(log, scenario)
+    (_, quiet_attitude, quiet_rate), _ = bound_audit(
+        log, replace(scenario, disturbances=DisturbanceModel()))
+    rate, accel, _, _, _ = inputs(scenario, log.t)
+    t, g = log.t[-1], scenario.gains
+    for trace, quiet, k, delta, d in ((attitude, quiet_attitude, g.k1, g.delta1, rate),
+                                      (rate_channel, quiet_rate, g.k2, g.delta2, accel)):
+        share = delta / math.sqrt(2.0 * k) * math.sqrt(-math.expm1(-2.0 * k * t)) \
+            * np.linalg.norm(d, axis=-1).max()
+        assert share > 0.0
+        assert trace.bound[-1] >= share
+        assert trace.bound[-1] - quiet.bound[-1] == pytest.approx(share, rel=1e-9)
 
 
 def test_bound_audit_clean_short_run():
     scenario = make_scenario(t_max=1.5)
     log, summary = run(scenario)
-    traces, total = bound_audit(log, scenario.gains, scenario.cfg, scenario.r_min)
+    traces, total = bound_audit(log, scenario)
     assert summary.outcome == "timeout"
     assert total == 0
     for trace in traces:
@@ -178,17 +196,17 @@ def test_bound_audit_measures_logged_channels():
     # writes as norm_x0, norm_eta1 and norm_eta2, bit for bit.
     scenario = make_scenario(t_max=1.5)
     log, _ = run(scenario)
-    traces, _ = bound_audit(log, scenario.gains, scenario.cfg, scenario.r_min)
+    traces, _ = bound_audit(log, scenario)
     for trace, logged in zip(traces, (log.x0_norm, log.eta1_norm, log.eta2_norm)):
         assert np.array_equal(trace.measured, logged)
 
 
-def test_bound_audit_flags_violations(gains, cfg):
-    # A constant nonzero LOS rate with no logged disturbance cannot satisfy
-    # a decaying envelope.
+def test_bound_audit_flags_violations():
+    # A constant nonzero LOS rate with no disturbance cannot satisfy a
+    # decaying envelope.
     log = _constant_log(n=50)
     log.states[:, 4] = 0.05
-    _, total = bound_audit(log, gains, cfg, r_m=100.0)
+    _, total = bound_audit(log, make_scenario(r_min=100.0))
     assert total > 0
 
 

@@ -217,6 +217,34 @@ def test_cmd_run_summary_json_is_strict(tmp_path, capsys):
     assert summary["post_transient_sup_x0"] is None
 
 
+@pytest.mark.parametrize("old, new, note", [
+    ("x02 = -0.015", "x02 = 1e160", "t=0: vr inf must be finite"),
+    ("speed = 600.0", "speed = 1e160",
+     "t=0: guidance: matrix condition estimate nan exceeds the invertibility gate"),
+], ids=["x02", "speed"])
+def test_cmd_run_overflow_is_guard_breach(tmp_path, capsys, old, new, note):
+    # A square that overflows is inf, not an OverflowError: the run ends as a
+    # guard breach, and a sweep point as that outcome, not as an error.
+    huge = write_variant(tmp_path, "huge.cfg", {old: new})
+    code = main(["run", str(huge), str(tmp_path / "h.csv")])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "outcome: guard-breach" in out
+    assert f"note: {note}" in out
+    table = tmp_path / "table.csv"
+    assert main(["sweep", str(huge), str(table), "--grid", "delta1=0.2"]) == 0
+    assert table.read_text().splitlines()[1].split(",")[6] == "guard-breach"
+
+
+@pytest.mark.parametrize("delta0", ["1e-200", "1e-160"])
+def test_parse_rejects_infinite_feedback(tmp_path, capsys, delta0):
+    tiny = write_variant(tmp_path, "tiny.cfg", {"delta0 = 0.5": f"delta0 = {delta0}"})
+    with pytest.raises(ScenarioError, match=r"^gains\.delta0: "):
+        parse_scenario(tiny)
+    assert main(["run", str(tiny), str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: gains.delta0: ")
+
+
 def test_cmd_run_deterministic_bytes(tmp_path):
     short = write_variant(tmp_path, "det.cfg", {"t_max = 15.0": "t_max = 0.4"})
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

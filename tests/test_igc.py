@@ -51,6 +51,11 @@ def test_iss_control_zero_state():
     assert np.allclose(u, -np.linalg.inv(g) @ f, rtol=1e-14)
 
 
+def test_feedback_of_large_delta():
+    # 1/(2 delta^2) underflows to 0 rather than raising OverflowError.
+    assert feedback(2.0, 1e200) == 2.0
+
+
 def test_iss_control_pure_feedback():
     u = iss_control(np.zeros(3), np.eye(3), np.array([1.0, 0.0, 0.0]), k=1.0, delta=1.0)
     assert np.allclose(u, [-1.5, 0.0, 0.0], atol=1e-15)

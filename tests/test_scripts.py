@@ -12,19 +12,27 @@ SCRIPTS = SCENARIO_DIR.parent
 SRC = SCRIPTS.parent / "src"
 
 
-@pytest.fixture
-def short_weave(tmp_path):
+def weave_copy(tmp_path, t_max):
     text = (SCENARIO_DIR / "weave_disturbed.cfg").read_text()
     assert "t_max = 8.0" in text
-    path = tmp_path / "weave_short.cfg"
-    path.write_text(text.replace("t_max = 8.0", "t_max = 0.2"))
+    path = tmp_path / f"weave_{t_max}.cfg"
+    path.write_text(text.replace("t_max = 8.0", f"t_max = {t_max}"))
     return path
 
 
-def run_script(name, *args, cwd):
+@pytest.fixture
+def short_weave(tmp_path):
+    return weave_copy(tmp_path, "0.2")
+
+
+def run_python(*args, cwd):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_script(name, *args, cwd):
+    return run_python(str(SCRIPTS / name), *args, cwd=cwd)
 
 
 def test_bound_audit_report(tmp_path, short_weave):
@@ -36,6 +44,24 @@ def test_bound_audit_report(tmp_path, short_weave):
     assert lines[0] == "channel,t,measured,bound,margin"
     # One row per logged sample (t = 0 to 0.2 at dt = 0.002) and channel.
     assert len(lines) == 1 + 3 * 101
+
+
+def test_bound_audit_report_short_log(tmp_path):
+    # One logged sample: the audit is skipped as in `igcsim run --audit`.
+    out = tmp_path / "traces.csv"
+    done = run_script("bound_audit_report.py", "--scenario", str(weave_copy(tmp_path, "0")),
+                      "--out", str(out), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "bound audit: skipped, 1 sample(s) logged (needs 3)" in done.stdout
+    assert out.read_text().splitlines() == ["channel,t,measured,bound,margin"]
+
+
+def test_module_entry_point(tmp_path, short_weave):
+    done = run_python("-m", "igcsim", "run", str(short_weave), str(tmp_path / "out.csv"),
+                      "--audit", cwd=tmp_path)
+    assert done.returncode == 2, done.stderr
+    assert "outcome: timeout" in done.stdout
+    assert "\nbound audit: " in done.stdout
 
 
 def test_gain_sweep_study(tmp_path, short_weave):

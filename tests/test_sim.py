@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from igcsim import airframe, engagement, frames, igc
 from igcsim.airframe import AttitudeState
 from igcsim.engagement import DisturbanceModel, EngagementState, VectorSignal
 from igcsim.errors import GuardError
 from igcsim.sim import (
+    LOG_WIDTH,
     STATE_FIELDS,
     FullState,
     Kernel,
     check_envelope,
     derivative,
+    inputs,
     rk4_step,
     run,
     sweep,
@@ -169,6 +172,42 @@ def test_run_out_of_band_initial_state(field, label):
     assert summary.steps == len(log) == 0
 
 
+large = st.floats(-1e200, 1e200)
+
+
+@given(large, large)
+def test_run_never_raises_on_large_los_rates(x01, x02):
+    # Overflow in the plant is a guard breach, never an exception.
+    log, summary = run(make_scenario(initial=make_initial(x01=x01, x02=x02), t_max=0.05))
+    assert summary.outcome in ("intercept", "miss", "guard-breach", "timeout")
+    assert summary.steps == len(log)
+
+
+def test_log_columns_are_table_views():
+    log, _ = run(make_scenario(t_max=0.05, delta_max=1e-3))
+    assert log.table.shape == (len(log), LOG_WIDTH) == (51, 25)
+    for name in ("t", "states", "fins", "x1_sharp_cmd", "x2_cmd", "x1", "omega",
+                 "alpha_cmd", "beta_cmd", *STATE_FIELDS):
+        assert np.shares_memory(getattr(log, name), log.table), name
+    assert np.array_equal(log.states[:, STATE_FIELDS.index("pitch")], log.pitch)
+    assert np.array_equal(log.omega, log.states[:, 11:14])
+    assert np.array_equal(log.x1, log.states[:, 8:11])
+    assert np.array_equal(log.x1_sharp_cmd, np.column_stack([log.alpha_cmd, log.beta_cmd]))
+    assert log.saturated.dtype == bool and log.saturated.all()
+    with pytest.raises(AttributeError):
+        log.rate_dist
+
+
+def test_inputs_sample_the_plant_signals():
+    rate = VectorSignal(kind="sinusoid", amplitude=(1.0, 2.0, 3.0), frequency=7.0, phase=0.5)
+    scenario = make_scenario(disturbances=DisturbanceModel(rate=rate))
+    t = np.arange(5) * 0.1
+    sampled = inputs(scenario, t)
+    assert [a.shape for a in sampled] == [(5, 3), (5, 3), (5,), (5,), (5, 3)]
+    assert np.array_equal(sampled[0], [rate.sample(ti) for ti in t.tolist()])
+    assert not np.any(np.concatenate([a.reshape(5, -1) for a in sampled[1:]], axis=1))
+
+
 def test_run_long_horizon_intercepts():
     # The log grows with the flight, never with t_max: sized from this
     # horizon it would need 1e12 rows.
@@ -181,10 +220,7 @@ def test_run_deterministic():
     scenario = make_scenario(t_max=0.5)
     log_a, _ = run(scenario)
     log_b, _ = run(scenario)
-    for name in ("t", "states", "fins", "x1_sharp_cmd", "x2_cmd",
-                 "rate_dist", "accel_dist", "lift_dist", "side_dist",
-                 "evader", "saturated"):
-        assert np.array_equal(getattr(log_a, name), getattr(log_b, name))
+    assert np.array_equal(log_a.table, log_b.table)
 
 
 def test_log_uniform_timestamps():
