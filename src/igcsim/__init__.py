@@ -14,8 +14,6 @@ from .analysis import (
     bound_audit,
     build_certificate,
     linear_gains,
-    small_gain_check,
-    spectral_norm,
     theorem2_bound,
     x0_bound,
 )
@@ -29,17 +27,17 @@ from .engagement import (
 from .errors import GuardError, ScenarioError, SingularityError
 from .frames import LosAngles, VelocityAngles
 from .igc import Gains, LawConstants, iss_control, law
-from .sim import FullState, Scenario, SimLog, SimSummary, rk4_step, run, sweep
+from .sim import Scenario, SimLog, SimSummary, rk4_step, run, sweep
 
 __all__ = [
     "AeroConfig", "AttitudeState",
     "BoundTrace", "GainCertificate", "LinearGain",
     "bound_audit", "build_certificate", "linear_gains",
-    "small_gain_check", "spectral_norm", "theorem2_bound", "x0_bound",
+    "theorem2_bound", "x0_bound",
     "AxisSignal", "DisturbanceModel", "EngagementState", "EvaderModel",
     "VectorSignal",
     "GuardError", "ScenarioError", "SingularityError",
     "LosAngles", "VelocityAngles",
     "Gains", "LawConstants", "iss_control", "law",
-    "FullState", "Scenario", "SimLog", "SimSummary", "rk4_step", "run", "sweep",
+    "Scenario", "SimLog", "SimSummary", "rk4_step", "run", "sweep",
 ]

@@ -15,6 +15,22 @@ import numpy as np
 
 from .errors import GuardError
 
+# The keys of an AeroConfig behind each derived constant the kernel reads.
+_QS = "air_density, speed, ref_area, "
+_DERIVED_FROM = {
+    "dynamic_pressure": "air_density, speed",
+    "mv": "mass, speed",
+    "qs_lift": _QS + "lift_slope",
+    "qs_side": _QS + "side_slope",
+    "lift_gain": "thrust, " + _QS + "lift_slope",
+    "side_gain": "thrust, " + _QS + "side_slope",
+    "qsl_yaw": _QS + "ref_length, yaw_moment_beta",
+    "qsl_pitch": _QS + "ref_length, pitch_moment_alpha",
+    "gyro": "inertia_x, inertia_y, inertia_z",
+    "fin_gain": _QS + "ref_length, roll_moment_fin, yaw_moment_fin, pitch_moment_fin, "
+                      "inertia_x, inertia_y, inertia_z",
+}
+
 
 @dataclass(frozen=True)
 class AeroConfig:
@@ -56,6 +72,12 @@ class AeroConfig:
                      "pitch_moment_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite")
+        # Finite keys can still overflow in the products the kernel reads.
+        k = AeroConstants(self)
+        for name, keys in _DERIVED_FROM.items():
+            value = getattr(self if name == "dynamic_pressure" else k, name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"derived constant {name} {value} is not finite (from {keys})")
 
     @property
     def dynamic_pressure(self) -> float:
@@ -144,9 +166,7 @@ def mixer(gamma: float, alpha: float, beta: float, pitch: float) -> tuple[float,
     """Body-rate-to-attitude-rate mixing matrix g1 as nine floats, row-major.
 
     Invertible throughout a reasonable flight domain; its determinant is -1
-    exactly at zero angles.  The tangents are taken as sin/cos, exactly as
-    :func:`g1_series` takes them, so the scalar and the broadcast matrices
-    agree bit for bit.
+    exactly at zero angles.  The tangents are taken as sin/cos.
     """
     tp = math.sin(pitch) / math.cos(pitch)
     tb = math.sin(beta) / math.cos(beta)
@@ -194,7 +214,7 @@ def attitude_rates(k: AeroConstants, gamma, alpha, beta, wx, wy, wz, pitch,
     """
     a0, a1, a2 = attitude_drift(k, alpha, beta)
     # The one matrix product left to numpy: it must round exactly as
-    # ``g1_series(...) @ x2`` does, and BLAS may fuse its multiply-adds.
+    # numpy's ``g1 @ x2`` does, and BLAS may fuse its multiply-adds.
     m0, m1, m2 = (np.array(mixer(gamma, alpha, beta, pitch)).reshape(3, 3)
                   @ np.array((wx, wy, wz))).tolist()
     r0, r1, r2 = rate_drift(k, alpha, beta, wx, wy, wz)
@@ -209,21 +229,6 @@ def attitude_rates(k: AeroConstants, gamma, alpha, beta, wx, wy, wz, pitch,
         r2 + bz * dz + d2[2],
         wy * math.sin(gamma) + wz * math.cos(gamma),
     )
-
-
-def g1_series(gamma, alpha, beta, pitch) -> np.ndarray:
-    """Broadcastable body-rate-to-attitude-rate mixing matrix, shape (..., 3, 3)."""
-    gamma = np.asarray(gamma, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    pitch = np.asarray(pitch, dtype=float)
-    tp, tb = np.sin(pitch) / np.cos(pitch), np.sin(beta) / np.cos(beta)
-    ones = np.ones(np.broadcast_shapes(gamma.shape, alpha.shape, beta.shape, pitch.shape))
-    zeros = np.zeros_like(ones)
-    row0 = np.stack([ones, -tp * np.cos(gamma) * ones, tp * np.sin(gamma) * ones], axis=-1)
-    row1 = np.stack([-tb * np.cos(alpha) * ones, np.sin(alpha) * tb * ones, ones], axis=-1)
-    row2 = np.stack([np.sin(alpha) * ones, np.cos(alpha) * ones, zeros], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
 
 
 def lift_side_accels(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import airframe, frames, sim
+from . import airframe, engagement, frames, sim
 from .airframe import AeroConfig
 from .engagement import DisturbanceModel, EvaderModel, VectorSignal
 from .igc import Gains
@@ -114,18 +114,6 @@ def linear_gains(gains: Gains, g0_norm: float, g1_norm: float
     )
 
 
-def small_gain_check(loop_gain_a: LinearGain, loop_gain_b: LinearGain
-                     ) -> tuple[bool, float]:
-    """Contraction test for two interconnected linear gains: product < 1."""
-    product = loop_gain_a.coefficient * loop_gain_b.coefficient
-    return product < 1.0, 1.0 - product
-
-
-def spectral_norm(matrix) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(matrix, dtype=float), 2))
-
-
 def worst_case_g0_norm(cfg: AeroConfig, r_m: float) -> float:
     """Upper bound on the guidance input-map norm over the flight domain.
 
@@ -137,17 +125,17 @@ def worst_case_g0_norm(cfg: AeroConfig, r_m: float) -> float:
     return max(abs(cfg.lift_gain), abs(cfg.side_gain)) / (cfg.mass * r_m)
 
 
-def worst_case_g1_norm(half_width: float = 0.3, points: int = 9) -> float:
+def worst_case_g1_norm() -> float:
     """Grid-scan bound on the rate mixing-matrix norm over the flight domain.
 
-    Scans attack, sideslip, and pitch over [-half_width, half_width] and the
-    roll angle over a full turn.
+    Scans attack, sideslip, and pitch over [-0.3, 0.3] on 9 points and the
+    roll angle over a full turn on 18.
     """
-    angles = np.linspace(-half_width, half_width, points)
-    rolls = np.linspace(-math.pi, math.pi, 2 * points)
-    pitch, alpha, beta, gamma = np.meshgrid(angles, angles, angles, rolls, indexing="ij")
-    blocks = airframe.g1_series(gamma, alpha, beta, pitch)
-    return float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max())
+    angles = np.linspace(-0.3, 0.3, 9).tolist()
+    rolls = np.linspace(-math.pi, math.pi, 18).tolist()
+    blocks = [airframe.mixer(gamma, alpha, beta, pitch)
+              for pitch in angles for alpha in angles for beta in angles for gamma in rolls]
+    return float(np.linalg.norm(np.reshape(blocks, (-1, 3, 3)), 2, axis=(-2, -1)).max())
 
 
 @dataclass(frozen=True)
@@ -160,10 +148,8 @@ class GainCertificate:
     estimates.  pass requires both loop products < 1.
     """
 
-    gamma_1y: float          # explicit: attitude loop, command-rate input
-    gamma_1u: float          # explicit: attitude loop, disturbance input
-    gamma_3y: float          # explicit: rate loop, command-rate input
-    gamma_3u: float          # explicit: rate loop, disturbance input
+    gamma_1y: float          # explicit: attitude loop, both inputs (= gamma_1u)
+    gamma_3y: float          # explicit: rate loop, both inputs (= gamma_3u)
     g0_norm: float
     g1_norm: float
     gamma_0y_est: float | None = None
@@ -219,9 +205,7 @@ def build_certificate(gains: Gains, g0_norm: float, g1_norm: float,
     g1y, _, g3y, _ = linear_gains(gains, g0_norm, g1_norm)
     return GainCertificate(
         gamma_1y=g1y.coefficient,
-        gamma_1u=g1y.coefficient,
         gamma_3y=g3y.coefficient,
-        gamma_3u=g3y.coefficient,
         g0_norm=g0_norm,
         g1_norm=g1_norm,
         gamma_0y_est=gamma_0y_est,
@@ -251,7 +235,9 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario, slack: float = DEFAULT_
     the total violation count; a sample violates when measured exceeds
     bound * (1 + slack).  Command derivatives are estimated by central
     finite differences, so the default slack covers the discretization and
-    integration error of a smooth run.
+    integration error of a smooth run.  The input maps are the law's own at
+    each logged state, so a state where the guidance map is singular, which
+    no run logs, raises SingularityError.
     """
     t = log.t
     n = t.shape[0]
@@ -265,16 +251,25 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario, slack: float = DEFAULT_
     gains, cfg, r_min = scenario.gains, scenario.cfg, scenario.r_min
     rate, accel, lift, side, evader = sim.inputs(scenario, t)
 
+    # The channels' input maps at every sample, replayed through the law's
+    # functions row by row into arrays: lists of the whole log's floats
+    # would raise the peak memory of a run by a fifth.
+    k = airframe.AeroConstants(cfg)
+    proj, g0, g1 = np.empty((n, 4)), np.empty((n, 4)), np.empty((n, 9))
+    for i, y in enumerate(log.states):
+        r, _, theta_l, phi_l, _, _, theta_v, psi_v, gamma, alpha, beta, _, _, _, pitch = y.tolist()
+        m = frames.los_rows(theta_l, phi_l, theta_v, psi_v)
+        proj[i] = m[4], m[5], m[7], m[8]
+        g0[i] = engagement.guidance_map(k, r, theta_l, phi_l, theta_v, psi_v)
+        g1[i] = airframe.mixer(gamma, alpha, beta, pitch)
+    proj, g0, g1 = proj.reshape(n, 2, 2), g0.reshape(n, 2, 2), g1.reshape(n, 3, 3)
+
     # Guidance channel: disturbance is (evader + force uncertainty)/r plus
     # the attitude tracking error mapped through the input matrix.
     x0_norm = log.x0_norm
-    proj = frames.projection_matrix_series(log.theta_l, log.phi_l,
-                                           log.theta_v, log.psi_v)
     d_force = np.stack([lift, side], axis=-1) / cfg.mass
     d0 = -np.einsum("nij,nj->ni", proj, d_force) + evader[:, 1:3]
-    g0_series = -(proj * np.array([cfg.lift_gain, cfg.side_gain])) \
-        / (cfg.mass * log.r)[:, None, None]
-    y1 = np.einsum("nij,nj->ni", g0_series, log.eta1[:, 1:])
+    y1 = np.einsum("nij,nj->ni", g0, log.eta1[:, 1:])
     # Keep the 1/r scaling sound even if the final sample dips below r_min.
     r_floor = min(r_min, float(log.r.min()))
     bound_x0 = x0_bound(t, float(x0_norm[0]), gains, r_floor,
@@ -285,8 +280,7 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario, slack: float = DEFAULT_
     # derivative, and the rate tracking error mapped through the mixer.
     eta1_norm = log.eta1_norm
     y0 = -_central_differences(log.x1_cmd, dt)
-    g1_series = airframe.g1_series(log.gamma, log.alpha, log.beta, log.pitch)
-    y3 = np.einsum("nij,nj->ni", g1_series, log.eta2)
+    y3 = np.einsum("nij,nj->ni", g1, log.eta2)
     combined1 = (
         _running_sup(np.linalg.norm(rate, axis=-1))
         + _running_sup(np.linalg.norm(y0, axis=-1))

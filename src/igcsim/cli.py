@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, sim
-from .airframe import AeroConfig, AttitudeState
-from .engagement import DisturbanceModel, EngagementState, EvaderModel
+from .airframe import AeroConfig
+from .engagement import DisturbanceModel, EvaderModel
 from .errors import GuardError, ScenarioError
 from .igc import Gains
-from .sim import FullState, Scenario, SimLog, SimSummary
+from .sim import Scenario, SimLog, SimSummary
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
@@ -134,7 +134,7 @@ def _section(sections, name: str) -> dict:
 def _build(section: str, factory, kwargs, key_prefix: str = ""):
     try:
         return factory(**kwargs)
-    except (ValueError, GuardError) as exc:
+    except ValueError as exc:
         raise ScenarioError(
             f"{section}.{key_prefix}{exc}" if ":" in str(exc) else f"{section}: {exc}")
 
@@ -147,13 +147,7 @@ def parse_scenario(path) -> Scenario:
 
     cfg = _build("pursuer", AeroConfig, _section(sections, "pursuer"))
     gains = _build("gains", Gains, _section(sections, "gains"))
-    init = _section(sections, "initial")
-    initial = FullState(
-        engagement=_build("initial", EngagementState,
-                          {k: init[k] for k in sim.STATE_FIELDS[:8]}),
-        attitude=_build("initial", AttitudeState,
-                        {k: init[k] for k in sim.STATE_FIELDS[8:]}),
-    )
+    initial = tuple(_section(sections, "initial").values())  # STATE_FIELDS order
     evader = _build("evader", EvaderModel, _section(sections, "evader"))
 
     flat = _section(sections, "disturbance")
@@ -185,7 +179,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario back to the file format (parse round-trips exactly)."""
     values = {
         "pursuer": vars(scenario.cfg),
-        "initial": {**vars(scenario.initial.engagement), **vars(scenario.initial.attitude)},
+        "initial": dict(zip(sim.STATE_FIELDS, scenario.initial)),
         "gains": vars(scenario.gains),
         "evader": vars(scenario.evader),
         "disturbance": dict(_disturbance_items(scenario.disturbances)),
@@ -272,7 +266,7 @@ def cmd_run(args) -> int:
 
 
 def _parse_grid(specs, base: Gains) -> list[Gains]:
-    assignments = []
+    assignments = {}
     for spec in specs:
         if "=" not in spec:
             raise ScenarioError(f"malformed grid spec {spec!r}, expected name=v1,v2,...")
@@ -281,21 +275,23 @@ def _parse_grid(specs, base: Gains) -> list[Gains]:
         if name not in SCHEMA["gains"]:
             raise ScenarioError(
                 f"grid parameter must be one of {', '.join(SCHEMA['gains'])}, got {name!r}")
+        if name in assignments:
+            raise ScenarioError(f"grid parameter {name!r} given in more than one --grid")
         try:
             parsed = [float(v) for v in values.split(",") if v.strip()]
         except ValueError:
             raise ScenarioError(f"malformed grid values in {spec!r}")
         if not parsed:
             raise ScenarioError(f"empty grid values in {spec!r}")
-        assignments.append((name, parsed))
-    lengths = {len(v) for _, v in assignments}
+        assignments[name] = parsed
+    lengths = {len(v) for v in assignments.values()}
     if len(lengths) != 1:
         raise ScenarioError("grid parameters must list the same number of values "
                             "(they vary jointly)")
     count = lengths.pop()
     grid = []
     for i in range(count):
-        grid.append(replace(base, **{name: values[i] for name, values in assignments}))
+        grid.append(replace(base, **{name: values[i] for name, values in assignments.items()}))
     return grid
 
 

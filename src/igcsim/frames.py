@@ -80,24 +80,6 @@ def los_dcm(angles: LosAngles) -> np.ndarray:
     return _axis_rotation(angles.phi_l - ELEVATION_LIMIT, angles.theta_l)
 
 
-def projection_matrix_series(theta_l, phi_l, theta_v, psi_v) -> np.ndarray:
-    """Broadcastable 2x2 map from velocity-frame lateral/normal acceleration
-    to the two LOS angular channels.
-
-    Accepts scalars or equal-shape arrays; returns shape (..., 2, 2).
-    Singular exactly when the velocity is orthogonal to the LOS.
-    """
-    theta_l = np.asarray(theta_l, dtype=float)
-    d = np.asarray(phi_l, dtype=float) - np.asarray(psi_v, dtype=float)
-    theta_v = np.asarray(theta_v, dtype=float)
-    stl, ctl = np.sin(theta_l), np.cos(theta_l)
-    stv, ctv = np.sin(theta_v), np.cos(theta_v)
-    sd, cd = np.sin(d), np.cos(d)
-    row0 = np.stack([stl * stv * sd + ctl * ctv, -stl * cd], axis=-1)
-    row1 = np.stack([-stv * cd, -sd], axis=-1)
-    return np.stack([row0, row1], axis=-2)
-
-
 def los_rows(theta_l: float, phi_l: float, theta_v: float, psi_v: float
              ) -> tuple[float, ...]:
     """Velocity-to-LOS acceleration map as nine floats, row-major.
@@ -105,8 +87,7 @@ def los_rows(theta_l: float, phi_l: float, theta_v: float, psi_v: float
     The closed form of ``los_dcm @ velocity_dcm.T`` with its azimuth row
     negated.  Rows are the radial, elevation and azimuth channels; columns
     the velocity-frame axes (a_v, a_theta, a_psi).  The lower-right 2x2 block
-    is :func:`projection_matrix`, written as :func:`projection_matrix_series`
-    writes it.
+    is :func:`projection_matrix`.
     """
     stl, ctl = math.sin(theta_l), math.cos(theta_l)
     stv, ctv = math.sin(theta_v), math.cos(theta_v)

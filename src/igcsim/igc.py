@@ -60,22 +60,6 @@ def _gate(stage: str, cond: float) -> float:
     return cond
 
 
-def _inverse(matrix) -> tuple[np.ndarray | None, float]:
-    """Inverse and Frobenius condition estimate of ``matrix``; (None, inf) if
-    it is exactly singular."""
-    m = np.asarray(matrix, dtype=float)
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return None, math.inf
-    return inv, float(np.sqrt((m * m).sum() * (inv * inv).sum()))
-
-
-def condition_estimate(matrix) -> float:
-    """Frobenius condition estimate; inf if exactly singular."""
-    return _inverse(matrix)[1]
-
-
 def iss_control(f, g, x, k: float, delta: float) -> np.ndarray:
     """Drift-cancelling ISS feedback u = g^-1 (-f - k x - x / (2 delta^2)).
 
@@ -86,11 +70,14 @@ def iss_control(f, g, x, k: float, delta: float) -> np.ndarray:
     closed-form inverses.
     """
     f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
-    g_inv, cond = _inverse(g)
-    if g_inv is None:
-        raise _singular("iss")
-    _gate("iss", cond)
+    try:
+        g_inv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise _singular("iss") from None
+    # The Frobenius condition estimate, as each stage of :func:`law` takes it.
+    _gate("iss", float(np.sqrt((g * g).sum() * (g_inv * g_inv).sum())))
     return g_inv @ (-f - feedback(k, delta) * x)
 
 

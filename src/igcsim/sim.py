@@ -40,27 +40,12 @@ _BANDED = (("LOS elevation", 2), ("velocity elevation", 6), ("sideslip", 10), ("
 
 
 @dataclass(frozen=True)
-class FullState:
-    """Engagement plus attitude state."""
-
-    engagement: EngagementState
-    attitude: AttitudeState
-
-    def as_array(self) -> np.ndarray:
-        e, a = self.engagement, self.attitude
-        return np.array([
-            e.r, e.vr, e.theta_l, e.phi_l, e.x01, e.x02, e.theta_v, e.psi_v,
-            a.gamma, a.alpha, a.beta, a.omega_x, a.omega_y, a.omega_z, a.pitch,
-        ])
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Everything a run needs: plant constants, gains, initial state, inputs."""
 
     cfg: AeroConfig
     gains: Gains
-    initial: FullState
+    initial: tuple[float, ...]   # the 15 state floats, in STATE_FIELDS order
     evader: EvaderModel = EvaderModel()
     disturbances: DisturbanceModel = DisturbanceModel()
     dt: float = 1e-3             # [s]
@@ -74,16 +59,21 @@ class Scenario:
     control_update: str = "hold"     # 'hold' or 'substep'
 
     def validate(self) -> None:
+        try:
+            EngagementState(*self.initial[:8])
+            AttitudeState(*self.initial[8:])
+        except GuardError as exc:
+            raise ValueError(f"initial: {exc}") from None
         if not self.dt > 0.0:
             raise ValueError(f"sim.dt: must be > 0, got {self.dt!r}")
         if not self.t_max >= 0.0:
             raise ValueError(f"sim.t_max: must be >= 0, got {self.t_max!r}")
         if not self.r_intercept > 0.0:
             raise ValueError(f"sim.r_intercept: must be > 0, got {self.r_intercept!r}")
-        if not 0.0 < self.r_min < self.initial.engagement.r < self.r_max:
+        if not 0.0 < self.r_min < self.initial[0] < self.r_max:
             raise ValueError(
                 "sim.r_min/sim.r_max: need 0 < r_min < initial range < r_max, got "
-                f"r_min={self.r_min!r}, r={self.initial.engagement.r!r}, r_max={self.r_max!r}"
+                f"r_min={self.r_min!r}, r={self.initial[0]!r}, r_max={self.r_max!r}"
             )
         if self.plant_mode not in ("trig", "linear"):
             raise ValueError(f"sim.plant_mode: must be trig or linear, got {self.plant_mode!r}")
@@ -274,14 +264,14 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
     """Integrate the closed loop until intercept, miss, guard breach, or timeout."""
     scenario.validate()
     dt = scenario.dt
-    r0 = scenario.initial.engagement.r
+    r0 = scenario.initial[0]
     hold = scenario.control_update == "hold"
     k = Kernel(scenario)
 
     table = np.empty((_LOG_BLOCK, LOG_WIDTH))
     n = 0  # logged rows, which is also the index of the current step
 
-    y = scenario.initial.as_array()
+    y = np.array(scenario.initial)
     outcome, message = None, ""
     while outcome is None:
         t = n * dt
@@ -321,9 +311,8 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
             message=message,
         )
     else:
-        e = scenario.initial.engagement
-        summary = SimSummary(outcome=outcome, final_r=e.r, flight_time=0.0,
-                             miss_distance=e.r, post_transient_sup_x0=float("nan"),
+        summary = SimSummary(outcome=outcome, final_r=r0, flight_time=0.0,
+                             miss_distance=r0, post_transient_sup_x0=float("nan"),
                              steps=0, message=message)
     return log, summary
 
@@ -363,15 +352,9 @@ def trim_attitude_to_commands(scenario: Scenario) -> Scenario:
     at zero.
     """
     k = igc.LawConstants(scenario.cfg, scenario.gains)
-    y = scenario.initial.as_array().tolist()
+    y = list(scenario.initial)
     alpha_cmd, beta_cmd = igc.law(k, y)[1]
     # The rate command evaluated on the attitude command itself.
     y[8:11] = (0.0, alpha_cmd, beta_cmd)
-    omega_x, omega_y, omega_z = igc.law(k, y)[2]
-    attitude = AttitudeState(
-        gamma=0.0, alpha=alpha_cmd, beta=beta_cmd,
-        omega_x=omega_x, omega_y=omega_y, omega_z=omega_z,
-        pitch=scenario.initial.attitude.pitch,
-    )
-    initial = replace(scenario.initial, attitude=attitude)
-    return replace(scenario, initial=initial)
+    y[11:14] = igc.law(k, y)[2]
+    return replace(scenario, initial=tuple(y))

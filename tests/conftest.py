@@ -1,13 +1,13 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from igcsim.airframe import AeroConfig, AttitudeState
-from igcsim.engagement import EngagementState
+from igcsim.airframe import AeroConfig
 from igcsim.igc import Gains
-from igcsim.sim import FullState, Scenario
+from igcsim.sim import STATE_FIELDS, Scenario
 
 settings.register_profile("package", deadline=None)
 settings.load_profile("package")
@@ -33,15 +33,26 @@ def make_gains(**overrides) -> Gains:
     return Gains(**values)
 
 
-def make_initial(**overrides) -> FullState:
-    eng = dict(r=4000.0, vr=-500.0, theta_l=0.2, phi_l=0.3,
-               x01=0.012, x02=-0.015,
-               theta_v=0.24, psi_v=0.3 - math.pi / 2 + 0.05)
-    att = dict(gamma=0.0, alpha=0.02, beta=-0.02,
-               omega_x=0.0, omega_y=0.0, omega_z=0.0, pitch=0.26)
-    for key, value in overrides.items():
-        (eng if key in eng else att)[key] = value
-    return FullState(engagement=EngagementState(**eng), attitude=AttitudeState(**att))
+def make_initial(**overrides) -> tuple[float, ...]:
+    """The 15 floats of an initial state, in STATE_FIELDS order."""
+    values = dict(r=4000.0, vr=-500.0, theta_l=0.2, phi_l=0.3,
+                  x01=0.012, x02=-0.015,
+                  theta_v=0.24, psi_v=0.3 - math.pi / 2 + 0.05,
+                  gamma=0.0, alpha=0.02, beta=-0.02,
+                  omega_x=0.0, omega_y=0.0, omega_z=0.0, pitch=0.26)
+    assert overrides.keys() <= values.keys(), overrides.keys() - values.keys()
+    values.update(overrides)
+    return tuple(values[name] for name in STATE_FIELDS)
+
+
+def g1_matrix(gamma, alpha, beta, pitch) -> np.ndarray:
+    """Reference body-rate-to-attitude-rate mixing matrix g1, its tangents
+    taken as sin/cos."""
+    tp = math.sin(pitch) / math.cos(pitch)
+    tb = math.sin(beta) / math.cos(beta)
+    return np.array([[1.0, -tp * math.cos(gamma), tp * math.sin(gamma)],
+                     [-tb * math.cos(alpha), math.sin(alpha) * tb, 1.0],
+                     [math.sin(alpha), math.cos(alpha), 0.0]])
 
 
 def make_scenario(**overrides) -> Scenario:

@@ -10,15 +10,13 @@ from igcsim.airframe import (
     AttitudeState,
     attitude_drift,
     attitude_rates,
-    g1_series,
     lift_side_accels,
     mixer,
     rate_drift,
 )
 from igcsim.errors import GuardError
-from igcsim.igc import condition_estimate
 
-from .conftest import make_cfg
+from .conftest import g1_matrix, make_cfg
 
 ZERO3 = (0.0, 0.0, 0.0)
 small_angles = st.floats(min_value=-0.3, max_value=0.3)
@@ -82,13 +80,7 @@ def test_g1_determinant_over_flight_domain():
 
 def test_g1_near_vertical_pitch_flagged():
     m = np.reshape(mixer(0.0, 0.0, 0.0, math.pi / 2 - 1e-8), (3, 3))
-    assert condition_estimate(m) > 1e6
-
-
-@given(small_angles, small_angles, small_angles, small_angles)
-def test_g1_series_matches_scalar(gamma, alpha, beta, pitch):
-    assert np.array_equal(g1_series(gamma, alpha, beta, pitch),
-                          np.reshape(mixer(gamma, alpha, beta, pitch), (3, 3)))
+    assert np.linalg.cond(m, "fro") > 1e6
 
 
 def test_f2_zero_state(cfg):
@@ -186,7 +178,7 @@ def test_pitch_rate_kinematics(cfg):
 def test_attitude_derivatives_recompose(gamma, alpha, beta, wx, wy, wz, pitch,
                                         dx, dy, dz):
     # Oracle: reassemble the derivatives from the tested pieces, with the
-    # mixing matrix from the broadcast reference.
+    # mixing matrix from the reference g1.
     k = AeroConstants(make_cfg())
     x2 = np.array([wx, wy, wz])
     fins = np.array([dx, dy, dz])
@@ -195,7 +187,7 @@ def test_attitude_derivatives_recompose(gamma, alpha, beta, wx, wy, wz, pitch,
     rates = attitude_rates(k, gamma, alpha, beta, wx, wy, wz, pitch,
                            (dx, dy, dz), tuple(d1), tuple(d2))
     assert np.array_equal(rates[:3], attitude_drift(k, alpha, beta)
-                          + g1_series(gamma, alpha, beta, pitch) @ x2 + d1)
+                          + g1_matrix(gamma, alpha, beta, pitch) @ x2 + d1)
     assert np.array_equal(rates[3:6], rate_drift(k, alpha, beta, wx, wy, wz)
                           + np.diag(k.fin_gain) @ fins + d2)
 

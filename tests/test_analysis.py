@@ -5,26 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from igcsim import analysis
-from igcsim.airframe import g1_series
 from igcsim.analysis import (
     LinearGain,
     bound_audit,
     build_certificate,
     estimate_loop_gain,
     linear_gains,
-    small_gain_check,
-    spectral_norm,
     theorem2_bound,
     worst_case_g0_norm,
     worst_case_g1_norm,
     x0_bound,
 )
 from igcsim.cli import parse_scenario
-from igcsim.engagement import DisturbanceModel
+from igcsim.engagement import AxisSignal, DisturbanceModel, EngagementState
+from igcsim.errors import SingularityError
 from igcsim.sim import LOG_WIDTH, SimLog, inputs, run
 
-from .conftest import SCENARIO_DIR, make_gains, make_scenario
+from .conftest import SCENARIO_DIR, g1_matrix, make_gains, make_scenario
+from .test_kernel import assert_close, composed_projection
 
 positive = st.floats(min_value=0.1, max_value=10.0)
 nonneg = st.floats(min_value=0.0, max_value=10.0)
@@ -86,54 +84,29 @@ def test_linear_gains_k_scaling():
     assert math.isclose(quad, base / 2.0, rel_tol=1e-12)
 
 
-def test_small_gain_check_cases():
-    passed, margin = small_gain_check(LinearGain(0.06325), LinearGain(10.0))
-    assert passed and math.isclose(margin, 1.0 - 0.6325, rel_tol=1e-12)
-    passed, margin = small_gain_check(LinearGain(1.0), LinearGain(1.0))
-    assert not passed and margin == 0.0
-    passed, margin = small_gain_check(LinearGain(0.0), LinearGain(123.0))
-    assert passed and margin == 1.0
-
-
-@given(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
-def test_small_gain_check_symmetric(a, b):
-    assert small_gain_check(LinearGain(a), LinearGain(b)) == \
-        small_gain_check(LinearGain(b), LinearGain(a))
-
-
 def test_linear_gain_callable_and_validated():
     assert LinearGain(0.5)(4.0) == 2.0
     with pytest.raises(ValueError):
         LinearGain(-0.1)
 
 
-def test_spectral_norm_cases():
-    assert spectral_norm(np.eye(3)) == 1.0
-    assert math.isclose(spectral_norm(np.diag([3.0, -4.0])), 4.0, rel_tol=1e-15)
-
-
-def test_spectral_norm_sampling_oracle():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(3, 3))
-    directions = rng.normal(size=(10_000, 3))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    sampled = np.linalg.norm(directions @ m.T, axis=1).max()
-    assert abs(spectral_norm(m) - sampled) < 1e-3
-
-
 def test_worst_case_norms(cfg):
     assert math.isclose(worst_case_g0_norm(cfg, 500.0),
                         362000.0 / (100.0 * 500.0), rel_tol=1e-15)
-    bound = worst_case_g1_norm(half_width=0.3)
-    sampled = spectral_norm(g1_series(1.1, -0.3, 0.3, 0.3))
+    bound = worst_case_g1_norm()
+    assert bound == 1.3356334212649232  # pinned: the scan's grid and mixer
+    sampled = np.linalg.norm(g1_matrix(1.1, -0.3, 0.3, 0.3), 2)
     assert bound >= sampled - 1e-9
 
 
 def _constant_log(n=5, dt=0.01):
     # Zero fins, commands and saturation; the scenario's inputs are zero too.
+    # The velocity points along the LOS (psi_v = phi_l - pi/2), a state at
+    # which the law's guidance map is invertible.
     log = SimLog(np.zeros((n, LOG_WIDTH)))
     log.t[:] = np.arange(n) * dt
     log.states[:] = [1000.0, -10.0] + [0.0] * 13
+    log.psi_v[:] = -math.pi / 2
     return log
 
 
@@ -153,6 +126,15 @@ def test_bound_audit_rejects_nonuniform_log():
     log = _constant_log()
     log.t[-1] += 0.5
     with pytest.raises(ValueError, match="uniform"):
+        bound_audit(log, make_scenario(r_min=100.0))
+
+
+def test_bound_audit_rejects_singular_geometry():
+    # No run logs a state at which the guidance map is singular (the law
+    # raises there first); the audit's replay of such a log raises likewise.
+    log = _constant_log()
+    log.psi_v[:] = 0.0  # velocity orthogonal to the LOS
+    with pytest.raises(SingularityError, match="guidance: velocity orthogonal to LOS"):
         bound_audit(log, make_scenario(r_min=100.0))
 
 
@@ -179,6 +161,44 @@ def test_bound_audit_covers_scenario_inputs():
         assert share > 0.0
         assert trace.bound[-1] >= share
         assert trace.bound[-1] - quiet.bound[-1] == pytest.approx(share, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["nominal.cfg", "weave_disturbed.cfg"])
+def test_bound_audit_envelopes_from_frame_oracle(name):
+    # The audit replays the log through the law's input maps; rebuild its
+    # three envelopes from the frame composition and the reference g1.  The
+    # force disturbances make the projection matter: they enter through it.
+    shipped = parse_scenario(SCENARIO_DIR / name)
+    forces = replace(shipped.disturbances, lift=AxisSignal("sinusoid", 200.0, 3.0),
+                     side=AxisSignal("constant", -150.0))
+    scenario = replace(shipped, disturbances=forces, t_max=0.3)
+    log, _ = run(scenario)
+    traces, _ = bound_audit(log, scenario)
+    cfg, g = scenario.cfg, scenario.gains
+    rate, accel, lift, side, evader = inputs(scenario, log.t)
+    proj = np.array([composed_projection(EngagementState(*row[:8])) for row in log.states])
+    g0 = -proj * np.array([cfg.lift_gain, cfg.side_gain]) / (cfg.mass * log.r)[:, None, None]
+    g1 = np.array([g1_matrix(*row) for row in log.states[:, [8, 9, 10, 14]]])
+
+    def sup(v):
+        return np.maximum.accumulate(np.linalg.norm(v, axis=-1))
+
+    def derivative(v):
+        return np.gradient(v, scenario.dt, axis=0)
+
+    d0 = evader[:, 1:3] - np.einsum("nij,nj->ni", proj, np.column_stack([lift, side]) / cfg.mass)
+    y1 = np.einsum("nij,nj->ni", g0, log.eta1[:, 1:])
+    y3 = np.einsum("nij,nj->ni", g1, log.eta2)
+    r_floor = min(scenario.r_min, log.r.min())
+    expected = (
+        theorem2_bound(log.t, log.x0_norm[0], g.k0, g.delta0, sup(d0) / r_floor + sup(y1)),
+        theorem2_bound(log.t, log.eta1_norm[0], g.k1, g.delta1,
+                       sup(rate) + sup(derivative(log.x1_cmd)) + sup(y3)),
+        theorem2_bound(log.t, log.eta2_norm[0], g.k2, g.delta2,
+                       sup(accel) + sup(derivative(log.x2_cmd))),
+    )
+    for trace, bound in zip(traces, expected):
+        assert_close(trace.bound, bound)
 
 
 def test_bound_audit_clean_short_run():

@@ -110,6 +110,15 @@ def test_parse_error_names_section_and_key(tmp_path, source, old, new, message):
     assert str(info.value) == message
 
 
+def test_parse_reports_initial_state_after_sections(tmp_path):
+    # Scenario.validate checks the initial state, after every section is
+    # built, so a bad evader kind is reported before a bad initial range.
+    path = write_variant(tmp_path, "two.cfg", {"r = 3000.0": "r = -1.0",
+                                               "kind = weave": "kind = spiral"}, WEAVE)
+    with pytest.raises(ScenarioError, match=r"^evader\.kind: "):
+        parse_scenario(path)
+
+
 def test_parse_rejects_unknown_section(tmp_path):
     path = write_variant(tmp_path, "section.cfg", {"[gains]": "[tuning]"})
     with pytest.raises(ScenarioError, match=r"unknown section \[tuning\]"):
@@ -219,9 +228,7 @@ def test_cmd_run_summary_json_is_strict(tmp_path, capsys):
 
 @pytest.mark.parametrize("old, new, note", [
     ("x02 = -0.015", "x02 = 1e160", "t=0: vr inf must be finite"),
-    ("speed = 600.0", "speed = 1e160",
-     "t=0: guidance: matrix condition estimate nan exceeds the invertibility gate"),
-], ids=["x02", "speed"])
+], ids=["x02"])
 def test_cmd_run_overflow_is_guard_breach(tmp_path, capsys, old, new, note):
     # A square that overflows is inf, not an OverflowError: the run ends as a
     # guard breach, and a sweep point as that outcome, not as an error.
@@ -234,6 +241,26 @@ def test_cmd_run_overflow_is_guard_breach(tmp_path, capsys, old, new, note):
     table = tmp_path / "table.csv"
     assert main(["sweep", str(huge), str(table), "--grid", "delta1=0.2"]) == 0
     assert table.read_text().splitlines()[1].split(",")[6] == "guard-breach"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("speed = 600.0", "speed = 1e160",
+     "derived constant dynamic_pressure inf is not finite (from air_density, speed)"),
+    ("inertia_x = 10.0", "inertia_x = 1e-320",
+     "derived constant fin_gain (-inf, -2700.0, -2700.0) is not finite (from air_density, "
+     "speed, ref_area, ref_length, roll_moment_fin, yaw_moment_fin, pitch_moment_fin, "
+     "inertia_x, inertia_y, inertia_z)"),
+], ids=["speed", "inertia_x"])
+def test_parse_rejects_overflowing_constant(tmp_path, capsys, old, new, message):
+    # Finite [pursuer] keys whose derived plant constants overflow are a
+    # scenario error naming the constant and its keys, for every command.
+    huge = write_variant(tmp_path, "huge.cfg", {old: new})
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(huge)
+    assert str(info.value) == f"pursuer: {message}"
+    assert main(["run", str(huge), str(tmp_path / "h.csv")]) == 1
+    assert main(["check-gains", str(huge)]) == 1
+    assert capsys.readouterr().err == f"error: pursuer: {message}\n" * 2
 
 
 @pytest.mark.parametrize("delta0", ["1e-200", "1e-160"])
@@ -280,6 +307,11 @@ def test_cmd_sweep_rejects_bad_grid(tmp_path, capsys):
                  "--grid", "delta2=0.5,0.25"]) == 1
     assert main(["sweep", str(short), str(out), "--grid", "delta1="]) == 1
     capsys.readouterr()
+    # A parameter in two --grid flags would silently keep only the last.
+    assert main(["sweep", str(short), str(out), "--grid", "k0=1,2", "--grid", "k0=3,4"]) == 1
+    assert capsys.readouterr().err == \
+        "error: grid parameter 'k0' given in more than one --grid\n"
+    assert not out.exists()
 
 
 def test_cmd_check_gains(tmp_path, capsys):

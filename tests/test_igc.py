@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from igcsim import sim
-from igcsim.airframe import AeroConfig, AeroConstants, attitude_drift, g1_series, mixer, rate_drift
+from igcsim.airframe import AeroConfig, AeroConstants, attitude_drift, mixer, rate_drift
 from igcsim.engagement import guidance_map
 from igcsim.errors import SingularityError
 from igcsim.igc import (
@@ -18,7 +18,7 @@ from igcsim.igc import (
     law,
 )
 
-from .conftest import make_cfg, make_gains, make_initial, make_scenario
+from .conftest import g1_matrix, make_cfg, make_gains, make_initial, make_scenario
 
 small_angles = st.floats(min_value=-0.25, max_value=0.25)
 errors = st.floats(min_value=-0.5, max_value=0.5)
@@ -123,14 +123,14 @@ def test_rate_command_permutation_mixer():
 def test_rate_command_cancellation_identity(gamma, alpha, beta, pitch,
                                             e1, e2, e3):
     # Closed-form content of the stage: g1 x2* + f1 = -(k1 + 1/(2 d1^2)) eta1,
-    # with g1 from the broadcast reference.
+    # with g1 from the reference matrix.
     gains = make_gains()
     x1 = np.array([gamma, alpha, beta])
     eta1 = np.array([e1, e2, e3])
     drift = attitude_drift(AeroConstants(make_cfg()), alpha, beta)
     out = attitude_stage(feedback(gains.k1, gains.delta1), tuple(x1), tuple(x1 - eta1),
                          mixer(gamma, alpha, beta, pitch), drift)
-    lhs = g1_series(gamma, alpha, beta, pitch) @ out[:3] + drift
+    lhs = g1_matrix(gamma, alpha, beta, pitch) @ out[:3] + drift
     rhs = -(gains.k1 + 0.5 / gains.delta1**2) * eta1
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 

@@ -1,4 +1,5 @@
-"""The scalar kernel against the matrix formulas it replaced.
+"""The scalar kernel against independent matrix oracles: the frame
+composition, a reference g1 and numpy's condition numbers.
 
 The kernel sums in another order than numpy's matrix products and inverts in
 closed form, so agreement is to a relative tolerance fixed from float64:
@@ -6,17 +7,17 @@ RTOL of the reference's largest magnitude.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 from hypothesis import assume, given, strategies as st
 
 from igcsim import airframe, engagement, frames, igc
-from igcsim.airframe import AttitudeState, g1_series
+from igcsim.airframe import AttitudeState
 from igcsim.engagement import EngagementState
-from igcsim.frames import los_dcm, projection_matrix_series, velocity_dcm
-from igcsim.sim import FullState
+from igcsim.frames import los_dcm, velocity_dcm
 
-from .conftest import make_cfg, make_gains
+from .conftest import g1_matrix, make_cfg, make_gains
 
 RTOL = 1e-12
 
@@ -50,6 +51,13 @@ def assert_close(got, ref):
     assert np.abs(got - ref).max() <= RTOL * np.abs(ref).max()
 
 
+def composed_projection(eng: EngagementState) -> np.ndarray:
+    """The 2x2 acceleration projection read off ``los_dcm @ velocity_dcm.T``,
+    its azimuth row negated."""
+    t = los_dcm(eng.los) @ velocity_dcm(eng.vel).T
+    return np.array([[t[1, 1], t[1, 2]], [-t[2, 1], -t[2, 2]]])
+
+
 @given(valid_states(), st.sampled_from(["trig", "linear"]))
 def test_projection_matches_frame_composition(state, mode):
     eng, att = state
@@ -65,7 +73,7 @@ def test_projection_matches_frame_composition(state, mode):
 def test_guidance_map_matches_projection_series(state):
     eng, _ = state
     cfg = make_cfg()
-    proj = projection_matrix_series(eng.theta_l, eng.phi_l, eng.theta_v, eng.psi_v)
+    proj = composed_projection(eng)
     assume(abs(np.linalg.det(proj)) >= engagement.GEOMETRY_SINGULARITY)
     got = engagement.guidance_map(airframe.AeroConstants(cfg), eng.r, eng.theta_l,
                                   eng.phi_l, eng.theta_v, eng.psi_v)
@@ -74,15 +82,15 @@ def test_guidance_map_matches_projection_series(state):
 
 
 @given(valid_states())
-def test_condition_estimates_match_reference(state):
+def test_condition_numbers_match_reference(state):
     eng, att = state
     cfg = make_cfg()
-    proj = projection_matrix_series(eng.theta_l, eng.phi_l, eng.theta_v, eng.psi_v)
+    proj = composed_projection(eng)
     assume(abs(np.linalg.det(proj)) >= engagement.GEOMETRY_SINGULARITY)
-    ref_g0 = igc.condition_estimate(engagement.g0(eng, cfg))
-    ref_g1 = igc.condition_estimate(g1_series(att.gamma, att.alpha, att.beta, att.pitch))
+    ref_g0 = np.linalg.cond(engagement.g0(eng, cfg), "fro")
+    ref_g1 = np.linalg.cond(g1_matrix(att.gamma, att.alpha, att.beta, att.pitch), "fro")
     assume(max(ref_g0, ref_g1) <= COND_COMPARED)
-    y = FullState(eng, att).as_array().tolist()
+    y = [*astuple(eng), *astuple(att)]
     _, _, _, _, cond_g0, cond_g1 = igc.law(igc.LawConstants(cfg, make_gains()), y)
     assert_close(cond_g0, ref_g0)
     assert_close(cond_g1, ref_g1)

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from igcsim import airframe, engagement, frames, igc
-from igcsim.airframe import AttitudeState
 from igcsim.engagement import DisturbanceModel, EngagementState, VectorSignal
 from igcsim.errors import GuardError
 from igcsim.sim import (
     LOG_WIDTH,
     STATE_FIELDS,
-    FullState,
     Kernel,
     check_envelope,
     derivative,
@@ -64,34 +62,30 @@ def test_closed_loop_derivative_quiescent():
     scenario = make_scenario(
         initial=make_initial(x01=0.0, x02=0.0, alpha=0.0, beta=0.0,
                              gamma=0.0, pitch=0.0))
-    deriv = derivative(Kernel(scenario), 0.0, scenario.initial.as_array().tolist())
+    deriv = derivative(Kernel(scenario), 0.0, list(scenario.initial))
     expected = np.zeros(15)
-    expected[0] = scenario.initial.engagement.vr
+    expected[0] = scenario.initial[1]
     assert np.allclose(deriv, expected, atol=1e-15)
 
 
 def test_closed_loop_derivative_composition():
     scenario = make_scenario()
-    state = scenario.initial
     k = Kernel(scenario)
-    y = state.as_array().tolist()
+    y = list(scenario.initial)
+    eng, alpha, beta = EngagementState(*y[:8]), y[9], y[10]
     fins = igc.law(k, y)[0]
     deriv = derivative(k, 0.0, y, fins)
 
     zeros = (0.0, 0.0, 0.0)
     assert deriv[8:] == list(airframe.attitude_rates(k, *y[8:], fins, zeros, zeros))
 
-    a_theta, a_psi = airframe.lift_side_accels(
-        state.attitude.alpha, state.attitude.beta, 0.0, 0.0,
-        scenario.cfg, scenario.plant_mode)
-    accel_p = frames.accel_velocity_to_los((0.0, a_theta, a_psi),
-                                           state.engagement.los,
-                                           state.engagement.vel)
-    expected_rel = engagement.relative_derivatives(
-        state.engagement, accel_p, np.zeros(3))
+    a_theta, a_psi = airframe.lift_side_accels(alpha, beta, 0.0, 0.0,
+                                               scenario.cfg, scenario.plant_mode)
+    accel_p = frames.accel_velocity_to_los((0.0, a_theta, a_psi), eng.los, eng.vel)
+    expected_rel = engagement.relative_derivatives(eng, accel_p, np.zeros(3))
     assert np.array_equal(deriv[:6], expected_rel)
     assert tuple(deriv[6:8]) == engagement.velocity_angle_derivatives(
-        a_theta, a_psi, scenario.cfg, state.engagement.theta_v)
+        a_theta, a_psi, scenario.cfg, eng.theta_v)
 
 
 def test_run_nominal_intercepts():
@@ -152,7 +146,7 @@ def test_run_guard_breach_reported(amplitude, message):
 def test_envelope_guard(field, value, message):
     # The one envelope check, alone and at the head of every derivative.
     scenario = make_scenario()
-    y = scenario.initial.as_array().tolist()
+    y = list(scenario.initial)
     y[STATE_FIELDS.index(field)] = value
     with pytest.raises(GuardError) as alone:
         check_envelope(y)
@@ -240,9 +234,26 @@ def test_scenario_validation_messages():
         make_scenario(plant_mode="exact").validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("r", -1.0, "initial: range -1 must be positive"),
+    ("theta_v", 1.6, "initial: velocity elevation 1.6 outside (-pi/2, pi/2)"),
+    ("beta", -1.6, "initial: sideslip -1.6 outside (-pi/2, pi/2)"),
+    ("omega_x", math.nan, "initial: attitude state must be finite"),
+], ids=("r", "theta_v", "beta", "nonfinite"))
+def test_scenario_validates_initial_state(field, value, message):
+    # A scenario built in code holds any 15 floats; validate, and so run,
+    # rejects an initial state outside the state domains.
+    scenario = make_scenario(initial=make_initial(**{field: value}))
+    with pytest.raises(ValueError) as info:
+        scenario.validate()
+    assert str(info.value) == message
+    with pytest.raises(ValueError, match="^initial: "):
+        run(scenario)
+
+
 def test_trimmed_attitude_zeroes_tracking_errors():
     scenario = trim_attitude_to_commands(make_scenario())
-    y = scenario.initial.as_array()
+    y = np.array(scenario.initial)
     _, x1_sharp, x2_cmd, _, _, _ = igc.law(igc.LawConstants(scenario.cfg, scenario.gains),
                                            y.tolist())
     eta1 = y[8:11] - np.array([0.0, *x1_sharp])
@@ -299,15 +310,3 @@ def test_substep_control_mode_runs():
     scenario = make_scenario(t_max=0.2, control_update="substep")
     _, summary = run(scenario)
     assert summary.outcome == "timeout"
-
-
-def test_full_state_array_round_trip():
-    # The array runs in STATE_FIELDS order, engagement first, and its
-    # floats rebuild the same state.
-    state = make_initial()
-    values = state.as_array().tolist()
-    assert values == [getattr(state.engagement, name) for name in STATE_FIELDS[:8]] \
-        + [getattr(state.attitude, name) for name in STATE_FIELDS[8:]]
-    again = FullState(engagement=EngagementState(*values[:8]),
-                      attitude=AttitudeState(*values[8:]))
-    assert again == state
