@@ -6,7 +6,7 @@ ISS stages; small-gain certificates and trajectory bound audits check the
 stability claims numerically along simulated trajectories.
 """
 
-from .airframe import AeroConfig, AttitudeState
+from .airframe import AeroConfig
 from .analysis import (
     BoundTrace,
     GainCertificate,
@@ -30,7 +30,7 @@ from .igc import Gains, LawConstants, iss_control, law
 from .sim import Scenario, SimLog, SimSummary, rk4_step, run, sweep
 
 __all__ = [
-    "AeroConfig", "AttitudeState",
+    "AeroConfig",
     "BoundTrace", "GainCertificate", "LinearGain",
     "bound_audit", "build_certificate", "linear_gains",
     "theorem2_bound", "x0_bound",

@@ -9,11 +9,9 @@ for a valid configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import GuardError
 
 # The keys of an AeroConfig behind each derived constant the kernel reads.
 _QS = "air_density, speed, ref_area, "
@@ -93,27 +91,6 @@ class AeroConfig:
     def side_gain(self) -> float:
         """Lateral-channel force per sideslip, thrust included [N/rad]."""
         return -self.thrust + self.dynamic_pressure * self.ref_area * self.side_slope
-
-
-@dataclass(frozen=True)
-class AttitudeState:
-    """Pursuer attitude angles, body rates, and pitch angle."""
-
-    gamma: float    # roll angle [rad]
-    alpha: float    # attack angle [rad]
-    beta: float     # sideslip angle [rad], |beta| < pi/2
-    omega_x: float  # roll rate [rad/s]
-    omega_y: float  # yaw rate [rad/s]
-    omega_z: float  # pitch rate [rad/s]
-    pitch: float    # pitch angle [rad], |pitch| < pi/2
-
-    def __post_init__(self):
-        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
-            raise GuardError("attitude state must be finite")
-        if abs(self.beta) >= math.pi / 2:
-            raise GuardError(f"sideslip {self.beta:.6g} outside (-pi/2, pi/2)")
-        if abs(self.pitch) >= math.pi / 2:
-            raise GuardError(f"pitch {self.pitch:.6g} outside (-pi/2, pi/2)")
 
 
 class AeroConstants:

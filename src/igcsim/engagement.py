@@ -10,13 +10,13 @@ reproducible for bound audits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import frames
 from .airframe import AeroConfig, AeroConstants
-from .errors import GuardError, SingularityError
+from .errors import SingularityError
 
 # |cos(LOS, velocity)| below which the guidance channel is declared singular.
 GEOMETRY_SINGULARITY = 1e-9
@@ -34,16 +34,6 @@ class EngagementState:
     x02: float      # LOS azimuth rate * cos(elevation) [rad/s]
     theta_v: float  # velocity elevation [rad]
     psi_v: float    # velocity azimuth [rad]
-
-    def __post_init__(self):
-        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
-            raise GuardError("engagement state must be finite")
-        if self.r <= 0.0:
-            raise GuardError(f"range {self.r:.6g} must be positive")
-        if abs(self.theta_l) >= math.pi / 2:
-            raise GuardError(f"LOS elevation {self.theta_l:.6g} outside (-pi/2, pi/2)")
-        if abs(self.theta_v) >= math.pi / 2:
-            raise GuardError(f"velocity elevation {self.theta_v:.6g} outside (-pi/2, pi/2)")
 
     @property
     def los(self) -> frames.LosAngles:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import airframe, engagement, frames, igc
-from .airframe import AeroConfig, AttitudeState
-from .engagement import DisturbanceModel, EngagementState, EvaderModel
+from .airframe import AeroConfig
+from .engagement import DisturbanceModel, EvaderModel
 from .errors import GuardError, SingularityError
 from .igc import Gains
 
@@ -59,9 +59,11 @@ class Scenario:
     control_update: str = "hold"     # 'hold' or 'substep'
 
     def validate(self) -> None:
+        if len(self.initial) != len(STATE_FIELDS):
+            raise ValueError(f"initial: need {len(STATE_FIELDS)} floats in STATE_FIELDS order, "
+                             f"got {len(self.initial)}")
         try:
-            EngagementState(*self.initial[:8])
-            AttitudeState(*self.initial[8:])
+            check_envelope(self.initial)
         except GuardError as exc:
             raise ValueError(f"initial: {exc}") from None
         if not self.dt > 0.0:
@@ -149,13 +151,17 @@ class SimLog:
     def eta2(self) -> np.ndarray:
         return self.omega - self.x2_cmd
 
+    # A run whose commands overflow logs values whose squares are inf; the
+    # norm is then inf, which needs no warning.
     @property
     def eta1_norm(self) -> np.ndarray:
-        return np.linalg.norm(self.eta1, axis=-1)
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(self.eta1, axis=-1)
 
     @property
     def eta2_norm(self) -> np.ndarray:
-        return np.linalg.norm(self.eta2, axis=-1)
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(self.eta2, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,12 @@ from hypothesis import given, strategies as st
 from igcsim.airframe import (
     AeroConfig,
     AeroConstants,
-    AttitudeState,
     attitude_drift,
     attitude_rates,
     lift_side_accels,
     mixer,
     rate_drift,
 )
-from igcsim.errors import GuardError
 
 from .conftest import g1_matrix, make_cfg
 
@@ -190,10 +188,3 @@ def test_attitude_derivatives_recompose(gamma, alpha, beta, wx, wy, wz, pitch,
                           + g1_matrix(gamma, alpha, beta, pitch) @ x2 + d1)
     assert np.array_equal(rates[3:6], rate_drift(k, alpha, beta, wx, wy, wz)
                           + np.diag(k.fin_gain) @ fins + d2)
-
-
-def test_attitude_state_invariants():
-    with pytest.raises(GuardError):
-        AttitudeState(0.0, 0.0, 1.6, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(GuardError):
-        AttitudeState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan)

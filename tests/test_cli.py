@@ -93,6 +93,8 @@ def test_parse_rejects_non_numeric_value(tmp_path):
      "missing required section [sim]"),
     (NOMINAL, "dt = 0.001\n", "", "missing required key(s) in [sim]: dt"),
     (NOMINAL, "r = 4000.0", "r = -1.0", "initial: range -1 must be positive"),
+    (NOMINAL, "beta = -0.02", "beta = 1.3", "initial: sideslip 1.3 breached guard 1.2"),
+    (NOMINAL, "pitch = 0.26", "pitch = 1.6", "initial: pitch 1.6 breached guard 1.2"),
     (NOMINAL, "plant_mode = linear", "plant_mode = exact",
      "sim.plant_mode: must be trig or linear, got 'exact'"),
     (WEAVE, "kind = weave", "kind = spiral",
@@ -101,13 +103,19 @@ def test_parse_rejects_non_numeric_value(tmp_path):
      "disturbance.rate_kind: must be zero, constant, or sinusoid, got 'ramp'"),
     (WEAVE, "accel_amp_y = 2.0", "accel_amp_y = 1e999",
      "disturbance.accel_amplitude: must be three finite values"),
-], ids=["no-sim", "no-dt", "range", "plant-mode", "evader-kind", "signal-kind",
-        "amplitude"])
-def test_parse_error_names_section_and_key(tmp_path, source, old, new, message):
+], ids=["no-sim", "no-dt", "range", "beta", "pitch", "plant-mode", "evader-kind",
+        "signal-kind", "amplitude"])
+def test_parse_error_names_section_and_key(tmp_path, capsys, source, old, new, message):
     path = write_variant(tmp_path, "variant.cfg", {old: new}, source)
     with pytest.raises(ScenarioError) as info:
         parse_scenario(path)
     assert str(info.value) == message
+    # `run` reports it as an error before simulating: an initial state outside
+    # the envelope is not a guard breach over 0 steps.
+    out_csv = tmp_path / "variant.csv"
+    assert main(["run", str(path), str(out_csv)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_csv.exists()
 
 
 def test_parse_reports_initial_state_after_sections(tmp_path):

@@ -16,7 +16,7 @@ from igcsim.engagement import (
     relative_derivatives,
     velocity_angle_derivatives,
 )
-from igcsim.errors import GuardError, SingularityError
+from igcsim.errors import SingularityError
 
 from .conftest import make_cfg
 
@@ -145,13 +145,6 @@ def test_velocity_angle_derivatives_signs(cfg):
     assert math.isclose(theta_dot, 0.01, rel_tol=1e-15) and psi_dot == 0.0
     theta_dot, psi_dot = velocity_angle_derivatives(0.0, 6.0, cfg, 0.0)
     assert theta_dot == 0.0 and math.isclose(psi_dot, -0.01, rel_tol=1e-15)
-
-
-def test_engagement_state_guards():
-    with pytest.raises(GuardError):
-        make_state(r=-1.0)
-    with pytest.raises(GuardError):
-        make_state(theta_l=1.6)
 
 
 def test_evader_constant():

@@ -1,10 +1,8 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from igcsim.errors import GuardError
 from igcsim.frames import (
     LosAngles,
     VelocityAngles,
@@ -31,13 +29,6 @@ def test_velocity_dcm_near_vertical():
     m = velocity_dcm(VelocityAngles(theta, 0.0))
     expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.allclose(m, expected, atol=1e-9)
-
-
-def test_velocity_angles_guard():
-    with pytest.raises(GuardError):
-        VelocityAngles(math.pi / 2, 0.0)
-    with pytest.raises(GuardError):
-        LosAngles(-math.pi / 2, 0.0)
 
 
 @given(elevations, azimuths)

@@ -13,7 +13,6 @@ import numpy as np
 from hypothesis import assume, given, strategies as st
 
 from igcsim import airframe, engagement, frames, igc
-from igcsim.airframe import AttitudeState
 from igcsim.engagement import EngagementState
 from igcsim.frames import los_dcm, velocity_dcm
 
@@ -37,12 +36,11 @@ def valid_states(draw):
         x01=draw(st.floats(-0.5, 0.5)), x02=draw(st.floats(-0.5, 0.5)),
         theta_v=draw(elevations), psi_v=draw(azimuths),
     )
-    att = AttitudeState(
-        gamma=draw(azimuths), alpha=draw(st.floats(-0.5, 0.5)),
-        beta=draw(st.floats(-0.5, 0.5)), omega_x=draw(st.floats(-5.0, 5.0)),
-        omega_y=draw(st.floats(-5.0, 5.0)), omega_z=draw(st.floats(-5.0, 5.0)),
-        pitch=draw(elevations),
-    )
+    # (gamma, alpha, beta, omega_x, omega_y, omega_z, pitch), the attitude
+    # part of the state in STATE_FIELDS order.
+    att = (draw(azimuths), draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)),
+           draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)),
+           draw(st.floats(-5.0, 5.0)), draw(elevations))
     return eng, att
 
 
@@ -60,9 +58,9 @@ def composed_projection(eng: EngagementState) -> np.ndarray:
 
 @given(valid_states(), st.sampled_from(["trig", "linear"]))
 def test_projection_matches_frame_composition(state, mode):
-    eng, att = state
+    eng, (_, alpha, beta, *_) = state
     k = airframe.AeroConstants(make_cfg())
-    a_theta, a_psi = airframe.accels(k, att.alpha, att.beta, 0.0, 0.0, mode == "trig")
+    a_theta, a_psi = airframe.accels(k, alpha, beta, 0.0, 0.0, mode == "trig")
     got = frames.los_accel(eng.theta_l, eng.phi_l, eng.theta_v, eng.psi_v,
                            0.0, a_theta, a_psi)
     w = los_dcm(eng.los) @ velocity_dcm(eng.vel).T @ np.array([0.0, a_theta, a_psi])
@@ -88,9 +86,10 @@ def test_condition_numbers_match_reference(state):
     proj = composed_projection(eng)
     assume(abs(np.linalg.det(proj)) >= engagement.GEOMETRY_SINGULARITY)
     ref_g0 = np.linalg.cond(engagement.g0(eng, cfg), "fro")
-    ref_g1 = np.linalg.cond(g1_matrix(att.gamma, att.alpha, att.beta, att.pitch), "fro")
+    gamma, alpha, beta, *_, pitch = att
+    ref_g1 = np.linalg.cond(g1_matrix(gamma, alpha, beta, pitch), "fro")
     assume(max(ref_g0, ref_g1) <= COND_COMPARED)
-    y = [*astuple(eng), *astuple(att)]
+    y = [*astuple(eng), *att]
     _, _, _, _, cond_g0, cond_g1 = igc.law(igc.LawConstants(cfg, make_gains()), y)
     assert_close(cond_g0, ref_g0)
     assert_close(cond_g1, ref_g1)

@@ -26,6 +26,18 @@ def _package_imports(path: Path) -> set[str]:
     return imported
 
 
+def test_only_sim_raises_guard_error():
+    # One module decides the flight envelope; the state records do not check.
+    raising = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(raised).split(".")[-1] == "GuardError":
+                    raising.add(path.name)
+    assert raising == {"sim.py"}
+
+
 def test_no_import_cycles():
     modules = {path.stem: path for path in PACKAGE_DIR.glob("*.py")}
     graph = {name: _package_imports(path) & modules.keys() for name, path in modules.items()}

@@ -137,7 +137,6 @@ def test_run_guard_breach_reported(amplitude, message):
     pytest.param("theta_l", 1.25, "LOS elevation 1.25 breached guard 1.2", id="theta_l"),
     pytest.param("theta_v", -1.25, "velocity elevation -1.25 breached guard 1.2",
                  id="theta_v"),
-    # At pi/2 the band, not the (-pi/2, pi/2) domain of AttitudeState, reports.
     pytest.param("beta", math.pi / 2, "sideslip 1.571 breached guard 1.2", id="beta"),
     pytest.param("pitch", -1.21, "pitch -1.21 breached guard 1.2", id="pitch"),
     pytest.param("r", -2.37536, "range -2.37536 must be positive", id="r"),
@@ -153,17 +152,6 @@ def test_envelope_guard(field, value, message):
     with pytest.raises(GuardError) as in_derivative:
         derivative(Kernel(scenario), 0.0, y, (0.0, 0.0, 0.0))
     assert str(alone.value) == str(in_derivative.value) == message
-
-
-@pytest.mark.parametrize("field, label", [
-    ("beta", "sideslip"), ("pitch", "pitch"), ("theta_l", "LOS elevation"),
-], ids=("beta", "pitch", "theta_l"))
-def test_run_out_of_band_initial_state(field, label):
-    # A step state outside the band ends the run before it is logged.
-    log, summary = run(make_scenario(initial=make_initial(**{field: 1.3})))
-    assert summary.outcome == "guard-breach"
-    assert summary.message == f"t=0: {label} 1.3 breached guard 1.2"
-    assert summary.steps == len(log) == 0
 
 
 large = st.floats(-1e200, 1e200)
@@ -234,16 +222,31 @@ def test_scenario_validation_messages():
         make_scenario(plant_mode="exact").validate()
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("r", -1.0, "initial: range -1 must be positive"),
-    ("theta_v", 1.6, "initial: velocity elevation 1.6 outside (-pi/2, pi/2)"),
-    ("beta", -1.6, "initial: sideslip -1.6 outside (-pi/2, pi/2)"),
-    ("omega_x", math.nan, "initial: attitude state must be finite"),
-], ids=("r", "theta_v", "beta", "nonfinite"))
-def test_scenario_validates_initial_state(field, value, message):
-    # A scenario built in code holds any 15 floats; validate, and so run,
-    # rejects an initial state outside the state domains.
-    scenario = make_scenario(initial=make_initial(**{field: value}))
+@pytest.mark.parametrize("initial, message", [
+    pytest.param(make_initial(r=-1.0), "initial: range -1 must be positive", id="r"),
+    # Inside (-pi/2, pi/2) but past the band: the run's envelope decides.
+    pytest.param(make_initial(beta=1.3), "initial: sideslip 1.3 breached guard 1.2",
+                 id="beta-band"),
+    pytest.param(make_initial(pitch=1.3), "initial: pitch 1.3 breached guard 1.2",
+                 id="pitch-band"),
+    pytest.param(make_initial(theta_l=1.3), "initial: LOS elevation 1.3 breached guard 1.2",
+                 id="theta_l-band"),
+    pytest.param(make_initial(theta_v=1.6), "initial: velocity elevation 1.6 breached guard 1.2",
+                 id="theta_v"),
+    pytest.param(make_initial(beta=-1.6), "initial: sideslip -1.6 breached guard 1.2", id="beta"),
+    pytest.param(make_initial(pitch=math.pi / 2), "initial: pitch 1.571 breached guard 1.2",
+                 id="pitch-half-pi"),
+    pytest.param(make_initial(omega_x=math.nan), "initial: omega_x nan must be finite",
+                 id="nonfinite"),
+    pytest.param(make_initial()[:14], "initial: need 15 floats in STATE_FIELDS order, got 14",
+                 id="short"),
+    pytest.param((*make_initial(), 0.0), "initial: need 15 floats in STATE_FIELDS order, got 16",
+                 id="long"),
+])
+def test_scenario_validates_initial_state(initial, message):
+    # A scenario built in code holds any floats; validate, and so run, rejects
+    # an initial state that is not 15 floats inside the flight envelope.
+    scenario = make_scenario(initial=initial)
     with pytest.raises(ValueError) as info:
         scenario.validate()
     assert str(info.value) == message
