@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # The keys of an AeroConfig behind each derived constant the kernel reads.
 _QS = "air_density, speed, ref_area, "
 _DERIVED_FROM = {
@@ -190,17 +188,14 @@ def attitude_rates(k: AeroConstants, gamma, alpha, beta, wx, wy, wz, pitch,
     channel] are triples.
     """
     a0, a1, a2 = attitude_drift(k, alpha, beta)
-    # The one matrix product left to numpy: it must round exactly as
-    # numpy's ``g1 @ x2`` does, and BLAS may fuse its multiply-adds.
-    m0, m1, m2 = (np.array(mixer(gamma, alpha, beta, pitch)).reshape(3, 3)
-                  @ np.array((wx, wy, wz))).tolist()
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = mixer(gamma, alpha, beta, pitch)
     r0, r1, r2 = rate_drift(k, alpha, beta, wx, wy, wz)
     bx, by, bz = k.fin_gain
     dx, dy, dz = fins
     return (
-        a0 + m0 + d1[0],
-        a1 + m1 + d1[1],
-        a2 + m2 + d1[2],
+        a0 + (m00 * wx + m01 * wy + m02 * wz) + d1[0],
+        a1 + (m10 * wx + m11 * wy + m12 * wz) + d1[1],
+        a2 + (m20 * wx + m21 * wy + m22 * wz) + d1[2],
         r0 + bx * dx + d2[0],
         r1 + by * dy + d2[1],
         r2 + bz * dz + d2[2],

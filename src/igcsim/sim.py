@@ -86,6 +86,13 @@ class Scenario:
         if not self.divergence_factor > 1.0:
             raise ValueError(f"sim.divergence_factor: must be > 1, got {self.divergence_factor!r}")
 
+    def signals(self, t: float) -> tuple:
+        """The exogenous inputs at time ``t``, (rate, accel, lift, side, evader):
+        the one sampler of both the plant derivative and :func:`inputs`."""
+        d = self.disturbances
+        return (d.rate.sample(t), d.accel.sample(t), d.lift.value(t), d.side.value(t),
+                self.evader.sample(t))
+
 
 # Per-step log row layout, in row order: (block, width), the one declaration
 # of the log.  Rows are written into one float table that doubles when full;
@@ -178,32 +185,45 @@ class SimSummary:
     audit_violations: tuple[int, int, int] | None = None
 
 
-def rk4_step(deriv, y, t: float, dt: float):
-    """Classical fourth-order Runge-Kutta update for dy/dt = deriv(t, y)."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    k1 = deriv(t, y)
-    k2 = deriv(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = deriv(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = deriv(t + dt, y + dt * k3)
-    y_next = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(y_next)):
+def _rk4(deriv, at, y: list[float], t: float, dt: float) -> list[float]:
+    """One classical RK4 step of dy/dt = deriv(at(t), y) over a float list: the
+    package's one tableau.  ``at`` maps a stage time to deriv's first argument
+    and is called once per distinct time, so both midpoint stages share it."""
+    h = 0.5 * dt
+    k1 = deriv(at(t), y)
+    mid = at(t + h)
+    k2 = deriv(mid, [a + h * b for a, b in zip(y, k1)])
+    k3 = deriv(mid, [a + h * b for a, b in zip(y, k2)])
+    k4 = deriv(at(t + dt), [a + dt * b for a, b in zip(y, k3)])
+    c = dt / 6.0
+    y_next = [a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, y_next)):
         raise GuardError(f"non-finite state produced by integrator step at t={t:.6g}")
     return y_next
 
 
-class Kernel(igc.LawConstants):
-    """Per-run constants of a scenario: the law's, plus the plant mode and the
-    exogenous signal generators the derivative samples."""
+def rk4_step(deriv, y, t: float, dt: float):
+    """Classical fourth-order Runge-Kutta update for dy/dt = deriv(t, y) on a
+    float or an array: the numpy-facing adapter over :func:`_rk4`."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt!r}")
+    shape = np.shape(y)
 
-    __slots__ = ("trig", "rate", "accel", "lift", "side", "evader")
+    def flat(tt, yy):  # [()] turns a 0-d array back into a scalar
+        return np.ravel(deriv(tt, np.reshape(yy, shape)[()])).tolist()
+
+    return np.reshape(_rk4(flat, lambda tt: tt, np.ravel(y).tolist(), t, dt), shape)[()]
+
+
+class Kernel(igc.LawConstants):
+    """Per-run constants of a scenario: the law's, plus the plant mode."""
+
+    __slots__ = ("trig",)
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario.cfg, scenario.gains, delta_max=scenario.delta_max)
         self.trig = scenario.plant_mode == "trig"
-        d = scenario.disturbances
-        self.rate, self.accel, self.lift, self.side = d.rate, d.accel, d.lift, d.side
-        self.evader = scenario.evader
 
 
 def check_envelope(y) -> None:
@@ -221,22 +241,21 @@ def check_envelope(y) -> None:
             raise GuardError(f"{label} {y[i]:.4g} breached guard {GUARD}")
 
 
-def derivative(k: Kernel, t: float, y, fins=None) -> list[float]:
-    """Derivative of the 15-state closed loop as a list of floats.
-
-    With ``fins`` (a float triple) the control is held; otherwise the
-    cascade is evaluated at ``y``.
-    """
+def derivative(k: Kernel, u: tuple, y, fins=None) -> list[float]:
+    """Derivative of the 15-state closed loop as a list of floats, under the
+    exogenous inputs ``u`` (:meth:`Scenario.signals` at the time).  With
+    ``fins`` (a float triple) the control is held; otherwise the cascade is
+    evaluated at ``y``."""
     check_envelope(y)
     if fins is None:
         fins = igc.law(k, y)[0]
+    rate, accel, lift, side, evader = u
     r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
-    a_theta, a_psi = airframe.accels(k, alpha, beta, k.lift.value(t), k.side.value(t), k.trig)
+    a_theta, a_psi = airframe.accels(k, alpha, beta, lift, side, k.trig)
     accel_p = frames.los_accel(theta_l, phi_l, theta_v, psi_v, 0.0, a_theta, a_psi)
-    rel = engagement.relative_rates(r, vr, theta_l, x01, x02, accel_p, k.evader.sample(t))
+    rel = engagement.relative_rates(r, vr, theta_l, x01, x02, accel_p, evader)
     tv_dot, pv_dot = engagement.velocity_angle_derivatives(a_theta, a_psi, k, theta_v)
-    att = airframe.attitude_rates(k, gamma, alpha, beta, wx, wy, wz, pitch, fins,
-                                  k.rate.sample(t), k.accel.sample(t))
+    att = airframe.attitude_rates(k, gamma, alpha, beta, wx, wy, wz, pitch, fins, rate, accel)
     return [*rel, tv_dot, pv_dot, *att]
 
 
@@ -254,15 +273,13 @@ def _miss_distance(log: SimLog) -> float:
 
 
 def inputs(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The scenario's exogenous inputs at the times ``t``, sampled with the
-    methods the plant derivative uses: (rate (n, 3), accel (n, 3), lift (n,),
-    side (n,), evader (n, 3)).  At a log's ``t`` these are, bit for bit, the
-    inputs the run saw at its logged steps."""
-    d, evader = scenario.disturbances, scenario.evader
+    """:meth:`Scenario.signals` at the times ``t``: (rate (n, 3), accel (n, 3),
+    lift (n,), side (n,), evader (n, 3)).  At a log's ``t`` these are, bit for
+    bit, the inputs the run saw at its logged steps."""
     out = np.empty((len(t), 11))
     for row, ti in zip(out, t.tolist()):
-        row[:] = (*d.rate.sample(ti), *d.accel.sample(ti), d.lift.value(ti),
-                  d.side.value(ti), *evader.sample(ti))
+        rate, accel, lift, side, evader = scenario.signals(ti)
+        row[:] = (*rate, *accel, lift, side, *evader)
     return out[:, 0:3], out[:, 3:6], out[:, 6], out[:, 7], out[:, 8:11]
 
 
@@ -277,20 +294,19 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
     table = np.empty((_LOG_BLOCK, LOG_WIDTH))
     n = 0  # logged rows, which is also the index of the current step
 
-    y = np.array(scenario.initial)
+    y = list(scenario.initial)
     outcome, message = None, ""
     while outcome is None:
         t = n * dt
-        state = y.tolist()
         try:
-            check_envelope(state)
-            fins, x1_sharp, x2_cmd, saturated, _, _ = igc.law(k, state)
+            check_envelope(y)
+            fins, x1_sharp, x2_cmd, saturated, _, _ = igc.law(k, y)
             if n == table.shape[0]:
                 table = np.concatenate((table, np.empty_like(table)))
-            table[n] = (t, *state, *fins, *x1_sharp, *x2_cmd, saturated)  # _LOG_LAYOUT order
+            table[n] = (t, *y, *fins, *x1_sharp, *x2_cmd, saturated)  # _LOG_LAYOUT order
             n += 1
 
-            r, vr = state[0], state[1]
+            r, vr = y[0], y[1]
             if r <= scenario.r_intercept:
                 outcome = OUTCOME_INTERCEPT
             elif vr > 0.0 and r > scenario.divergence_factor * r0:
@@ -299,8 +315,7 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
                 outcome = OUTCOME_TIMEOUT
             else:
                 held = fins if hold else None
-                y = rk4_step(lambda tt, yy: np.array(derivative(k, tt, yy.tolist(), held)),
-                             y, t, dt)
+                y = _rk4(lambda u, yy: derivative(k, u, yy, held), scenario.signals, y, t, dt)
         except (GuardError, SingularityError) as exc:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
 

@@ -176,15 +176,16 @@ def test_pitch_rate_kinematics(cfg):
 def test_attitude_derivatives_recompose(gamma, alpha, beta, wx, wy, wz, pitch,
                                         dx, dy, dz):
     # Oracle: reassemble the derivatives from the tested pieces, with the
-    # mixing matrix from the reference g1.
+    # reference g1 applied column by column.  Not ``g1 @ x2``: BLAS may fuse
+    # that product's multiply-adds, so how it rounds depends on the host.
     k = AeroConstants(make_cfg())
-    x2 = np.array([wx, wy, wz])
+    g1 = g1_matrix(gamma, alpha, beta, pitch)
     fins = np.array([dx, dy, dz])
     d1 = np.array([0.01, -0.02, 0.03])
     d2 = np.array([-0.5, 0.25, 0.1])
     rates = attitude_rates(k, gamma, alpha, beta, wx, wy, wz, pitch,
                            (dx, dy, dz), tuple(d1), tuple(d2))
     assert np.array_equal(rates[:3], attitude_drift(k, alpha, beta)
-                          + g1_matrix(gamma, alpha, beta, pitch) @ x2 + d1)
+                          + (g1[:, 0] * wx + g1[:, 1] * wy + g1[:, 2] * wz) + d1)
     assert np.array_equal(rates[3:6], rate_drift(k, alpha, beta, wx, wy, wz)
                           + np.diag(k.fin_gain) @ fins + d2)

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from igcsim import airframe, engagement, frames, igc
+from igcsim.cli import parse_scenario
 from igcsim.engagement import DisturbanceModel, EngagementState, VectorSignal
 from igcsim.errors import GuardError
 from igcsim.sim import (
@@ -20,7 +22,7 @@ from igcsim.sim import (
     trim_attitude_to_commands,
 )
 
-from .conftest import make_cfg, make_gains, make_initial, make_scenario
+from .conftest import SCENARIO_DIR, make_cfg, make_gains, make_initial, make_scenario
 
 
 def test_rk4_scalar_decay():
@@ -62,7 +64,7 @@ def test_closed_loop_derivative_quiescent():
     scenario = make_scenario(
         initial=make_initial(x01=0.0, x02=0.0, alpha=0.0, beta=0.0,
                              gamma=0.0, pitch=0.0))
-    deriv = derivative(Kernel(scenario), 0.0, list(scenario.initial))
+    deriv = derivative(Kernel(scenario), scenario.signals(0.0), list(scenario.initial))
     expected = np.zeros(15)
     expected[0] = scenario.initial[1]
     assert np.allclose(deriv, expected, atol=1e-15)
@@ -74,7 +76,7 @@ def test_closed_loop_derivative_composition():
     y = list(scenario.initial)
     eng, alpha, beta = EngagementState(*y[:8]), y[9], y[10]
     fins = igc.law(k, y)[0]
-    deriv = derivative(k, 0.0, y, fins)
+    deriv = derivative(k, scenario.signals(0.0), y, fins)
 
     zeros = (0.0, 0.0, 0.0)
     assert deriv[8:] == list(airframe.attitude_rates(k, *y[8:], fins, zeros, zeros))
@@ -150,7 +152,7 @@ def test_envelope_guard(field, value, message):
     with pytest.raises(GuardError) as alone:
         check_envelope(y)
     with pytest.raises(GuardError) as in_derivative:
-        derivative(Kernel(scenario), 0.0, y, (0.0, 0.0, 0.0))
+        derivative(Kernel(scenario), scenario.signals(0.0), y, (0.0, 0.0, 0.0))
     assert str(alone.value) == str(in_derivative.value) == message
 
 
@@ -313,3 +315,50 @@ def test_substep_control_mode_runs():
     scenario = make_scenario(t_max=0.2, control_update="substep")
     _, summary = run(scenario)
     assert summary.outcome == "timeout"
+
+
+def _array_rk4(deriv, y, t, dt):
+    # The integrator's operation order, written over numpy arrays.
+    k1 = deriv(t, y)
+    k2 = deriv(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = deriv(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = deriv(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("name, control_update", [
+    ("nominal.cfg", "hold"), ("weave_disturbed.cfg", "hold"), ("weave_disturbed.cfg", "substep"),
+])
+def test_loop_tableau_matches_array_rk4(name, control_update):
+    # Replay each logged step through the public array RK4 and through the
+    # array tableau above, with the fins the loop logged held (or the law
+    # re-evaluated in substep mode): both land on the next logged state bit
+    # for bit.
+    shipped = parse_scenario(SCENARIO_DIR / name)
+    scenario = replace(shipped, t_max=200 * shipped.dt, control_update=control_update)
+    log, _ = run(scenario)
+    assert len(log) == 201
+    k = Kernel(scenario)
+    for n in range(len(log) - 1):
+        held = tuple(log.fins[n].tolist()) if control_update == "hold" else None
+
+        def deriv(t, y):
+            return np.array(derivative(k, scenario.signals(t), y.tolist(), held))
+
+        t, y = float(log.t[n]), log.states[n]
+        assert np.array_equal(rk4_step(deriv, y, t, scenario.dt), log.states[n + 1]), n
+        assert np.array_equal(_array_rk4(deriv, y, t, scenario.dt), log.states[n + 1]), n
+
+
+def test_law_and_plant_make_no_numpy_call(monkeypatch):
+    # Inside the step loop numpy only writes the log table: with numpy
+    # unreachable from the law and plant modules a run still completes.
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} reached from the step loop")
+
+    scenario = replace(parse_scenario(SCENARIO_DIR / "weave_disturbed.cfg"), t_max=0.05)
+    for module in (airframe, engagement, frames, igc):
+        monkeypatch.setattr(module, "np", NoNumpy(), raising=False)
+    log, summary = run(scenario)
+    assert summary.outcome == "timeout" and len(log) == 26
