@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -334,7 +335,7 @@ def estimate_loop_gain(scenario, loop: str, base_amplitude: float,
     # the paired responses differ only through the injected signal.
     quiet = sim.trim_attitude_to_commands(
         replace(scenario, evader=EvaderModel(), disturbances=DisturbanceModel()))
-    outputs, inputs = [], []
+    probes = []
     for amplitude in (base_amplitude, scale * base_amplitude):
         if loop == "guidance":
             probe = replace(
@@ -351,23 +352,33 @@ def estimate_loop_gain(scenario, loop: str, base_amplitude: float,
                                       frequency=frequency),
                 ),
             )
-        log, summary = sim.run(probe)
-        if summary.outcome != "timeout":
-            raise ValueError(
-                f"probe run ended with {summary.outcome!r}; supply a scenario "
-                f"whose horizon stays clear of intercept and guards")
-        rate, _, _, _, evader = sim.inputs(probe, log.t)
-        if loop == "guidance":
-            cmd = log.x1_cmd
-            forcing = np.linalg.norm(evader[:, 1:3], axis=-1) / log.r
-        else:
-            cmd = log.x2_cmd
-            forcing = np.linalg.norm(rate, axis=-1)
-        # Drop the one-sided finite-difference endpoints.
-        outputs.append(_central_differences(cmd, probe.dt)[2:-2])
-        inputs.append(float(forcing.max()))
-    span = inputs[1] - inputs[0]
+        probes.append(probe)
+    # The two probe runs are independent: they run side by side.
+    responses = sim.map_points(partial(_probe_response, loop), probes)
+    if any(response is None for response in responses):
+        raise RuntimeError("probe run: worker process ended before it finished")
+    (out0, in0), (out1, in1) = responses
+    span = in1 - in0
     if span <= 0.0:
         raise ValueError("probe inputs did not scale; cannot estimate a slope")
-    response = float(np.linalg.norm(outputs[1] - outputs[0], axis=-1).max())
+    response = float(np.linalg.norm(out1 - out0, axis=-1).max())
     return LinearGain(response / span)
+
+
+def _probe_response(loop: str, probe: sim.Scenario) -> tuple[np.ndarray, float]:
+    """One probe run of :func:`estimate_loop_gain`: the probed command
+    derivative along the run and the supremum of the injected forcing."""
+    log, summary = sim.run(probe)
+    if summary.outcome != "timeout":
+        raise ValueError(
+            f"probe run ended with {summary.outcome!r}; supply a scenario "
+            f"whose horizon stays clear of intercept and guards")
+    rate, _, _, _, evader = sim.inputs(probe, log.t)
+    if loop == "guidance":
+        cmd = log.x1_cmd
+        forcing = np.linalg.norm(evader[:, 1:3], axis=-1) / log.r
+    else:
+        cmd = log.x2_cmd
+        forcing = np.linalg.norm(rate, axis=-1)
+    # Drop the one-sided finite-difference endpoints.
+    return _central_differences(cmd, probe.dt)[2:-2], float(forcing.max())

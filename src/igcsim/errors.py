@@ -18,6 +18,9 @@ class SingularityError(RuntimeError):
             )
         super().__init__(message)
 
+    def __reduce__(self):  # pickles whole, e.g. out of a sweep's worker process
+        return type(self), (self.stage, self.condition, str(self))
+
 
 class ScenarioError(ValueError):
     """A scenario file failed to parse or validate."""

@@ -10,7 +10,9 @@ studies.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -85,6 +87,18 @@ class Scenario:
             raise ValueError(f"sim.delta_max: must be > 0, got {self.delta_max!r}")
         if not self.divergence_factor > 1.0:
             raise ValueError(f"sim.divergence_factor: must be > 1, got {self.divergence_factor!r}")
+        # RK4 samples the signals up to t_max + dt at the latest; a sine
+        # argument that overflows there would end the run inside math.sin.
+        last, d = self.t_max + self.dt, self.disturbances
+        for key, signal in (("evader.", self.evader), ("disturbance.rate_", d.rate),
+                            ("disturbance.accel_", d.accel), ("disturbance.lift_", d.lift),
+                            ("disturbance.side_", d.side)):
+            if (signal.kind in ("weave", "sinusoid")
+                    and not math.isfinite(signal.frequency * last + signal.phase)):
+                raise ValueError(
+                    f"{key}frequency: frequency * (t_max + dt) + phase must be finite, "
+                    f"got frequency={signal.frequency!r}, phase={signal.phase!r}, "
+                    f"t_max={self.t_max!r}")
 
     def signals(self, t: float) -> tuple:
         """The exogenous inputs at time ``t``, (rate, accel, lift, side, evader):
@@ -347,22 +361,76 @@ class SweepPoint:
     error: str = ""
 
 
+# The error of a sweep point whose worker process died before returning it.
+WORKER_LOST = "worker process ended before this point finished"
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def map_points(fn, items) -> list:
+    """``[fn(item) for item in items]``, in item order, computed in forked
+    worker processes: one per usable CPU and at most one per item.  With a
+    single worker, or where ``fork`` is not available, the items run here,
+    one after another.  An exception ``fn`` raises propagates; the result of
+    an item whose worker process ended before it finished reads None.  ``fn``
+    and the items must pickle, and so must the results."""
+    items = list(items)
+    workers = min(len(items), _usable_cpus())
+    if workers >= 2:
+        # Imported here, not at module top: every process that never sweeps,
+        # such as each `igcsim run`, would pay about 30 ms of start-up.
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            # fork, not spawn: a spawned worker imports igcsim afresh, about
+            # 160 ms each.  The pool forks its workers before it starts its
+            # own threads.
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                # One future per item, not pool.map: map stops at the first
+                # lost item and drops the finished items after it.
+                futures = [pool.submit(fn, item) for item in items]
+                results = []
+                for future in futures:
+                    try:
+                        results.append(future.result())
+                    except BrokenProcessPool:
+                        results.append(None)
+                return results
+    return [fn(item) for item in items]
+
+
+def _sweep_point(scenario: Scenario, gains) -> SweepPoint:
+    try:
+        _, summary = run(replace(scenario, gains=gains))
+        return SweepPoint(gains=gains, summary=summary)
+    except Exception as exc:  # per-point isolation is the contract
+        return SweepPoint(gains=gains, summary=None, error=str(exc))
+
+
 def sweep(scenario: Scenario, grid) -> list[SweepPoint]:
     """Run the scenario once per gain set, identical inputs at every point.
 
-    Per-point failures are recorded and the sweep continues.
+    The points run in forked worker processes, one per usable CPU and at
+    most one per point (:func:`map_points`); a one-point grid or a one-CPU
+    host runs them in this process.  Either way the points come back in grid
+    order and identical to a serial sweep's.  Per-point failures are
+    recorded and the sweep continues, also when a worker process dies.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid must be nonempty")
-    points = []
-    for gains in grid:
-        try:
-            _, summary = run(replace(scenario, gains=gains))
-            points.append(SweepPoint(gains=gains, summary=summary))
-        except Exception as exc:  # per-point isolation is the contract
-            points.append(SweepPoint(gains=gains, summary=None, error=str(exc)))
-    return points
+    points = map_points(partial(_sweep_point, scenario), grid)
+    return [SweepPoint(gains=gains, summary=None, error=WORKER_LOST) if point is None else point
+            for gains, point in zip(grid, points)]
 
 
 def trim_attitude_to_commands(scenario: Scenario) -> Scenario:

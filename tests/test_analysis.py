@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from igcsim import sim
 from igcsim.analysis import (
     LinearGain,
     bound_audit,
@@ -248,6 +249,16 @@ def test_estimate_loop_gain_smoke():
     scenario = make_scenario(t_max=1.0)
     gain = estimate_loop_gain(scenario, "rate", base_amplitude=0.02)
     assert math.isfinite(gain.coefficient) and gain.coefficient >= 0.0
+
+
+@pytest.mark.parametrize("loop, amplitude", [("guidance", 5.0), ("rate", 0.02)])
+def test_estimate_loop_gain_same_in_workers_and_in_process(monkeypatch, loop, amplitude):
+    # The two probe runs go through sim.map_points; one usable CPU runs both here.
+    scenario = make_scenario(t_max=1.0)
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    pooled = estimate_loop_gain(scenario, loop, amplitude)
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
+    assert pooled == estimate_loop_gain(scenario, loop, amplitude)
 
 
 def test_estimate_loop_gain_rejects_bad_inputs():

@@ -103,8 +103,11 @@ def test_parse_rejects_non_numeric_value(tmp_path):
      "disturbance.rate_kind: must be zero, constant, or sinusoid, got 'ramp'"),
     (WEAVE, "accel_amp_y = 2.0", "accel_amp_y = 1e999",
      "disturbance.accel_amplitude: must be three finite values"),
+    (WEAVE, "frequency = 1.0", "frequency = 1e308",
+     "evader.frequency: frequency * (t_max + dt) + phase must be finite, "
+     "got frequency=1e+308, phase=0.0, t_max=8.0"),
 ], ids=["no-sim", "no-dt", "range", "beta", "pitch", "plant-mode", "evader-kind",
-        "signal-kind", "amplitude"])
+        "signal-kind", "amplitude", "signal-phase"])
 def test_parse_error_names_section_and_key(tmp_path, capsys, source, old, new, message):
     path = write_variant(tmp_path, "variant.cfg", {old: new}, source)
     with pytest.raises(ScenarioError) as info:

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import igcsim
@@ -57,3 +60,14 @@ def test_no_import_cycles():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_import_leaves_out_the_worker_pool():
+    # The sweep imports its process pool when it first uses it, so the
+    # start-up of `igcsim run` and of every other command does not pay for it.
+    code = ("import sys, igcsim, igcsim.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,14 +1,16 @@
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from igcsim import airframe, engagement, frames, igc
+from igcsim import airframe, engagement, frames, igc, sim
 from igcsim.cli import parse_scenario
-from igcsim.engagement import DisturbanceModel, EngagementState, VectorSignal
-from igcsim.errors import GuardError
+from igcsim.engagement import AxisSignal, DisturbanceModel, EngagementState, VectorSignal
+from igcsim.errors import GuardError, SingularityError
 from igcsim.sim import (
     LOG_WIDTH,
     STATE_FIELDS,
@@ -309,6 +311,92 @@ def test_sweep_records_errors_and_continues():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError, match="nonempty"):
         sweep(make_scenario(), [])
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="worker processes are forked")
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _raise_on_one(item):
+    if item == 1:
+        raise SingularityError("attitude", 7.5)
+    return item
+
+
+@needs_fork
+def test_map_points_forks_one_worker_per_cpu(monkeypatch):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    pids = sim.map_points(_pid, range(5))
+    assert len(pids) == 5 and os.getpid() not in pids
+    assert len(set(pids)) <= 2
+    # One item, or one usable CPU: the items run in this process.
+    assert sim.map_points(_pid, [0]) == [os.getpid()]
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
+    assert sim.map_points(_pid, range(3)) == [os.getpid()] * 3
+
+
+@needs_fork
+def test_map_points_propagates_worker_exceptions(monkeypatch):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    with pytest.raises(SingularityError) as info:
+        sim.map_points(_raise_on_one, range(3))
+    assert (info.value.stage, info.value.condition) == ("attitude", 7.5)
+    assert str(info.value) == str(SingularityError("attitude", 7.5))
+
+
+@needs_fork
+def test_pooled_sweep_matches_serial_runs(monkeypatch):
+    # Five points on two workers, so each worker runs several points.
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    scenario = make_scenario(t_max=0.3)
+    grid = [make_gains(delta1=d, delta2=d) for d in (0.5, 0.25)] + [None] + \
+        [make_gains(k1=k, k2=k) for k in (5.0, 20.0)]
+    points = sweep(scenario, grid)
+    assert [p.gains for p in points] == grid
+    for point in points:
+        if point.gains is None:
+            with pytest.raises(Exception) as info:
+                run(replace(scenario, gains=None))
+            assert point.summary is None and point.error == str(info.value)
+        else:
+            assert point.error == ""
+            assert point.summary == run(replace(scenario, gains=point.gains))[1]
+
+
+@needs_fork
+def test_sweep_survives_worker_death(monkeypatch):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    scenario = make_scenario(t_max=0.2)
+    grid = [make_gains(k1=k, k2=k) for k in (5.0, 7.0, 10.0, 20.0)]
+    serial = [run(replace(scenario, gains=g))[1] for g in grid]
+    real_run = sim.run
+
+    def dying_run(s):
+        if s.gains.k1 == 7.0:
+            os._exit(1)  # the worker process dies, as under a kill signal
+        return real_run(s)
+
+    monkeypatch.setattr(sim, "run", dying_run)  # before the pool forks
+    points = sweep(scenario, grid)
+    assert [p.gains for p in points] == grid
+    assert points[1].summary is None and points[1].error == sim.WORKER_LOST
+    for point, summary in zip(points, serial):
+        assert point.summary == summary or (point.summary is None
+                                             and point.error == sim.WORKER_LOST)
+
+
+def test_validate_rejects_overflowing_signal_phase():
+    # The last sine argument RK4 samples, frequency * (t_max + dt) + phase,
+    # must be finite; a signal that never samples its sine is not checked.
+    huge = AxisSignal(kind="sinusoid", amplitude=1.0, frequency=1e308)
+    with pytest.raises(ValueError, match=r"^disturbance\.lift_frequency: "):
+        make_scenario(disturbances=DisturbanceModel(lift=huge), t_max=2.0).validate()
+    make_scenario(disturbances=DisturbanceModel(lift=replace(huge, kind="constant")),
+                  t_max=2.0).validate()
 
 
 def test_substep_control_mode_runs():
