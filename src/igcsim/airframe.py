@@ -179,17 +179,18 @@ def accels(k: AeroConstants, alpha: float, beta: float, d_lift: float, d_side: f
     return (k.lift_gain * alpha + d_lift) / k.mass, (k.side_gain * beta + d_side) / k.mass
 
 
-def attitude_rates(k: AeroConstants, gamma, alpha, beta, wx, wy, wz, pitch,
+def attitude_rates(k: AeroConstants, g1, f1, f2, gamma, wx, wy, wz,
                    fins, d1, d2) -> tuple[float, ...]:
     """Derivatives of (gamma, alpha, beta, wx, wy, wz, pitch) as seven floats
     under fin command and disturbances.
 
-    ``fins``, ``d1`` [rad/s, angle channel] and ``d2`` [rad/s^2, rate
-    channel] are triples.
+    ``g1``, ``f1`` and ``f2`` are :func:`mixer`, :func:`attitude_drift` and
+    :func:`rate_drift` at the state.  ``fins``, ``d1`` [rad/s, angle
+    channel] and ``d2`` [rad/s^2, rate channel] are triples.
     """
-    a0, a1, a2 = attitude_drift(k, alpha, beta)
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = mixer(gamma, alpha, beta, pitch)
-    r0, r1, r2 = rate_drift(k, alpha, beta, wx, wy, wz)
+    a0, a1, a2 = f1
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = g1
+    r0, r1, r2 = f2
     bx, by, bz = k.fin_gain
     dx, dy, dz = fins
     return (

@@ -20,6 +20,7 @@ and therefore sound as a test.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -253,17 +254,18 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario, slack: float = DEFAULT_
     rate, accel, lift, side, evader = sim.inputs(scenario, t)
 
     # The channels' input maps at every sample, replayed through the law's
-    # functions row by row into arrays: lists of the whole log's floats
-    # would raise the peak memory of a run by a fifth.
+    # functions row by row into flat float arrays: lists of the whole log's
+    # floats would raise the peak memory of a run by a fifth.
     k = airframe.AeroConstants(cfg)
-    proj, g0, g1 = np.empty((n, 4)), np.empty((n, 4)), np.empty((n, 9))
-    for i, y in enumerate(log.states):
+    proj, g0, g1 = array("d"), array("d"), array("d")
+    for y in log.states:
         r, _, theta_l, phi_l, _, _, theta_v, psi_v, gamma, alpha, beta, _, _, _, pitch = y.tolist()
         m = frames.los_rows(theta_l, phi_l, theta_v, psi_v)
-        proj[i] = m[4], m[5], m[7], m[8]
-        g0[i] = engagement.guidance_map(k, r, theta_l, phi_l, theta_v, psi_v)
-        g1[i] = airframe.mixer(gamma, alpha, beta, pitch)
-    proj, g0, g1 = proj.reshape(n, 2, 2), g0.reshape(n, 2, 2), g1.reshape(n, 3, 3)
+        proj.extend((m[4], m[5], m[7], m[8]))
+        g0.extend(engagement.guidance_map(k, r, m))
+        g1.extend(airframe.mixer(gamma, alpha, beta, pitch))
+    proj, g0, g1 = (np.frombuffer(a, dtype=float).reshape(n, w, w)
+                    for a, w in ((proj, 2), (g0, 2), (g1, 3)))
 
     # Guidance channel: disturbance is (evader + force uncertainty)/r plus
     # the attitude tracking error mapped through the input matrix.

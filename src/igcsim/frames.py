@@ -78,15 +78,14 @@ def los_rows(theta_l: float, phi_l: float, theta_v: float, psi_v: float
             ctv * cd, -stv * cd, -sd)
 
 
-def los_accel(theta_l: float, phi_l: float, theta_v: float, psi_v: float,
-              a_v: float, a_theta: float, a_psi: float) -> tuple[float, float, float]:
+def los_accel(m, a_v: float, a_theta: float, a_psi: float) -> tuple[float, float, float]:
     """Map a velocity-frame acceleration (a_v, a_theta, a_psi) into the LOS
-    frame, returning (radial, elevation-channel, azimuth-channel) [m/s^2].
+    frame through ``m``, the nine :func:`los_rows` of the geometry, returning
+    (radial, elevation-channel, azimuth-channel) [m/s^2].
 
     The azimuth channel carries a sign flip relative to the raw frame
     composition, as in :func:`los_rows`.
     """
-    m = los_rows(theta_l, phi_l, theta_v, psi_v)
     return (m[0] * a_v + m[1] * a_theta + m[2] * a_psi,
             m[3] * a_v + m[4] * a_theta + m[5] * a_psi,
             m[6] * a_v + m[7] * a_theta + m[8] * a_psi)
@@ -103,8 +102,8 @@ def accel_velocity_to_los(
 ) -> np.ndarray:
     """:func:`los_accel` of an array-like acceleration, as an array."""
     a_v, a_theta, a_psi = (float(a) for a in accel)
-    return np.array(los_accel(los.theta_l, los.phi_l, vel.theta_v, vel.psi_v,
-                              a_v, a_theta, a_psi))
+    m = los_rows(los.theta_l, los.phi_l, vel.theta_v, vel.psi_v)
+    return np.array(los_accel(m, a_v, a_theta, a_psi))
 
 
 def los_unit_vector(los: LosAngles) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import airframe, engagement
+from . import airframe, engagement, frames
 from .airframe import AeroConfig
 from .errors import SingularityError
 
@@ -158,7 +158,18 @@ class LawConstants(airframe.AeroConstants):
         self.delta_max = delta_max
 
 
-def law(k: LawConstants, y):
+def state_terms(k: airframe.AeroConstants, y):
+    """The terms of the state ``y`` that both :func:`law` and the plant
+    derivative read: (LOS rows, mixer g1, drift f1, drift f2), each as
+    :mod:`frames` and :mod:`airframe` compute it."""
+    _, _, theta_l, phi_l, _, _, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
+    return (frames.los_rows(theta_l, phi_l, theta_v, psi_v),
+            airframe.mixer(gamma, alpha, beta, pitch),
+            airframe.attitude_drift(k, alpha, beta),
+            airframe.rate_drift(k, alpha, beta, wx, wy, wz))
+
+
+def law(k: LawConstants, y, terms=None):
     """The guidance -> attitude -> fin cascade on the 15 floats of a state.
 
     Returns (fins, x1_sharp_cmd, x2_cmd, saturated, cond_g0, cond_g1), the
@@ -166,17 +177,17 @@ def law(k: LawConstants, y):
     form, and takes its condition estimate from that inverse.  Roll is
     commanded to zero (skid-to-turn).  Raises SingularityError naming the
     stage whose map is not invertible at ``y``.  With ``k.delta_max`` set the
-    fins are clamped to it and ``saturated`` flags the clamp.
+    fins are clamped to it and ``saturated`` flags the clamp.  ``terms`` is
+    :func:`state_terms` of ``y`` where the caller has already computed it.
     """
-    r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
-    g0 = engagement.guidance_map(k, r, theta_l, phi_l, theta_v, psi_v)
+    r, vr, _, _, x01, x02, _, _, gamma, alpha, beta, wx, wy, wz, _ = y
+    rows, g1, f1, f2 = state_terms(k, y) if terms is None else terms
+    g0 = engagement.guidance_map(k, r, rows)
     alpha_cmd, beta_cmd, cond_g0 = guidance_stage(k.c0, r, vr, x01, x02, g0)
     wx_cmd, wy_cmd, wz_cmd, cond_g1 = attitude_stage(
-        k.c1, (gamma, alpha, beta), (0.0, alpha_cmd, beta_cmd),
-        airframe.mixer(gamma, alpha, beta, pitch), airframe.attitude_drift(k, alpha, beta))
+        k.c1, (gamma, alpha, beta), (0.0, alpha_cmd, beta_cmd), g1, f1)
     x2_cmd = (wx_cmd, wy_cmd, wz_cmd)
-    fins = fin_stage(k.c2, (wx, wy, wz), x2_cmd,
-                     airframe.rate_drift(k, alpha, beta, wx, wy, wz), k.fin_gain)
+    fins = fin_stage(k.c2, (wx, wy, wz), x2_cmd, f2, k.fin_gain)
     saturated = False
     if k.delta_max is not None:
         clamped = airframe.clamp(fins, k.delta_max)

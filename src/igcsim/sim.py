@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -107,13 +108,20 @@ class Scenario:
         return (d.rate.sample(t), d.accel.sample(t), d.lift.value(t), d.side.value(t),
                 self.evader.sample(t))
 
+    @property
+    def time_invariant(self) -> bool:
+        """Whether :meth:`signals` returns the same inputs at every time: a
+        constant evader and disturbances that are each zero or constant."""
+        d = self.disturbances
+        return (self.evader.kind == "constant"
+                and all(s.kind in ("zero", "constant") for s in (d.rate, d.accel, d.lift, d.side)))
+
 
 # Per-step log row layout, in row order: (block, width), the one declaration
-# of the log.  Rows are written into one float table that doubles when full;
-# it is never sized from t_max, which may be far longer than the flight.
+# of the log.  Rows are appended to one flat float array that grows with the
+# flight; it is never sized from t_max, which may be far longer.
 _LOG_LAYOUT = (("t", 1), ("states", 15), ("fins", 3), ("x1_sharp_cmd", 2), ("x2_cmd", 3),
                ("saturated", 1))
-_LOG_BLOCK = 1024
 
 
 def _log_columns() -> tuple[dict[str, int | slice], int]:
@@ -199,12 +207,12 @@ class SimSummary:
     audit_violations: tuple[int, int, int] | None = None
 
 
-def _rk4(deriv, at, y: list[float], t: float, dt: float) -> list[float]:
+def _rk4(deriv, at, y: list[float], t: float, dt: float, k1: list[float]) -> list[float]:
     """One classical RK4 step of dy/dt = deriv(at(t), y) over a float list: the
-    package's one tableau.  ``at`` maps a stage time to deriv's first argument
-    and is called once per distinct time, so both midpoint stages share it."""
+    package's one tableau.  ``k1`` is deriv(at(t), y), which the caller
+    evaluates.  ``at`` maps a later stage time to deriv's first argument and
+    is called once per distinct time, so both midpoint stages share it."""
     h = 0.5 * dt
-    k1 = deriv(at(t), y)
     mid = at(t + h)
     k2 = deriv(mid, [a + h * b for a, b in zip(y, k1)])
     k3 = deriv(mid, [a + h * b for a, b in zip(y, k2)])
@@ -212,7 +220,8 @@ def _rk4(deriv, at, y: list[float], t: float, dt: float) -> list[float]:
     c = dt / 6.0
     y_next = [a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
               for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, y_next)):
+    # A finite sum means every entry is finite; one that overflows is checked entry by entry.
+    if not math.isfinite(sum(y_next)) and not all(map(math.isfinite, y_next)):
         raise GuardError(f"non-finite state produced by integrator step at t={t:.6g}")
     return y_next
 
@@ -227,7 +236,8 @@ def rk4_step(deriv, y, t: float, dt: float):
     def flat(tt, yy):  # [()] turns a 0-d array back into a scalar
         return np.ravel(deriv(tt, np.reshape(yy, shape)[()])).tolist()
 
-    return np.reshape(_rk4(flat, lambda tt: tt, np.ravel(y).tolist(), t, dt), shape)[()]
+    y = np.ravel(y).tolist()
+    return np.reshape(_rk4(flat, lambda tt: tt, y, t, dt, flat(t, y)), shape)[()]
 
 
 class Kernel(igc.LawConstants):
@@ -244,10 +254,15 @@ def check_envelope(y) -> None:
     """Raise GuardError naming the first variable of the 15-float state ``y``
     that leaves the flight envelope: every entry finite, the range positive,
     and |theta_l|, |theta_v|, |beta|, |pitch| within GUARD."""
-    if not all(map(math.isfinite, y)):
-        for name, value in zip(STATE_FIELDS, y):
-            if not math.isfinite(value):
-                raise GuardError(f"{name} {value} must be finite")
+    # One pass over a state inside the envelope: a finite sum means every
+    # entry is finite; a sum that overflows goes on to the checks below.
+    g = GUARD
+    if (math.isfinite(sum(y)) and y[0] > 0.0 and -g <= y[2] <= g and -g <= y[6] <= g
+            and -g <= y[10] <= g and -g <= y[14] <= g):
+        return
+    for name, value in zip(STATE_FIELDS, y):
+        if not math.isfinite(value):
+            raise GuardError(f"{name} {value} must be finite")
     if y[0] <= 0.0:
         raise GuardError(f"range {y[0]:.6g} must be positive")
     for label, i in _BANDED:
@@ -255,21 +270,26 @@ def check_envelope(y) -> None:
             raise GuardError(f"{label} {y[i]:.4g} breached guard {GUARD}")
 
 
-def derivative(k: Kernel, u: tuple, y, fins=None) -> list[float]:
+def derivative(k: Kernel, u: tuple, y, fins=None, terms=None) -> list[float]:
     """Derivative of the 15-state closed loop as a list of floats, under the
     exogenous inputs ``u`` (:meth:`Scenario.signals` at the time).  With
     ``fins`` (a float triple) the control is held; otherwise the cascade is
-    evaluated at ``y``."""
-    check_envelope(y)
+    evaluated at ``y``.  ``terms`` is :func:`igc.state_terms` of ``y``,
+    passed by a caller that has already evaluated the law at ``y`` after
+    its envelope check; without it the derivative checks and computes both."""
+    if terms is None:
+        check_envelope(y)
+        terms = igc.state_terms(k, y)
     if fins is None:
-        fins = igc.law(k, y)[0]
+        fins = igc.law(k, y, terms)[0]
+    rows, g1, f1, f2 = terms
     rate, accel, lift, side, evader = u
-    r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
+    r, vr, theta_l, _, x01, x02, theta_v, _, gamma, alpha, beta, wx, wy, wz, _ = y
     a_theta, a_psi = airframe.accels(k, alpha, beta, lift, side, k.trig)
-    accel_p = frames.los_accel(theta_l, phi_l, theta_v, psi_v, 0.0, a_theta, a_psi)
+    accel_p = frames.los_accel(rows, 0.0, a_theta, a_psi)
     rel = engagement.relative_rates(r, vr, theta_l, x01, x02, accel_p, evader)
     tv_dot, pv_dot = engagement.velocity_angle_derivatives(a_theta, a_psi, k, theta_v)
-    att = airframe.attitude_rates(k, gamma, alpha, beta, wx, wy, wz, pitch, fins, rate, accel)
+    att = airframe.attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz, fins, rate, accel)
     return [*rel, tv_dot, pv_dot, *att]
 
 
@@ -291,9 +311,11 @@ def inputs(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, ...]:
     lift (n,), side (n,), evader (n, 3)).  At a log's ``t`` these are, bit for
     bit, the inputs the run saw at its logged steps."""
     out = np.empty((len(t), 11))
-    for row, ti in zip(out, t.tolist()):
+    # Time-invariant signals are sampled once, into every row.
+    samples = [(out, 0.0)] if scenario.time_invariant else zip(out, t.tolist())
+    for rows, ti in samples:
         rate, accel, lift, side, evader = scenario.signals(ti)
-        row[:] = (*rate, *accel, lift, side, *evader)
+        rows[:] = (*rate, *accel, lift, side, *evader)
     return out[:, 0:3], out[:, 3:6], out[:, 6], out[:, 7], out[:, 8:11]
 
 
@@ -304,8 +326,14 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
     r0 = scenario.initial[0]
     hold = scenario.control_update == "hold"
     k = Kernel(scenario)
+    signals = scenario.signals
+    if scenario.time_invariant:  # sampled once, not three times a step
+        u_const = signals(0.0)
 
-    table = np.empty((_LOG_BLOCK, LOG_WIDTH))
+        def signals(_t):
+            return u_const
+
+    logged = array("d")  # the step table's rows, back to back
     n = 0  # logged rows, which is also the index of the current step
 
     y = list(scenario.initial)
@@ -313,11 +341,11 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
     while outcome is None:
         t = n * dt
         try:
+            # The law's evaluation of the step state is also RK4's first stage.
             check_envelope(y)
-            fins, x1_sharp, x2_cmd, saturated, _, _ = igc.law(k, y)
-            if n == table.shape[0]:
-                table = np.concatenate((table, np.empty_like(table)))
-            table[n] = (t, *y, *fins, *x1_sharp, *x2_cmd, saturated)  # _LOG_LAYOUT order
+            terms = igc.state_terms(k, y)
+            fins, x1_sharp, x2_cmd, saturated, _, _ = igc.law(k, y, terms)
+            logged.extend((t, *y, *fins, *x1_sharp, *x2_cmd, saturated))  # _LOG_LAYOUT order
             n += 1
 
             r, vr = y[0], y[1]
@@ -329,11 +357,13 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
                 outcome = OUTCOME_TIMEOUT
             else:
                 held = fins if hold else None
-                y = _rk4(lambda u, yy: derivative(k, u, yy, held), scenario.signals, y, t, dt)
+                # At the step state the law has just given the fins, in either mode.
+                k1 = derivative(k, signals(t), y, fins, terms)
+                y = _rk4(lambda u, yy: derivative(k, u, yy, held), signals, y, t, dt, k1)
         except (GuardError, SingularityError) as exc:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
 
-    log = SimLog(table[:n])
+    log = SimLog(np.frombuffer(logged, dtype=float).reshape(n, LOG_WIDTH))
     if len(log) > 0:
         post_transient = log.t >= 0.8 * log.t[-1]  # the final 20% of the flight
         summary = SimSummary(

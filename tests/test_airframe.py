@@ -157,17 +157,24 @@ def test_linear_mode_is_matrix_form(alpha, beta, d_lift, d_side, ):
     assert a_theta == expected[0] and a_psi == expected[1]
 
 
+def _attitude_rates(k, gamma, alpha, beta, wx, wy, wz, pitch, fins, d1, d2):
+    # attitude_rates at the state, given the mixer and drifts evaluated there.
+    return attitude_rates(k, mixer(gamma, alpha, beta, pitch), attitude_drift(k, alpha, beta),
+                          rate_drift(k, alpha, beta, wx, wy, wz), gamma, wx, wy, wz,
+                          fins, d1, d2)
+
+
 def test_attitude_derivatives_zero(cfg):
-    rates = attitude_rates(AeroConstants(cfg), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                           ZERO3, ZERO3, ZERO3)
+    rates = _attitude_rates(AeroConstants(cfg), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                            ZERO3, ZERO3, ZERO3)
     assert np.array_equal(rates[:3], np.zeros(3))
     assert np.array_equal(rates[3:6], np.zeros(3))
     assert rates[6] == 0.0
 
 
 def test_pitch_rate_kinematics(cfg):
-    rates = attitude_rates(AeroConstants(cfg), 0.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.0,
-                           ZERO3, ZERO3, ZERO3)
+    rates = _attitude_rates(AeroConstants(cfg), 0.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.0,
+                            ZERO3, ZERO3, ZERO3)
     assert math.isclose(rates[6], 0.1, rel_tol=1e-15)
 
 
@@ -183,8 +190,8 @@ def test_attitude_derivatives_recompose(gamma, alpha, beta, wx, wy, wz, pitch,
     fins = np.array([dx, dy, dz])
     d1 = np.array([0.01, -0.02, 0.03])
     d2 = np.array([-0.5, 0.25, 0.1])
-    rates = attitude_rates(k, gamma, alpha, beta, wx, wy, wz, pitch,
-                           (dx, dy, dz), tuple(d1), tuple(d2))
+    rates = _attitude_rates(k, gamma, alpha, beta, wx, wy, wz, pitch,
+                            (dx, dy, dz), tuple(d1), tuple(d2))
     assert np.array_equal(rates[:3], attitude_drift(k, alpha, beta)
                           + (g1[:, 0] * wx + g1[:, 1] * wy + g1[:, 2] * wz) + d1)
     assert np.array_equal(rates[3:6], rate_drift(k, alpha, beta, wx, wy, wz)

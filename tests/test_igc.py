@@ -8,6 +8,7 @@ from igcsim import sim
 from igcsim.airframe import AeroConfig, AeroConstants, attitude_drift, mixer, rate_drift
 from igcsim.engagement import guidance_map
 from igcsim.errors import SingularityError
+from igcsim.frames import los_rows
 from igcsim.igc import (
     LawConstants,
     attitude_stage,
@@ -99,8 +100,8 @@ def test_alpha_beta_command_linear_in_rate(x01, x02):
     gains = make_gains()
     c0 = feedback(gains.k0, gains.delta0)
     r, vr, theta_l, phi_l = 3000.0, -300.0, ENGAGEMENT["theta_l"], ENGAGEMENT["phi_l"]
-    g = guidance_map(AeroConstants(make_cfg()), r, theta_l, phi_l,
-                     ENGAGEMENT["theta_v"], ENGAGEMENT["psi_v"])
+    g = guidance_map(AeroConstants(make_cfg()), r,
+                     los_rows(theta_l, phi_l, ENGAGEMENT["theta_v"], ENGAGEMENT["psi_v"]))
     base = guidance_stage(c0, r, vr, x01, x02, g)
     doubled = guidance_stage(c0, r, vr, 2.0 * x01, 2.0 * x02, g)
     assert np.allclose(doubled[:2], 2.0 * np.array(base[:2]), rtol=1e-12)

@@ -61,8 +61,8 @@ def test_projection_matches_frame_composition(state, mode):
     eng, (_, alpha, beta, *_) = state
     k = airframe.AeroConstants(make_cfg())
     a_theta, a_psi = airframe.accels(k, alpha, beta, 0.0, 0.0, mode == "trig")
-    got = frames.los_accel(eng.theta_l, eng.phi_l, eng.theta_v, eng.psi_v,
-                           0.0, a_theta, a_psi)
+    rows = frames.los_rows(eng.theta_l, eng.phi_l, eng.theta_v, eng.psi_v)
+    got = frames.los_accel(rows, 0.0, a_theta, a_psi)
     w = los_dcm(eng.los) @ velocity_dcm(eng.vel).T @ np.array([0.0, a_theta, a_psi])
     assert_close(got, [w[0], w[1], -w[2]])
 
@@ -73,8 +73,8 @@ def test_guidance_map_matches_projection_series(state):
     cfg = make_cfg()
     proj = composed_projection(eng)
     assume(abs(np.linalg.det(proj)) >= engagement.GEOMETRY_SINGULARITY)
-    got = engagement.guidance_map(airframe.AeroConstants(cfg), eng.r, eng.theta_l,
-                                  eng.phi_l, eng.theta_v, eng.psi_v)
+    rows = frames.los_rows(eng.theta_l, eng.phi_l, eng.theta_v, eng.psi_v)
+    got = engagement.guidance_map(airframe.AeroConstants(cfg), eng.r, rows)
     ref = -(proj * np.array([cfg.lift_gain, cfg.side_gain])) / (cfg.mass * eng.r)
     assert_close(got, ref.ravel())
 

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,13 @@ from hypothesis import given, strategies as st
 
 from igcsim import airframe, engagement, frames, igc, sim
 from igcsim.cli import parse_scenario
-from igcsim.engagement import AxisSignal, DisturbanceModel, EngagementState, VectorSignal
+from igcsim.engagement import (
+    AxisSignal,
+    DisturbanceModel,
+    EngagementState,
+    EvaderModel,
+    VectorSignal,
+)
 from igcsim.errors import GuardError, SingularityError
 from igcsim.sim import (
     LOG_WIDTH,
@@ -81,7 +88,13 @@ def test_closed_loop_derivative_composition():
     deriv = derivative(k, scenario.signals(0.0), y, fins)
 
     zeros = (0.0, 0.0, 0.0)
-    assert deriv[8:] == list(airframe.attitude_rates(k, *y[8:], fins, zeros, zeros))
+    _, g1, f1, f2 = igc.state_terms(k, y)
+    gamma, _, _, wx, wy, wz, _ = y[8:]
+    assert g1 == airframe.mixer(*y[8:11], y[14])
+    assert (f1, f2) == (airframe.attitude_drift(k, alpha, beta),
+                        airframe.rate_drift(k, alpha, beta, wx, wy, wz))
+    assert deriv[8:] == list(airframe.attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz,
+                                                     fins, zeros, zeros))
 
     a_theta, a_psi = airframe.lift_side_accels(alpha, beta, 0.0, 0.0,
                                                scenario.cfg, scenario.plant_mode)
@@ -158,6 +171,14 @@ def test_envelope_guard(field, value, message):
     assert str(alone.value) == str(in_derivative.value) == message
 
 
+def test_envelope_passes_finite_state_whose_sum_overflows():
+    # The one-pass check sums the state; a sum that overflows must fall
+    # through to the per-variable checks, which find nothing wrong.
+    y = list(make_scenario().initial)
+    y[0] = y[1] = 1e308
+    check_envelope(y)
+
+
 large = st.floats(-1e200, 1e200)
 
 
@@ -182,6 +203,25 @@ def test_log_columns_are_table_views():
     assert log.saturated.dtype == bool and log.saturated.all()
     with pytest.raises(AttributeError):
         log.rate_dist
+
+
+def test_time_invariant_signals_sampled_once(monkeypatch):
+    # Constant signals are sampled once per run and per audit; the run and
+    # the inputs are bit-identical to sampling them at every time.
+    constant = DisturbanceModel(rate=VectorSignal(kind="constant", amplitude=(0.01, -0.02, 0.03)),
+                                lift=AxisSignal(kind="constant", amplitude=5.0))
+    scenario = make_scenario(disturbances=constant, t_max=0.2)
+    assert scenario.time_invariant
+    assert not replace(scenario, evader=EvaderModel(kind="step", accel_theta=1.0)).time_invariant
+    wavy = DisturbanceModel(side=AxisSignal(kind="sinusoid", amplitude=1.0, frequency=2.0))
+    assert not replace(scenario, disturbances=wavy).time_invariant
+    log, _ = run(scenario)
+    sampled_once = inputs(scenario, log.t)
+    monkeypatch.setattr(sim.Scenario, "time_invariant", False)
+    log_each, _ = run(scenario)
+    assert np.array_equal(log.table, log_each.table)
+    for once, each in zip(sampled_once, inputs(scenario, log.t)):
+        assert np.array_equal(once, each)
 
 
 def test_inputs_sample_the_plant_signals():
@@ -439,8 +479,8 @@ def test_loop_tableau_matches_array_rk4(name, control_update):
 
 
 def test_law_and_plant_make_no_numpy_call(monkeypatch):
-    # Inside the step loop numpy only writes the log table: with numpy
-    # unreachable from the law and plant modules a run still completes.
+    # The step loop makes no numpy call: with numpy unreachable from the law
+    # and plant modules a run still completes.
     class NoNumpy:
         def __getattr__(self, name):
             raise AssertionError(f"numpy.{name} reached from the step loop")
@@ -450,3 +490,55 @@ def test_law_and_plant_make_no_numpy_call(monkeypatch):
         monkeypatch.setattr(module, "np", NoNumpy(), raising=False)
     log, summary = run(scenario)
     assert summary.outcome == "timeout" and len(log) == 26
+
+    # sim itself reaches numpy as often in a 100x longer run, which also
+    # outgrows any fixed-size log block: not once a step.
+    class CountingNumpy:
+        def __init__(self):
+            self.count = 0
+
+        def __getattr__(self, name):
+            self.count += 1
+            return getattr(np, name)
+
+    counts = []
+    for t_max in (0.05, 5.0):
+        counting = CountingNumpy()
+        monkeypatch.setattr(sim, "np", counting)
+        log, summary = run(replace(scenario, t_max=t_max))
+        assert summary.outcome == "timeout" and len(log) == round(t_max / scenario.dt) + 1
+        counts.append(counting.count)
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("control_update", ["hold", "substep"])
+def test_step_evaluates_each_state_once(monkeypatch, control_update):
+    # The law's evaluation of a step's state is also RK4's first stage, so a
+    # step evaluates four states (its own, then those of k2, k3 and k4), and
+    # the last logged state is evaluated by the law alone.  In substep mode
+    # the law at k2, k3 and k4 reads the plant's terms.  The envelope is
+    # also checked once on the initial state by Scenario.validate.
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((frames, "los_rows"), (airframe, "mixer"), (airframe, "attitude_drift"),
+                         (airframe, "rate_drift"), (sim, "check_envelope")):
+        count(module, name)
+    shipped = parse_scenario(SCENARIO_DIR / "weave_disturbed.cfg")
+    for steps in (10, 30):
+        calls.clear()
+        log, summary = run(replace(shipped, t_max=steps * shipped.dt,
+                                   control_update=control_update))
+        assert summary.outcome == "timeout" and len(log) == steps + 1
+        evaluations = 4 * steps + 1
+        assert calls == {"los_rows": evaluations, "mixer": evaluations,
+                         "attitude_drift": evaluations, "rate_drift": evaluations,
+                         "check_envelope": evaluations + 1}
