@@ -128,13 +128,17 @@ def clamp(fins, limit: float) -> tuple[float, float, float]:
             min(max(dz, -limit), limit))
 
 
+def aero_forces(k: AeroConstants, alpha: float, beta: float) -> tuple[float, float]:
+    """Normal and lateral force [N] of the trig force model: thrust projected
+    through attack and sideslip plus the linear aerodynamic forces."""
+    return (k.thrust * math.sin(alpha) + k.qs_lift * alpha,
+            k.qs_side * beta - k.thrust * math.cos(alpha) * math.sin(beta))
+
+
 def attitude_drift(k: AeroConstants, alpha: float, beta: float) -> tuple[float, float, float]:
     """Drift f1 of the attitude-angle channel [rad/s]."""
-    return (
-        0.0,
-        -(k.thrust * math.sin(alpha) + k.qs_lift * alpha) / (k.mv * math.cos(beta)),
-        (k.qs_side * beta - k.thrust * math.cos(alpha) * math.sin(beta)) / k.mv,
-    )
+    lift, side = aero_forces(k, alpha, beta)
+    return 0.0, -lift / (k.mv * math.cos(beta)), side / k.mv
 
 
 def mixer(gamma: float, alpha: float, beta: float, pitch: float) -> tuple[float, ...]:
@@ -171,11 +175,8 @@ def accels(k: AeroConstants, alpha: float, beta: float, d_lift: float, d_side: f
     force uncertainties [N].
     """
     if trig:
-        return (
-            (k.thrust * math.sin(alpha) + k.qs_lift * alpha + d_lift) / k.mass,
-            (-k.thrust * math.cos(alpha) * math.sin(beta) + k.qs_side * beta + d_side)
-            / k.mass,
-        )
+        lift, side = aero_forces(k, alpha, beta)
+        return (lift + d_lift) / k.mass, (side + d_side) / k.mass
     return (k.lift_gain * alpha + d_lift) / k.mass, (k.side_gain * beta + d_side) / k.mass
 
 

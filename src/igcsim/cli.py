@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -197,23 +199,117 @@ def serialize_scenario(scenario: Scenario) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-_CSV_BLOCK = 256  # rows formatted per write
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+
+
+def _write_csv(handle, tables) -> None:
+    """The one CSV formatter: write the header to ``handle``, then the rows
+    of each step table in ``tables``."""
+    # Tables of sim.LOG_BLOCK rows at most: the whole table's text at once
+    # would raise the peak memory of `igcsim run` on nominal.cfg by about 40 %.
+    handle.write(",".join(CSV_COLUMNS) + "\n")
+    for table in tables:
+        log = SimLog(table)
+        rows = np.column_stack([
+            log.t, log.states, log.fins, log.x1_sharp_cmd, log.x2_cmd,
+            log.x0_norm, log.eta1_norm, log.eta2_norm,
+        ])
+        handle.write((_CSV_ROW * len(log)) % tuple(rows.ravel().tolist()))
 
 
 def write_csv_log(log: SimLog, path) -> None:
     """Write the per-step log as the fixed 27-column CSV."""
-    rows = np.column_stack([
-        log.t, log.states, log.fins, log.x1_sharp_cmd, log.x2_cmd,
-        log.x0_norm, log.eta1_norm, log.eta2_norm,
-    ])
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        # Formatted in blocks of rows: the whole table's text at once would
-        # raise the peak memory of `igcsim run` on nominal.cfg by about 40 %.
-        for start in range(0, rows.shape[0], _CSV_BLOCK):
-            block = rows[start:start + _CSV_BLOCK]
-            handle.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+        _write_csv(handle, (log.table[start:start + sim.LOG_BLOCK]
+                            for start in range(0, len(log), sim.LOG_BLOCK)))
+
+
+def _run_writer(handle, rows_in: int, report_out: int):
+    """The forked CSV writer: format the step-table rows arriving on the pipe
+    ``rows_in`` into ``handle`` until the pipe closes, then end the process.
+    A failure ends it with status 1 and its text written to ``report_out``."""
+    code = 1
+    try:
+        block_bytes = sim.LOG_BLOCK * sim.LOG_WIDTH * 8
+        with open(rows_in, "rb") as rows:
+            # read(n) returns n bytes, short only at the end of the stream.
+            blocks = iter(lambda: rows.read(block_bytes), b"")
+            _write_csv(handle, (np.frombuffer(data).reshape(-1, sim.LOG_WIDTH)
+                                for data in blocks))
+        handle.close()
+        code = 0
+    except Exception as exc:
+        # At most what a pipe holds unread: the parent reads after the exit.
+        os.write(report_out, str(exc).encode()[:4096])
+    finally:
+        os._exit(code)  # never back into the caller's stack, nor its buffers flushed
+
+
+# Room for 20 blocks of rows in the pipe to the writer, so the steps run on
+# while the writer falls behind for a while, as when another process holds
+# its CPU.  The default 64 KiB holds one block.
+_PIPE_BYTES = 1 << 20
+
+
+def _widen_pipe(fd: int) -> None:
+    """Ask for _PIPE_BYTES of buffer in the pipe ``fd`` where the platform
+    allows it (Linux, up to fs.pipe-max-size); elsewhere keep its size."""
+    import fcntl  # here, not at module top: only the forked writer needs it
+
+    try:
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):  # no F_SETPIPE_SZ, or over the limit
+        pass
+
+
+@contextmanager
+def _forked_csv_writer(path):
+    """Write the CSV log at ``path`` from a forked process while the run
+    steps: yields the ``on_block`` callback of :func:`sim.run`, which sends
+    each block of rows to the writer through a pipe as raw bytes.
+
+    The file is opened here, so an open error is raised before any step.
+    However the ``with`` block ends, the pipe is then closed and the writer
+    reaped; a failure of the writer is raised as OSError with its text."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        fds = []
+        try:
+            fds += os.pipe()  # rows, to the writer
+            fds += os.pipe()  # the writer's error report
+            _widen_pipe(fds[1])
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        rows_in, rows_out, report_in, report_out = fds
+        if pid == 0:
+            os.close(rows_out)  # else the writer would never see the stream end
+            os.close(report_in)
+            _run_writer(handle, rows_in, report_out)
+    # This process's copy of the handle was closed unwritten.
+    os.close(rows_in)
+    os.close(report_out)
+    rows = open(rows_out, "wb")
+
+    def send(block) -> None:
+        rows.write(block)
+        rows.flush()
+
+    try:
+        yield send
+    except BrokenPipeError:
+        pass  # the writer ended before the stream did: its error is raised below
+    finally:
+        try:
+            rows.close()
+        except BrokenPipeError:
+            pass
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        with open(report_in, "rb") as report:
+            text = report.read().decode(errors="replace")
+    if code != 0:
+        raise OSError(text or f"CSV log writer ended with exit code {code}")
 
 
 def read_csv_log(path) -> dict[str, np.ndarray]:
@@ -252,12 +348,18 @@ def _print_summary(summary: SimSummary) -> None:
 
 def cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
-    log, summary = sim.run(scenario)
-    write_csv_log(log, args.out_csv)
-    traces = None
-    if args.audit and len(log) >= analysis.MIN_AUDIT_SAMPLES:
-        traces, total = analysis.bound_audit(log, scenario)
-        summary = replace(summary, audit_violations=tuple(tr.violations for tr in traces))
+    # The steps and the CSV formatting are two tasks: a forked writer formats
+    # the log while the steps run where sim.fork_workers allows, else the
+    # log is written after the run.
+    streamed = sim.fork_workers(2) > 1
+    with _forked_csv_writer(args.out_csv) if streamed else nullcontext() as on_block:
+        log, summary = sim.run(scenario, on_block)
+        if not streamed:
+            write_csv_log(log, args.out_csv)
+        traces = None
+        if args.audit and len(log) >= analysis.MIN_AUDIT_SAMPLES:
+            traces, total = analysis.bound_audit(log, scenario)
+            summary = replace(summary, audit_violations=tuple(tr.violations for tr in traces))
     _print_summary(summary)
     if traces is not None:
         print(f"bound audit: {total} violation(s)")

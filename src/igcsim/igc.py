@@ -131,30 +131,43 @@ def attitude_stage(c1: float, x1, x1_cmd, g1, f1):
             cond)
 
 
-def fin_stage(c2: float, x2, x2_cmd, f2, fin_gain):
-    """Fin deflections (three floats) tracking the body-rate command through
-    the diagonal fin map diag(fin_gain)."""
+def fin_inverse(fin_gain) -> tuple[float, float, float]:
+    """Inverse of the diagonal fin map diag(fin_gain), as its three diagonal
+    entries, past the invertibility gate."""
     bx, by, bz = fin_gain
     if bx == 0.0 or by == 0.0 or bz == 0.0:
         raise _singular("fin")
     ix, iy, iz = 1.0 / bx, 1.0 / by, 1.0 / bz
     _gate("fin", math.sqrt((bx * bx + by * by + bz * bz) * (ix * ix + iy * iy + iz * iz)))
+    return ix, iy, iz
+
+
+def fin_stage(c2: float, x2, x2_cmd, f2, fin_inv):
+    """Fin deflections (three floats) tracking the body-rate command through
+    the diagonal fin map, given its inverse :func:`fin_inverse`."""
+    ix, iy, iz = fin_inv
     return (ix * (-f2[0] - c2 * (x2[0] - x2_cmd[0])),
             iy * (-f2[1] - c2 * (x2[1] - x2_cmd[1])),
             iz * (-f2[2] - c2 * (x2[2] - x2_cmd[2])))
 
 
 class LawConstants(airframe.AeroConstants):
-    """AeroConstants plus the stage feedback coefficients and the optional
-    fin limit: everything :func:`law` reads."""
+    """AeroConstants plus the stage feedback coefficients, the inverse fin
+    map and the optional fin limit: everything :func:`law` reads."""
 
-    __slots__ = ("c0", "c1", "c2", "delta_max")
+    __slots__ = ("c0", "c1", "c2", "fin_inv", "delta_max")
 
     def __init__(self, cfg: AeroConfig, gains: Gains, delta_max: float | None = None):
         super().__init__(cfg)
         self.c0 = feedback(gains.k0, gains.delta0)
         self.c1 = feedback(gains.k1, gains.delta1)
         self.c2 = feedback(gains.k2, gains.delta2)
+        try:
+            self.fin_inv = fin_inverse(self.fin_gain)
+        except SingularityError:
+            # None: law raises the gate's error at its fin stage, so a run
+            # ends at step 0 as a guard breach, as any stage failure does.
+            self.fin_inv = None
         self.delta_max = delta_max
 
 
@@ -187,7 +200,7 @@ def law(k: LawConstants, y, terms=None):
     wx_cmd, wy_cmd, wz_cmd, cond_g1 = attitude_stage(
         k.c1, (gamma, alpha, beta), (0.0, alpha_cmd, beta_cmd), g1, f1)
     x2_cmd = (wx_cmd, wy_cmd, wz_cmd)
-    fins = fin_stage(k.c2, (wx, wy, wz), x2_cmd, f2, k.fin_gain)
+    fins = fin_stage(k.c2, (wx, wy, wz), x2_cmd, f2, k.fin_inv or fin_inverse(k.fin_gain))
     saturated = False
     if k.delta_max is not None:
         clamped = airframe.clamp(fins, k.delta_max)

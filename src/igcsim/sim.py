@@ -55,7 +55,7 @@ class Scenario:
     t_max: float = 20.0          # [s]
     r_intercept: float = 1.0     # [m], range at which interception is declared
     r_min: float = 1.0           # [m], assumed lower range bound for analysis
-    r_max: float = 1e5           # [m], assumed upper range bound for analysis
+    r_max: float = 1e5           # [m], sanity bound on the initial range; only validate reads it
     plant_mode: str = "trig"     # force model of the truth plant
     delta_max: float | None = None   # optional symmetric fin limit [rad]
     divergence_factor: float = 1.5   # miss once r exceeds this times the initial range while opening
@@ -138,6 +138,10 @@ def _log_columns() -> tuple[dict[str, int | slice], int]:
 
 
 _COLUMNS, LOG_WIDTH = _log_columns()
+
+# Rows per block of the log, as :func:`run` hands it on and as the CSV
+# writer formats it.
+LOG_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,8 +323,19 @@ def inputs(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, ...]:
     return out[:, 0:3], out[:, 3:6], out[:, 6], out[:, 7], out[:, 8:11]
 
 
-def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
-    """Integrate the closed loop until intercept, miss, guard breach, or timeout."""
+def _pass_rows(on_block, logged: array, start: int, stop: int) -> None:
+    # The view is released on return: `logged` cannot grow while one is alive.
+    with memoryview(logged) as table, table[start * LOG_WIDTH:stop * LOG_WIDTH] as rows:
+        on_block(rows)
+
+
+def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
+    """Integrate the closed loop until intercept, miss, guard breach, or timeout.
+
+    ``on_block``, if given, is called with each completed LOG_BLOCK rows of
+    the step table as they are logged, then with the remaining rows at the
+    end: a memoryview of the rows' floats, back to back, valid only during
+    the call.  An exception it raises ends the run and propagates."""
     scenario.validate()
     dt = scenario.dt
     r0 = scenario.initial[0]
@@ -335,6 +350,7 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
 
     logged = array("d")  # the step table's rows, back to back
     n = 0  # logged rows, which is also the index of the current step
+    block_end = LOG_BLOCK if on_block is not None else 0  # n is never 0 after a row
 
     y = list(scenario.initial)
     outcome, message = None, ""
@@ -347,6 +363,9 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
             fins, x1_sharp, x2_cmd, saturated, _, _ = igc.law(k, y, terms)
             logged.extend((t, *y, *fins, *x1_sharp, *x2_cmd, saturated))  # _LOG_LAYOUT order
             n += 1
+            if n == block_end:
+                _pass_rows(on_block, logged, n - LOG_BLOCK, n)
+                block_end += LOG_BLOCK
 
             r, vr = y[0], y[1]
             if r <= scenario.r_intercept:
@@ -363,6 +382,8 @@ def run(scenario: Scenario) -> tuple[SimLog, SimSummary]:
         except (GuardError, SingularityError) as exc:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
 
+    if on_block is not None and n % LOG_BLOCK:
+        _pass_rows(on_block, logged, n - n % LOG_BLOCK, n)
     log = SimLog(np.frombuffer(logged, dtype=float).reshape(n, LOG_WIDTH))
     if len(log) > 0:
         post_transient = log.t >= 0.8 * log.t[-1]  # the final 20% of the flight
@@ -402,40 +423,44 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def fork_workers(tasks: int) -> int:
+    """How many processes should run ``tasks`` tasks at once: one per usable
+    CPU and at most one per task, where ``fork`` is available and that makes
+    at least two; otherwise 1, and the tasks run in this process, in turn."""
+    workers = min(tasks, _usable_cpus())
+    return workers if workers >= 2 and hasattr(os, "fork") else 1
+
+
 def map_points(fn, items) -> list:
     """``[fn(item) for item in items]``, in item order, computed in forked
-    worker processes: one per usable CPU and at most one per item.  With a
-    single worker, or where ``fork`` is not available, the items run here,
-    one after another.  An exception ``fn`` raises propagates; the result of
-    an item whose worker process ended before it finished reads None.  ``fn``
-    and the items must pickle, and so must the results."""
+    worker processes as :func:`fork_workers` decides; with one, the items
+    run here, one after another.  An exception ``fn`` raises propagates; the
+    result of an item whose worker process ended before it finished reads
+    None.  ``fn`` and the items must pickle, and so must the results."""
     items = list(items)
-    workers = min(len(items), _usable_cpus())
-    if workers >= 2:
-        # Imported here, not at module top: every process that never sweeps,
-        # such as each `igcsim run`, would pay about 30 ms of start-up.
-        import multiprocessing
+    workers = fork_workers(len(items))
+    if workers == 1:
+        return [fn(item) for item in items]
+    # Imported here, not at module top: every process that never sweeps,
+    # such as each `igcsim run`, would pay about 30 ms of start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            # fork, not spawn: a spawned worker imports igcsim afresh, about
-            # 160 ms each.  The pool forks its workers before it starts its
-            # own threads.
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                # One future per item, not pool.map: map stops at the first
-                # lost item and drops the finished items after it.
-                futures = [pool.submit(fn, item) for item in items]
-                results = []
-                for future in futures:
-                    try:
-                        results.append(future.result())
-                    except BrokenProcessPool:
-                        results.append(None)
-                return results
-    return [fn(item) for item in items]
+    # fork, not spawn: a spawned worker imports igcsim afresh, about 160 ms
+    # each.  The pool forks its workers before it starts its own threads.
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        # One future per item, not pool.map: map stops at the first lost
+        # item and drops the finished items after it.
+        futures = [pool.submit(fn, item) for item in items]
+        results = []
+        for future in futures:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:
+                results.append(None)
+        return results
 
 
 def _sweep_point(scenario: Scenario, gains) -> SweepPoint:
@@ -450,8 +475,8 @@ def sweep(scenario: Scenario, grid) -> list[SweepPoint]:
     """Run the scenario once per gain set, identical inputs at every point.
 
     The points run in forked worker processes, one per usable CPU and at
-    most one per point (:func:`map_points`); a one-point grid or a one-CPU
-    host runs them in this process.  Either way the points come back in grid
+    most one per point (:func:`map_points`); a one-point grid, a one-CPU
+    host or a platform without ``fork`` runs them in this process.  Either way the points come back in grid
     order and identical to a serial sweep's.  Per-point failures are
     recorded and the sweep continues, also when a worker process dies.
     """

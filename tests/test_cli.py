@@ -14,6 +14,7 @@ from igcsim.cli import (
     write_csv_log,
     CSV_COLUMNS,
 )
+from igcsim import sim
 from igcsim.engagement import AxisSignal, DisturbanceModel, EvaderModel, VectorSignal
 from igcsim.errors import ScenarioError
 from igcsim.sim import run
@@ -289,6 +290,133 @@ def test_cmd_run_deterministic_bytes(tmp_path):
     assert main(["run", str(short), str(out_a)]) == 2
     assert main(["run", str(short), str(out_b)]) == 2
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+FIN_GATE_NOTE = "t=0: fin: matrix condition estimate 4.24e+07 exceeds the invertibility gate"
+
+
+def test_cmd_run_fin_gate_is_step0_guard_breach(tmp_path, capsys):
+    # The fin map's inverse is built once per run, but a map past the gate
+    # still ends the run at step 0 as a guard breach, not as an error.
+    gate = write_variant(tmp_path, "gate.cfg", {"roll_moment_fin = -5.0": "roll_moment_fin = -1e-7"})
+    out_csv = tmp_path / "gate.csv"
+    assert main(["run", str(gate), str(out_csv), "--audit"]) == 2
+    captured = capsys.readouterr()
+    assert "outcome: guard-breach\nflight time: 0 s over 0 steps\n" in captured.out
+    assert f"note: {FIN_GATE_NOTE}\n" in captured.out
+    assert captured.err == ""
+    assert out_csv.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the log writer is forked")
+
+
+def _force_log_writer(monkeypatch, streamed: bool) -> None:
+    """Make `run` format its log in a forked writer, or after the run."""
+    monkeypatch.setattr(sim, "fork_workers", lambda tasks: tasks if streamed else 1)
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cli_run(tmp_path, capsys, scenario, out_csv, tag):
+    summary = tmp_path / f"{tag}.json"
+    code = main(["run", str(scenario), str(out_csv), "--audit", "--summary-json", str(summary)])
+    captured = capsys.readouterr()
+    return (code, captured.out, captured.err, out_csv.read_bytes() if out_csv.exists() else None,
+            summary.read_bytes() if summary.exists() else None)
+
+
+SHIPPED_RUNS = {
+    "nominal": (NOMINAL, {}),
+    "nominal-substep": (NOMINAL, {"[sim]": "[sim]\ncontrol_update = substep"}),
+    "weave": (WEAVE, {}),
+    "weave-substep": (WEAVE, {"[sim]": "[sim]\ncontrol_update = substep"}),
+    "x02": (NOMINAL, {"x02 = -0.015": "x02 = 1e160"}),
+    "fin-gate": (NOMINAL, {"roll_moment_fin = -5.0": "roll_moment_fin = -1e-7"}),
+    "under-one-block": (NOMINAL, {"t_max = 15.0": "t_max = 0.1"}),
+    "two-blocks": (NOMINAL, {"t_max = 15.0": "t_max = 0.511"}),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("name", SHIPPED_RUNS)
+def test_streamed_log_matches_after_run(tmp_path, capsys, monkeypatch, name):
+    # The forked writer formats the log while the steps run; every output
+    # matches writing it after the run, byte for byte.
+    source, replacements = SHIPPED_RUNS[name]
+    scenario = write_variant(tmp_path, "s.cfg", replacements, source)
+    outputs = {}
+    for streamed in (False, True):
+        _force_log_writer(monkeypatch, streamed)
+        outputs[streamed] = _cli_run(tmp_path, capsys, scenario, tmp_path / f"{streamed}.csv",
+                                     f"{streamed}")
+        _assert_no_child_process()
+    assert outputs[True] == outputs[False]
+    code, out, err, csv_bytes, summary = outputs[True]
+    assert err == "" and csv_bytes.startswith(",".join(CSV_COLUMNS).encode() + b"\n")
+    steps = json.loads(summary)["steps"]
+    assert csv_bytes.count(b"\n") == steps + 1
+    if name == "two-blocks":
+        assert steps == 2 * sim.LOG_BLOCK
+    if name == "under-one-block":
+        assert 0 < steps < sim.LOG_BLOCK
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("streamed", [False, pytest.param(True, marks=needs_fork)],
+                         ids=["after-run", "streamed"])
+@pytest.mark.parametrize("t_max", ["15.0", "0.1"], ids=["nominal", "under-one-block"])
+def test_cmd_run_write_error_exits_before_summary(tmp_path, capsys, monkeypatch, streamed, t_max):
+    # A write error of the log ends `run` with exit 1 and the error's text
+    # before any summary is printed, whether or not the writer is forked.
+    _force_log_writer(monkeypatch, streamed)
+    scenario = write_variant(tmp_path, "s.cfg", {"t_max = 15.0": f"t_max = {t_max}"})
+    summary = tmp_path / "summary.json"
+    code = main(["run", str(scenario), "/dev/full", "--audit", "--summary-json", str(summary)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert captured.out == "" and not summary.exists()
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("streamed", [False, pytest.param(True, marks=needs_fork)],
+                         ids=["after-run", "streamed"])
+def test_cmd_run_reports_missing_directory(tmp_path, capsys, monkeypatch, streamed):
+    _force_log_writer(monkeypatch, streamed)
+    scenario = write_variant(tmp_path, "s.cfg", {"t_max = 15.0": "t_max = 0.1"})
+    out_csv = tmp_path / "missing" / "out.csv"
+    assert main(["run", str(scenario), str(out_csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(out_csv)!r}\n"
+    assert captured.out == ""
+    _assert_no_child_process()
+
+
+@needs_fork
+def test_cmd_run_reaps_writer_when_run_raises(tmp_path, capsys, monkeypatch):
+    # An exception escaping the run, after blocks went to the writer, still
+    # closes the pipe and reaps the writer, and propagates unchanged.
+    _force_log_writer(monkeypatch, True)
+    real_run = sim.run
+
+    def failing_run(scenario, on_block=None):
+        def fail_after_first(rows):
+            on_block(rows)
+            raise KeyError("stop")
+
+        return real_run(scenario, fail_after_first)
+
+    monkeypatch.setattr(sim, "run", failing_run)
+    out_csv = tmp_path / "out.csv"
+    with pytest.raises(KeyError, match="stop"):
+        main(["run", str(NOMINAL), str(out_csv)])
+    _assert_no_child_process()
+    assert capsys.readouterr().out == ""
+    assert len(out_csv.read_text().splitlines()) == 1 + sim.LOG_BLOCK
 
 
 def test_cmd_sweep_table(tmp_path, capsys):

@@ -13,6 +13,7 @@ from igcsim.igc import (
     LawConstants,
     attitude_stage,
     feedback,
+    fin_inverse,
     fin_stage,
     guidance_stage,
     iss_control,
@@ -148,7 +149,7 @@ def test_fin_command_diagonal_case():
     assert np.array_equal(np.diag(k.fin_gain), 2.0 * np.eye(3))
     x2 = (0.1, 0.0, 0.0)
     fins = fin_stage(feedback(10.0, 0.2), x2, ZERO3, rate_drift(k, 0.0, 0.0, *x2),
-                     k.fin_gain)
+                     fin_inverse(k.fin_gain))
     assert np.allclose(fins, [-1.125, 0.0, 0.0], atol=1e-14)
 
 
@@ -161,7 +162,7 @@ def test_fin_command_cancellation_identity(alpha, beta, wx, wy, wz, e1, e2, e3):
     eta2 = np.array([e1, e2, e3])
     drift = rate_drift(k, alpha, beta, wx, wy, wz)
     fins = fin_stage(feedback(gains.k2, gains.delta2), tuple(x2), tuple(x2 - eta2), drift,
-                     k.fin_gain)
+                     fin_inverse(k.fin_gain))
     lhs = np.diag(k.fin_gain) @ fins + drift
     rhs = -(gains.k2 + 0.5 / gains.delta2**2) * eta2
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
