@@ -216,7 +216,7 @@ def velocity_angle_derivatives(
 ) -> tuple[float, float]:
     """Rates of the velocity elevation/azimuth under the frame accelerations.
 
-    Reads only ``cfg.speed``, so the scalar kernel passes its hoisted
-    constants here.
+    Reads only ``cfg.speed``, so ``cfg`` may be an AeroConfig or its
+    AeroConstants.
     """
     return a_theta / cfg.speed, -a_psi / (cfg.speed * math.cos(theta_v))

@@ -174,7 +174,8 @@ class LawConstants(airframe.AeroConstants):
 def state_terms(k: airframe.AeroConstants, y):
     """The terms of the state ``y`` that both :func:`law` and the plant
     derivative read: (LOS rows, mixer g1, drift f1, drift f2), each as
-    :mod:`frames` and :mod:`airframe` compute it."""
+    :mod:`frames` and :mod:`airframe` compute it.  :func:`sim.evaluate`
+    writes the same terms out inline, bit for bit."""
     _, _, theta_l, phi_l, _, _, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
     return (frames.los_rows(theta_l, phi_l, theta_v, psi_v),
             airframe.mixer(gamma, alpha, beta, pitch),

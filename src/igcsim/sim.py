@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import airframe, engagement, frames, igc
+from . import igc
 from .airframe import AeroConfig
 from .engagement import DisturbanceModel, EvaderModel
 from .errors import GuardError, SingularityError
@@ -38,6 +38,10 @@ OUTCOME_TIMEOUT = "timeout"
 # past this band the model terms are meaningless and integration aborts
 # rather than emitting garbage.
 GUARD = 1.2
+# Most steps one run takes, whatever its t_max and dt: a log row is 25
+# floats, so the cap holds the step table to about 200 MB.
+MAX_STEPS = 1_000_000
+
 # The variables GUARD bounds: (name in messages, index in STATE_FIELDS).
 _BANDED = (("LOS elevation", 2), ("velocity elevation", 6), ("sideslip", 10), ("pitch", 14))
 
@@ -274,27 +278,98 @@ def check_envelope(y) -> None:
             raise GuardError(f"{label} {y[i]:.4g} breached guard {GUARD}")
 
 
-def derivative(k: Kernel, u: tuple, y, fins=None, terms=None) -> list[float]:
+def evaluate(k: Kernel, u: tuple, y, fins=None) -> tuple[list[float], tuple | None]:
+    """One evaluation of the 15-state closed loop at ``y`` under the exogenous
+    inputs ``u`` (:meth:`Scenario.signals` at the time): the envelope check,
+    the law unless ``fins`` (a float triple) holds the control, and the
+    derivative.  Returns (derivative as a list of floats, :func:`igc.law`'s
+    tuple at ``y`` or None when the fins are held).
+
+    The step loop's one evaluation per RK4 stage.  It writes out, term for
+    term and in their operation order, :func:`igc.state_terms` and the plant
+    helpers (:func:`airframe.accels`, :func:`frames.los_accel`,
+    :func:`engagement.relative_rates`,
+    :func:`engagement.velocity_angle_derivatives`,
+    :func:`airframe.attitude_rates`), so that each angle's sine and cosine is
+    taken once; those helpers stay the reference decomposition it equals bit
+    for bit."""
+    check_envelope(y)
+    r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
+    stl, ctl = math.sin(theta_l), math.cos(theta_l)
+    stv, ctv = math.sin(theta_v), math.cos(theta_v)
+    d = phi_l - psi_v
+    sd, cd = math.sin(d), math.cos(d)
+    sp, cp = math.sin(pitch), math.cos(pitch)
+    sb, cb = math.sin(beta), math.cos(beta)
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sg, cg = math.sin(gamma), math.cos(gamma)
+    # frames.los_rows
+    m0, m1, m2 = stl * stv + ctl * ctv * sd, stl * ctv - ctl * stv * sd, ctl * cd
+    m3, m4, m5 = ctl * stv - stl * ctv * sd, stl * stv * sd + ctl * ctv, -stl * cd
+    m6, m7, m8 = ctv * cd, -stv * cd, -sd
+    # airframe.mixer: rows (1, g01, g02), (g10, g11, 1), (sa, ca, 0)
+    tp = sp / cp
+    tb = sb / cb
+    g01, g02, g10, g11 = -tp * cg, tp * sg, -tb * ca, sa * tb
+    # airframe.aero_forces, then attitude_drift (0, f11, f12) and rate_drift
+    lift_force = k.thrust * sa + k.qs_lift * alpha
+    side_force = k.qs_side * beta - k.thrust * ca * sb
+    f11, f12 = -lift_force / (k.mv * cb), side_force / k.mv
+    gx, gy, gz = k.gyro
+    f20 = gx * wy * wz
+    f21 = k.qsl_yaw * beta / k.jy + gy * wx * wz
+    f22 = k.qsl_pitch * alpha / k.jz + gz * wx * wy
+    law_out = None
+    if fins is None:
+        law_out = igc.law(k, y, ((m0, m1, m2, m3, m4, m5, m6, m7, m8),
+                                 (1.0, g01, g02, g10, g11, 1.0, sa, ca, 0.0),
+                                 (0.0, f11, f12), (f20, f21, f22)))
+        fins = law_out[0]
+    rate, accel, lift, side, evader = u
+    # airframe.accels
+    if k.trig:
+        a_theta, a_psi = (lift_force + lift) / k.mass, (side_force + side) / k.mass
+    else:
+        a_theta, a_psi = (k.lift_gain * alpha + lift) / k.mass, (k.side_gain * beta + side) / k.mass
+    # frames.los_accel of (0, a_theta, a_psi)
+    ap0 = m0 * 0.0 + m1 * a_theta + m2 * a_psi
+    ap1 = m3 * 0.0 + m4 * a_theta + m5 * a_psi
+    ap2 = m6 * 0.0 + m7 * a_theta + m8 * a_psi
+    ae0, ae1, ae2 = evader
+    # engagement.los_rate_drift
+    two_vr_r = 2.0 * vr / r
+    tl = math.tan(theta_l)
+    drift0, drift1 = -two_vr_r * x01 - x02 * x02 * tl, -two_vr_r * x02 + x01 * x02 * tl
+    bx, by, bz = k.fin_gain
+    dx, dy, dz = fins
+    return [
+        # engagement.relative_rates
+        vr,
+        r * (x01 * x01 + x02 * x02) + ae0 - ap0,
+        x01,
+        x02 / ctl,
+        drift0 + (ae1 - ap1) / r,
+        drift1 + (ae2 - ap2) / r,
+        # engagement.velocity_angle_derivatives
+        a_theta / k.speed,
+        -a_psi / (k.speed * ctv),
+        # airframe.attitude_rates
+        0.0 + (1.0 * wx + g01 * wy + g02 * wz) + rate[0],
+        f11 + (g10 * wx + g11 * wy + 1.0 * wz) + rate[1],
+        f12 + (sa * wx + ca * wy + 0.0 * wz) + rate[2],
+        f20 + bx * dx + accel[0],
+        f21 + by * dy + accel[1],
+        f22 + bz * dz + accel[2],
+        wy * sg + wz * cg,
+    ], law_out
+
+
+def derivative(k: Kernel, u: tuple, y, fins=None) -> list[float]:
     """Derivative of the 15-state closed loop as a list of floats, under the
     exogenous inputs ``u`` (:meth:`Scenario.signals` at the time).  With
     ``fins`` (a float triple) the control is held; otherwise the cascade is
-    evaluated at ``y``.  ``terms`` is :func:`igc.state_terms` of ``y``,
-    passed by a caller that has already evaluated the law at ``y`` after
-    its envelope check; without it the derivative checks and computes both."""
-    if terms is None:
-        check_envelope(y)
-        terms = igc.state_terms(k, y)
-    if fins is None:
-        fins = igc.law(k, y, terms)[0]
-    rows, g1, f1, f2 = terms
-    rate, accel, lift, side, evader = u
-    r, vr, theta_l, _, x01, x02, theta_v, _, gamma, alpha, beta, wx, wy, wz, _ = y
-    a_theta, a_psi = airframe.accels(k, alpha, beta, lift, side, k.trig)
-    accel_p = frames.los_accel(rows, 0.0, a_theta, a_psi)
-    rel = engagement.relative_rates(r, vr, theta_l, x01, x02, accel_p, evader)
-    tv_dot, pv_dot = engagement.velocity_angle_derivatives(a_theta, a_psi, k, theta_v)
-    att = airframe.attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz, fins, rate, accel)
-    return [*rel, tv_dot, pv_dot, *att]
+    evaluated at ``y``.  The derivative of :func:`evaluate`."""
+    return evaluate(k, u, y, fins)[0]
 
 
 def _miss_distance(log: SimLog) -> float:
@@ -330,7 +405,9 @@ def _pass_rows(on_block, logged: array, start: int, stop: int) -> None:
 
 
 def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
-    """Integrate the closed loop until intercept, miss, guard breach, or timeout.
+    """Integrate the closed loop until intercept, miss, guard breach, or timeout:
+    ``t_max`` reached, or MAX_STEPS steps logged, which the summary's message
+    names.  Each RK4 stage is one :func:`evaluate`.
 
     ``on_block``, if given, is called with each completed LOG_BLOCK rows of
     the step table as they are logged, then with the remaining rows at the
@@ -353,15 +430,15 @@ def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
     block_end = LOG_BLOCK if on_block is not None else 0  # n is never 0 after a row
 
     y = list(scenario.initial)
+    t_end = scenario.t_max - 0.5 * dt
+    max_steps = MAX_STEPS
     outcome, message = None, ""
     while outcome is None:
         t = n * dt
         try:
             # The law's evaluation of the step state is also RK4's first stage.
-            check_envelope(y)
-            terms = igc.state_terms(k, y)
-            fins, x1_sharp, x2_cmd, saturated, _, _ = igc.law(k, y, terms)
-            logged.extend((t, *y, *fins, *x1_sharp, *x2_cmd, saturated))  # _LOG_LAYOUT order
+            k1, (fins, x1_sharp, x2_cmd, saturated, _, _) = evaluate(k, signals(t), y)
+            logged.fromlist([t, *y, *fins, *x1_sharp, *x2_cmd, saturated])  # _LOG_LAYOUT order
             n += 1
             if n == block_end:
                 _pass_rows(on_block, logged, n - LOG_BLOCK, n)
@@ -372,13 +449,13 @@ def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
                 outcome = OUTCOME_INTERCEPT
             elif vr > 0.0 and r > scenario.divergence_factor * r0:
                 outcome, message = OUTCOME_MISS, f"range opened past {scenario.divergence_factor:g} x initial"
-            elif t >= scenario.t_max - 0.5 * dt:
+            elif t >= t_end or n >= max_steps:
                 outcome = OUTCOME_TIMEOUT
+                if t < t_end:
+                    message = f"step cap sim.MAX_STEPS = {max_steps} reached at t={t:.6g}, before t_max"
             else:
                 held = fins if hold else None
-                # At the step state the law has just given the fins, in either mode.
-                k1 = derivative(k, signals(t), y, fins, terms)
-                y = _rk4(lambda u, yy: derivative(k, u, yy, held), signals, y, t, dt, k1)
+                y = _rk4(lambda u, yy: evaluate(k, u, yy, held)[0], signals, y, t, dt, k1)
         except (GuardError, SingularityError) as exc:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
 

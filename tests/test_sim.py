@@ -1,12 +1,14 @@
 import math
 import multiprocessing
 import os
+import re
+from array import array
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from igcsim import airframe, engagement, frames, igc, sim
 from igcsim.cli import parse_scenario
@@ -79,30 +81,99 @@ def test_closed_loop_derivative_quiescent():
     assert np.allclose(deriv, expected, atol=1e-15)
 
 
-def test_closed_loop_derivative_composition():
-    scenario = make_scenario()
-    k = Kernel(scenario)
-    y = list(scenario.initial)
-    eng, alpha, beta = EngagementState(*y[:8]), y[9], y[10]
-    fins = igc.law(k, y)[0]
-    deriv = derivative(k, scenario.signals(0.0), y, fins)
+def _composed_evaluation(k, u, y, fins):
+    # The reference decomposition of sim.evaluate: the closed-loop derivative
+    # composed from the piecewise helpers.
+    check_envelope(y)
+    rows, g1, f1, f2 = igc.state_terms(k, y)
+    if fins is None:
+        fins = igc.law(k, y)[0]
+    rate, accel, lift, side, evader = u
+    r, vr, theta_l, _, x01, x02, theta_v, _, gamma, alpha, beta, wx, wy, wz, _ = y
+    a_theta, a_psi = airframe.accels(k, alpha, beta, lift, side, k.trig)
+    accel_p = frames.los_accel(rows, 0.0, a_theta, a_psi)
+    rel = engagement.relative_rates(r, vr, theta_l, x01, x02, accel_p, evader)
+    tv_dot, pv_dot = engagement.velocity_angle_derivatives(a_theta, a_psi, k, theta_v)
+    att = airframe.attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz, fins, rate, accel)
+    return [*rel, tv_dot, pv_dot, *att]
 
-    zeros = (0.0, 0.0, 0.0)
+
+_BAND = st.floats(-sim.GUARD, sim.GUARD)
+_TURN = st.floats(-math.pi, math.pi)
+_RATE = st.floats(-2.0, 2.0)
+_IN_ENVELOPE = st.tuples(
+    st.floats(1.0, 1e4), st.floats(-1e3, 1e3), _BAND, _TURN, _RATE, _RATE, _BAND, _TURN,
+    _TURN, st.floats(-1.0, 1.0), _BAND, _RATE, _RATE, _RATE, _BAND)
+# A weave evader and sinusoid disturbances on every channel.
+_SIGNALS = dict(
+    evader=EvaderModel(kind="weave", accel_r=5.0, accel_theta=40.0, accel_phi=-30.0,
+                       frequency=2.0, phase=0.3),
+    disturbances=DisturbanceModel(
+        rate=VectorSignal(kind="sinusoid", amplitude=(0.01, -0.02, 0.015), frequency=3.0,
+                          phase=0.1),
+        accel=VectorSignal(kind="sinusoid", amplitude=(0.5, -0.3, 0.2), frequency=5.0,
+                           phase=0.7),
+        lift=AxisSignal(kind="sinusoid", amplitude=300.0, frequency=4.0, phase=0.2),
+        side=AxisSignal(kind="sinusoid", amplitude=-200.0, frequency=6.0, phase=1.1)))
+
+
+@given(y=_IN_ENVELOPE, t=st.floats(0.0, 20.0), plant_mode=st.sampled_from(["trig", "linear"]),
+       delta_max=st.sampled_from([None, 1e-3]), held=st.booleans(), quiet=st.booleans())
+@example(y=make_initial(), t=0.0, plant_mode="linear", delta_max=None, held=False, quiet=True)
+def test_closed_loop_derivative_composition(y, t, plant_mode, delta_max, held, quiet):
+    # The flat evaluation equals its reference decomposition bit for bit, and
+    # the piecewise helpers equal their numpy adapters, at random states
+    # inside the envelope under zero or nonzero signals, with held fins and
+    # with the law's fins.
+    scenario = make_scenario(plant_mode=plant_mode, delta_max=delta_max,
+                             **({} if quiet else _SIGNALS))
+    k, y, u = Kernel(scenario), list(y), scenario.signals(t)
+    try:
+        law_out = igc.law(k, y)
+    except SingularityError as exc:  # then only held fins give a derivative
+        with pytest.raises(SingularityError, match=re.escape(str(exc))):
+            sim.evaluate(k, u, y)
+        law_out, held = None, True
+    fins = law_out[0] if law_out else (0.01, -0.02, 0.03)
+    flat, flat_law = sim.evaluate(k, u, y, fins if held else None)
+    assert flat_law == (None if held else law_out)
+    reference = _composed_evaluation(k, u, y, fins)
+    assert array("d", flat).tobytes() == array("d", reference).tobytes()
+    assert derivative(k, u, y, fins) == flat
+
     _, g1, f1, f2 = igc.state_terms(k, y)
-    gamma, _, _, wx, wy, wz, _ = y[8:]
-    assert g1 == airframe.mixer(*y[8:11], y[14])
+    rate, accel, lift, side, evader = u
+    eng, (gamma, alpha, beta, wx, wy, wz, pitch) = EngagementState(*y[:8]), y[8:]
+    assert g1 == airframe.mixer(gamma, alpha, beta, pitch)
     assert (f1, f2) == (airframe.attitude_drift(k, alpha, beta),
                         airframe.rate_drift(k, alpha, beta, wx, wy, wz))
-    assert deriv[8:] == list(airframe.attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz,
-                                                     fins, zeros, zeros))
-
-    a_theta, a_psi = airframe.lift_side_accels(alpha, beta, 0.0, 0.0,
+    assert flat[8:] == list(airframe.attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz,
+                                                    fins, rate, accel))
+    a_theta, a_psi = airframe.lift_side_accels(alpha, beta, lift, side,
                                                scenario.cfg, scenario.plant_mode)
     accel_p = frames.accel_velocity_to_los((0.0, a_theta, a_psi), eng.los, eng.vel)
-    expected_rel = engagement.relative_derivatives(eng, accel_p, np.zeros(3))
-    assert np.array_equal(deriv[:6], expected_rel)
-    assert tuple(deriv[6:8]) == engagement.velocity_angle_derivatives(
+    assert np.array_equal(flat[:6], engagement.relative_derivatives(eng, accel_p, evader))
+    assert tuple(flat[6:8]) == engagement.velocity_angle_derivatives(
         a_theta, a_psi, scenario.cfg, eng.theta_v)
+
+
+@pytest.mark.parametrize("plant_mode", ["trig", "linear"])
+@pytest.mark.parametrize("held", [False, True], ids=["law", "held"])
+def test_evaluation_takes_each_angles_trig_once(monkeypatch, plant_mode, held):
+    # Seven angles (theta_l, theta_v, phi_l - psi_v, pitch, beta, alpha,
+    # gamma), one sine and one cosine each, and the one tangent of theta_l.
+    scenario = replace(parse_scenario(SCENARIO_DIR / "weave_disturbed.cfg"), plant_mode=plant_mode)
+    k, y, u = Kernel(scenario), list(scenario.initial), scenario.signals(0.3)
+    fins = igc.law(k, y)[0] if held else None
+    calls = Counter()
+    for name in ("sin", "cos", "tan"):
+        def counted(x, fn=getattr(math, name), name=name):
+            calls[name] += 1
+            return fn(x)
+
+        monkeypatch.setattr(math, name, counted)
+    derivative(k, u, y, fins)
+    assert calls == {"sin": 7, "cos": 7, "tan": 1}
 
 
 def test_run_nominal_intercepts():
@@ -240,6 +311,17 @@ def test_run_long_horizon_intercepts():
     log, summary = run(make_scenario(t_max=1e9))
     assert summary.outcome == "intercept"
     assert summary.steps == len(log) == 8065
+
+
+def test_run_stops_at_the_step_cap(monkeypatch):
+    # The cap ends a run as a timeout, with a note, only where it cuts the
+    # flight short of t_max.
+    monkeypatch.setattr(sim, "MAX_STEPS", 50)
+    log, summary = run(make_scenario())
+    assert summary.outcome == "timeout" and summary.steps == len(log) == 50
+    assert summary.message == "step cap sim.MAX_STEPS = 50 reached at t=0.049, before t_max"
+    log, summary = run(make_scenario(t_max=0.049))
+    assert summary.outcome == "timeout" and len(log) == 50 and summary.message == ""
 
 
 def test_run_deterministic():
@@ -513,11 +595,12 @@ def test_law_and_plant_make_no_numpy_call(monkeypatch):
 
 @pytest.mark.parametrize("control_update", ["hold", "substep"])
 def test_step_evaluates_each_state_once(monkeypatch, control_update):
-    # The law's evaluation of a step's state is also RK4's first stage, so a
-    # step evaluates four states (its own, then those of k2, k3 and k4), and
-    # the last logged state is evaluated by the law alone.  In substep mode
-    # the law at k2, k3 and k4 reads the plant's terms.  The envelope is
-    # also checked once on the initial state by Scenario.validate.
+    # One flat evaluation per RK4 stage: the law's evaluation of a step's
+    # state is also its first stage, so a step evaluates four states (its
+    # own, then those of k2, k3 and k4), and the last logged state is
+    # evaluated once more.  Each evaluation checks the envelope once, and
+    # Scenario.validate checks the initial state.  The piecewise helpers
+    # that evaluate composes are off the run path.
     calls = Counter()
 
     def count(module, name):
@@ -529,8 +612,8 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((frames, "los_rows"), (airframe, "mixer"), (airframe, "attitude_drift"),
-                         (airframe, "rate_drift"), (sim, "check_envelope")):
+    for module, name in ((sim, "evaluate"), (sim, "check_envelope"), (igc, "state_terms"),
+                         (frames, "los_rows"), (airframe, "mixer")):
         count(module, name)
     shipped = parse_scenario(SCENARIO_DIR / "weave_disturbed.cfg")
     for steps in (10, 30):
@@ -539,6 +622,5 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
                                    control_update=control_update))
         assert summary.outcome == "timeout" and len(log) == steps + 1
         evaluations = 4 * steps + 1
-        assert calls == {"los_rows": evaluations, "mixer": evaluations,
-                         "attitude_drift": evaluations, "rate_drift": evaluations,
-                         "check_envelope": evaluations + 1}
+        assert calls == {"evaluate": evaluations, "check_envelope": evaluations + 1}
+        assert calls["state_terms"] == calls["los_rows"] == calls["mixer"] == 0
