@@ -313,17 +313,25 @@ def _forked_csv_writer(path):
 
 
 def read_csv_log(path) -> dict[str, np.ndarray]:
-    """Read a CSV log back into named columns."""
+    """Read a CSV log back into named columns.  Raises ScenarioError naming
+    the line of a row that is not one number per column."""
+    width = len(CSV_COLUMNS)
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
             raise ScenarioError(f"{path}: unexpected CSV header")
-        data = [
-            [float(cell) for cell in line.strip().split(",")]
-            for line in handle
-            if line.strip()
-        ]
-    table = np.array(data) if data else np.empty((0, len(CSV_COLUMNS)))
+        data = []
+        for lineno, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = [float(cell) for cell in line.strip().split(",")]
+            except ValueError as exc:  # "could not convert string to float: '...'"
+                raise ScenarioError(f"{path}:{lineno}: {exc}") from None
+            if len(row) != width:
+                raise ScenarioError(f"{path}:{lineno}: expected {width} numbers, got {len(row)}")
+            data.append(row)
+    table = np.array(data) if data else np.empty((0, width))
     return {name: table[:, i] for i, name in enumerate(CSV_COLUMNS)}
 
 

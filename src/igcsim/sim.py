@@ -215,23 +215,30 @@ class SimSummary:
     audit_violations: tuple[int, int, int] | None = None
 
 
+def _finite_step(y_next: list[float], t: float) -> list[float]:
+    """``y_next``, the state an integrator step from ``t`` produced, unless an
+    entry is not finite: then GuardError."""
+    # A finite sum means every entry is finite; one that overflows is checked entry by entry.
+    if not math.isfinite(sum(y_next)) and not all(map(math.isfinite, y_next)):
+        raise GuardError(f"non-finite state produced by integrator step at t={t:.6g}")
+    return y_next
+
+
 def _rk4(deriv, at, y: list[float], t: float, dt: float, k1: list[float]) -> list[float]:
-    """One classical RK4 step of dy/dt = deriv(at(t), y) over a float list: the
-    package's one tableau.  ``k1`` is deriv(at(t), y), which the caller
-    evaluates.  ``at`` maps a later stage time to deriv's first argument and
-    is called once per distinct time, so both midpoint stages share it."""
+    """One classical RK4 step of dy/dt = deriv(at(t), y) over a float list of
+    any length: the generic tableau under :func:`rk4_step`, and the
+    reference that the step loop's written-out :func:`_step` equals bit for
+    bit.  ``k1`` is deriv(at(t), y), which the caller evaluates.  ``at`` maps
+    a later stage time to deriv's first argument and is called once per
+    distinct time, so both midpoint stages share it."""
     h = 0.5 * dt
     mid = at(t + h)
     k2 = deriv(mid, [a + h * b for a, b in zip(y, k1)])
     k3 = deriv(mid, [a + h * b for a, b in zip(y, k2)])
     k4 = deriv(at(t + dt), [a + dt * b for a, b in zip(y, k3)])
     c = dt / 6.0
-    y_next = [a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    # A finite sum means every entry is finite; one that overflows is checked entry by entry.
-    if not math.isfinite(sum(y_next)) and not all(map(math.isfinite, y_next)):
-        raise GuardError(f"non-finite state produced by integrator step at t={t:.6g}")
-    return y_next
+    return _finite_step([a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)], t)
 
 
 def rk4_step(deriv, y, t: float, dt: float):
@@ -364,6 +371,47 @@ def evaluate(k: Kernel, u: tuple, y, fins=None) -> tuple[list[float], tuple | No
     ], law_out
 
 
+def _step(k: Kernel, signals, y, t: float, dt: float, k1: list[float], held) -> list[float]:
+    """The step loop's RK4 step of the 15-float state ``y`` from ``t``:
+    :func:`_rk4` of :func:`evaluate` under :meth:`Scenario.signals`, with the
+    fins ``held`` (None: the law at every stage), each stage written out over
+    locals in the tableau's operation order, so that it equals that
+    reference bit for bit.  ``k1`` is the evaluation of ``y``."""
+    y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14 = y
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14 = k1
+    h = 0.5 * dt
+    mid = signals(t + h)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14 = evaluate(
+        k, mid, [y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4, y5 + h * a5,
+                 y6 + h * a6, y7 + h * a7, y8 + h * a8, y9 + h * a9, y10 + h * a10, y11 + h * a11,
+                 y12 + h * a12, y13 + h * a13, y14 + h * a14], held)[0]
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = evaluate(
+        k, mid, [y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3, y4 + h * b4, y5 + h * b5,
+                 y6 + h * b6, y7 + h * b7, y8 + h * b8, y9 + h * b9, y10 + h * b10, y11 + h * b11,
+                 y12 + h * b12, y13 + h * b13, y14 + h * b14], held)[0]
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14 = evaluate(
+        k, signals(t + dt), [y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3, y4 + dt * c4,
+                             y5 + dt * c5, y6 + dt * c6, y7 + dt * c7, y8 + dt * c8, y9 + dt * c9,
+                             y10 + dt * c10, y11 + dt * c11, y12 + dt * c12, y13 + dt * c13,
+                             y14 + dt * c14], held)[0]
+    w = dt / 6.0
+    return _finite_step([y0 + w * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
+                         y1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+                         y2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+                         y3 + w * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+                         y4 + w * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+                         y5 + w * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
+                         y6 + w * (((a6 + 2.0 * b6) + 2.0 * c6) + d6),
+                         y7 + w * (((a7 + 2.0 * b7) + 2.0 * c7) + d7),
+                         y8 + w * (((a8 + 2.0 * b8) + 2.0 * c8) + d8),
+                         y9 + w * (((a9 + 2.0 * b9) + 2.0 * c9) + d9),
+                         y10 + w * (((a10 + 2.0 * b10) + 2.0 * c10) + d10),
+                         y11 + w * (((a11 + 2.0 * b11) + 2.0 * c11) + d11),
+                         y12 + w * (((a12 + 2.0 * b12) + 2.0 * c12) + d12),
+                         y13 + w * (((a13 + 2.0 * b13) + 2.0 * c13) + d13),
+                         y14 + w * (((a14 + 2.0 * b14) + 2.0 * c14) + d14)], t)
+
+
 def derivative(k: Kernel, u: tuple, y, fins=None) -> list[float]:
     """Derivative of the 15-state closed loop as a list of floats, under the
     exogenous inputs ``u`` (:meth:`Scenario.signals` at the time).  With
@@ -455,7 +503,7 @@ def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
                     message = f"step cap sim.MAX_STEPS = {max_steps} reached at t={t:.6g}, before t_max"
             else:
                 held = fins if hold else None
-                y = _rk4(lambda u, yy: evaluate(k, u, yy, held)[0], signals, y, t, dt, k1)
+                y = _step(k, signals, y, t, dt, k1, held)
         except (GuardError, SingularityError) as exc:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
 

@@ -3,16 +3,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from igcsim.airframe import AeroConfig
 from igcsim.igc import Gains
-from igcsim.sim import STATE_FIELDS, Scenario
+from igcsim.sim import GUARD, STATE_FIELDS, Scenario
 
 settings.register_profile("package", deadline=None)
 settings.load_profile("package")
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+
+_BAND = st.floats(-GUARD, GUARD)
+_TURN = st.floats(-math.pi, math.pi)
+_RATE = st.floats(-2.0, 2.0)
+# States inside the flight envelope, as 15-float tuples in STATE_FIELDS order.
+IN_ENVELOPE = st.tuples(
+    st.floats(1.0, 1e4), st.floats(-1e3, 1e3), _BAND, _TURN, _RATE, _RATE, _BAND, _TURN,
+    _TURN, st.floats(-1.0, 1.0), _BAND, _RATE, _RATE, _RATE, _BAND)
 
 
 def make_cfg(**overrides) -> AeroConfig:

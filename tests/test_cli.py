@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -175,6 +176,31 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back["r"], log.r)
     assert np.array_equal(back["alpha_cmd"], log.alpha_cmd)
     assert np.array_equal(back["norm_eta2"], log.eta2_norm)
+
+
+def test_read_csv_log_names_malformed_row(tmp_path):
+    log, _ = run(make_scenario(t_max=0.05))
+    path = tmp_path / "log.csv"
+    write_csv_log(log, path)
+    lines = path.read_text().splitlines(keepends=True)
+    # A truncated log, such as `head -c 3000` of it, ends inside a row.
+    head = path.read_bytes()[:3000]
+    assert not head.endswith(b"\n")
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_bytes(head)
+    last = head.count(b"\n") + 1
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(str(truncated))}:{last}: expected 27 "
+                                            r"numbers, got \d+$"):
+        read_csv_log(truncated)
+    # A cell that is not a number, in line 4.
+    cells = lines[3].split(",")
+    cells[5] = "abc"
+    lines[3] = ",".join(cells)
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_text("".join(lines))
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(str(garbled))}:4: could not convert "
+                                            r"string to float: 'abc'$"):
+        read_csv_log(garbled)
 
 
 def test_cmd_run_nominal(tmp_path, capsys):

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from igcsim import sim
-from igcsim.airframe import AeroConfig, AeroConstants, attitude_drift, mixer, rate_drift
+from igcsim.airframe import AeroConfig, AeroConstants, attitude_drift, clamp, mixer, rate_drift
 from igcsim.engagement import guidance_map
 from igcsim.errors import SingularityError
 from igcsim.frames import los_rows
 from igcsim.igc import (
+    COND_LIMIT,
     LawConstants,
     attitude_stage,
     feedback,
@@ -18,9 +19,10 @@ from igcsim.igc import (
     guidance_stage,
     iss_control,
     law,
+    state_terms,
 )
 
-from .conftest import g1_matrix, make_cfg, make_gains, make_initial, make_scenario
+from .conftest import IN_ENVELOPE, g1_matrix, make_cfg, make_gains, make_initial, make_scenario
 
 small_angles = st.floats(min_value=-0.25, max_value=0.25)
 errors = st.floats(min_value=-0.5, max_value=0.5)
@@ -227,5 +229,53 @@ def test_igc_step_singularity_stages(cfg, gains):
     with pytest.raises(SingularityError, match="guidance"):
         law(k, orthogonal)
     vertical = make_state(pitch=math.pi / 2 - 1e-9)
-    with pytest.raises(SingularityError, match="rate"):
+    with pytest.raises(SingularityError, match="rate") as info:
         law(k, vertical)
+    assert info.value.condition >= COND_LIMIT
+    weak_roll_fin = LawConstants(make_cfg(roll_moment_fin=-1e-7), gains)
+    with pytest.raises(SingularityError, match="^fin: matrix condition estimate"):
+        law(weak_roll_fin, make_state())
+
+
+def _composed_law(k, y):
+    # The reference decomposition of igc.law: the guidance map, the three
+    # stage functions and the fin clamp, composed.
+    r, vr, _, _, x01, x02, _, _, gamma, alpha, beta, wx, wy, wz, _ = y
+    rows, g1, f1, f2 = state_terms(k, y)
+    g0 = guidance_map(k, r, rows)
+    alpha_cmd, beta_cmd, cond_g0 = guidance_stage(k.c0, r, vr, x01, x02, g0)
+    wx_cmd, wy_cmd, wz_cmd, cond_g1 = attitude_stage(
+        k.c1, (gamma, alpha, beta), (0.0, alpha_cmd, beta_cmd), g1, f1)
+    x2_cmd = (wx_cmd, wy_cmd, wz_cmd)
+    fins = fin_stage(k.c2, (wx, wy, wz), x2_cmd, f2, k.fin_inv or fin_inverse(k.fin_gain))
+    saturated = False
+    if k.delta_max is not None:
+        clamped = clamp(fins, k.delta_max)
+        saturated, fins = clamped != fins, clamped
+    return fins, (alpha_cmd, beta_cmd), x2_cmd, saturated, cond_g0, cond_g1
+
+
+@given(y=IN_ENVELOPE, delta_max=st.sampled_from([None, 1e-3]), roll_moment_fin=st.just(-5.0))
+# LOS orthogonal to the velocity: the guidance map's geometry gate.
+@example(y=make_state(theta_v=0.0, psi_v=ENGAGEMENT["phi_l"]), delta_max=None,
+         roll_moment_fin=-5.0)
+# Pitch next to vertical: a rate-stage condition past COND_LIMIT.
+@example(y=make_state(pitch=math.pi / 2 - 1e-9), delta_max=1e-3, roll_moment_fin=-5.0)
+# A roll fin moment too weak for the fin map's gate.
+@example(y=make_state(), delta_max=None, roll_moment_fin=-1e-7)
+def test_law_equals_stage_composition(y, delta_max, roll_moment_fin):
+    # The one-body law equals the stage composition bit for bit, and a
+    # failing gate raises the same stage, condition and message.
+    k = LawConstants(make_cfg(roll_moment_fin=roll_moment_fin), make_gains(),
+                     delta_max=delta_max)
+    y = list(y)
+    try:
+        reference = _composed_law(k, y)
+    except SingularityError as exc:
+        with pytest.raises(SingularityError) as info:
+            law(k, y)
+        assert (info.value.stage, repr(info.value.condition), str(info.value)) == (
+            exc.stage, repr(exc.condition), str(exc))
+        return
+    assert repr(law(k, y)) == repr(reference)
+

@@ -72,3 +72,16 @@ def test_gain_sweep_study(tmp_path, short_weave):
         lines = (tmp_path / f"{name}.csv").read_text().splitlines()
         assert lines[0] == "k1,k2,delta1,delta2,outcome,post_transient_sup_x0"
         assert len(lines) == 1 + 3
+
+
+def test_step_digests(tmp_path, short_weave):
+    args = ("--scenario", str(short_weave), "--scenario", str(SCENARIO_DIR / "nominal.cfg"),
+            "--t-max", "0.05")
+    first, second = (run_script("step_digests.py", *args, cwd=tmp_path) for _ in range(2))
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    lines = first.stdout.splitlines()
+    # Two scenarios x hold/substep x trig/linear x no fin limit/delta_max.
+    assert len(lines) == 16
+    assert lines[0].startswith(f"{short_weave.name} hold trig delta_max=None ")
+    assert len({line.split()[-1] for line in lines}) == 16

@@ -33,7 +33,9 @@ from igcsim.sim import (
     trim_attitude_to_commands,
 )
 
-from .conftest import SCENARIO_DIR, make_cfg, make_gains, make_initial, make_scenario
+from .conftest import (
+    IN_ENVELOPE, SCENARIO_DIR, make_gains, make_initial, make_scenario,
+)
 
 
 def test_rk4_scalar_decay():
@@ -98,12 +100,6 @@ def _composed_evaluation(k, u, y, fins):
     return [*rel, tv_dot, pv_dot, *att]
 
 
-_BAND = st.floats(-sim.GUARD, sim.GUARD)
-_TURN = st.floats(-math.pi, math.pi)
-_RATE = st.floats(-2.0, 2.0)
-_IN_ENVELOPE = st.tuples(
-    st.floats(1.0, 1e4), st.floats(-1e3, 1e3), _BAND, _TURN, _RATE, _RATE, _BAND, _TURN,
-    _TURN, st.floats(-1.0, 1.0), _BAND, _RATE, _RATE, _RATE, _BAND)
 # A weave evader and sinusoid disturbances on every channel.
 _SIGNALS = dict(
     evader=EvaderModel(kind="weave", accel_r=5.0, accel_theta=40.0, accel_phi=-30.0,
@@ -117,7 +113,7 @@ _SIGNALS = dict(
         side=AxisSignal(kind="sinusoid", amplitude=-200.0, frequency=6.0, phase=1.1)))
 
 
-@given(y=_IN_ENVELOPE, t=st.floats(0.0, 20.0), plant_mode=st.sampled_from(["trig", "linear"]),
+@given(y=IN_ENVELOPE, t=st.floats(0.0, 20.0), plant_mode=st.sampled_from(["trig", "linear"]),
        delta_max=st.sampled_from([None, 1e-3]), held=st.booleans(), quiet=st.booleans())
 @example(y=make_initial(), t=0.0, plant_mode="linear", delta_max=None, held=False, quiet=True)
 def test_closed_loop_derivative_composition(y, t, plant_mode, delta_max, held, quiet):
@@ -155,6 +151,52 @@ def test_closed_loop_derivative_composition(y, t, plant_mode, delta_max, held, q
     assert np.array_equal(flat[:6], engagement.relative_derivatives(eng, accel_p, evader))
     assert tuple(flat[6:8]) == engagement.velocity_angle_derivatives(
         a_theta, a_psi, scenario.cfg, eng.theta_v)
+
+
+def _step_outcome(step):
+    # A step's next state as packed floats, or its error's type and text.
+    try:
+        return array("d", step()).tobytes()
+    except (GuardError, SingularityError) as exc:
+        return type(exc), str(exc)
+
+
+@given(y=IN_ENVELOPE, t=st.floats(0.0, 20.0), dt=st.floats(1e-4, 0.1),
+       control_update=st.sampled_from(["hold", "substep"]),
+       plant_mode=st.sampled_from(["trig", "linear"]), quiet=st.booleans())
+# A step so long that the stage states overflow and leave the envelope.
+@example(y=make_initial(), t=0.0, dt=1e300, control_update="hold", plant_mode="trig", quiet=True)
+@example(y=make_initial(), t=0.0, dt=1e300, control_update="substep", plant_mode="trig",
+         quiet=False)
+def test_written_out_step_matches_tableau(y, t, dt, control_update, plant_mode, quiet):
+    # The loop's written-out step equals the generic tableau over evaluate
+    # bit for bit, at random states inside the envelope, in hold mode (the
+    # law's fins of y) and substep mode, and raises the same error.
+    scenario = make_scenario(plant_mode=plant_mode, dt=dt, **({} if quiet else _SIGNALS))
+    k, y, signals = Kernel(scenario), list(y), scenario.signals
+    try:
+        k1, (fins, *_) = sim.evaluate(k, signals(t), y)
+    except SingularityError:  # the law fails at y: step with fixed fins
+        fins = (0.01, -0.02, 0.03)
+        k1 = sim.evaluate(k, signals(t), y, fins)[0]
+    held = fins if control_update == "hold" else None
+    outcome = _step_outcome(lambda: sim._step(k, signals, y, t, dt, k1, held))
+    assert outcome == _step_outcome(lambda: sim._rk4(
+        lambda u, yy: sim.evaluate(k, u, yy, held)[0], signals, y, t, dt, k1))
+    if dt == 1e300:
+        assert outcome[0] is GuardError
+
+
+def test_written_out_step_reports_a_non_finite_state(monkeypatch):
+    # Stage derivatives that overflow the combined state: the tableau's
+    # finite check, with its message.
+    monkeypatch.setattr(sim, "evaluate", lambda k, u, y, fins: ([1e308] * 15, None))
+    scenario = make_scenario()
+    k, y, k1 = Kernel(scenario), list(scenario.initial), [1e308] * 15
+    outcome = _step_outcome(lambda: sim._step(k, scenario.signals, y, 0.5, 1.0, k1, None))
+    assert outcome == (GuardError, "non-finite state produced by integrator step at t=0.5")
+    assert outcome == _step_outcome(lambda: sim._rk4(
+        lambda u, yy: sim.evaluate(k, u, yy, None)[0], scenario.signals, y, 0.5, 1.0, k1))
 
 
 @pytest.mark.parametrize("plant_mode", ["trig", "linear"])
@@ -536,16 +578,22 @@ def _array_rk4(deriv, y, t, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@pytest.mark.parametrize("name, control_update", [
-    ("nominal.cfg", "hold"), ("weave_disturbed.cfg", "hold"), ("weave_disturbed.cfg", "substep"),
+@pytest.mark.parametrize("name, control_update, delta_max", [
+    pytest.param(name, update, None, id=f"{name}-{update}")
+    for name, update in (("nominal.cfg", "hold"), ("nominal.cfg", "substep"),
+                         ("weave_disturbed.cfg", "hold"), ("weave_disturbed.cfg", "substep"))
+] + [
+    pytest.param("weave_disturbed.cfg", update, 1e-3, id=f"weave_disturbed.cfg-{update}-delta_max")
+    for update in ("hold", "substep")
 ])
-def test_loop_tableau_matches_array_rk4(name, control_update):
+def test_loop_tableau_matches_array_rk4(name, control_update, delta_max):
     # Replay each logged step through the public array RK4 and through the
     # array tableau above, with the fins the loop logged held (or the law
     # re-evaluated in substep mode): both land on the next logged state bit
     # for bit.
     shipped = parse_scenario(SCENARIO_DIR / name)
-    scenario = replace(shipped, t_max=200 * shipped.dt, control_update=control_update)
+    scenario = replace(shipped, t_max=200 * shipped.dt, control_update=control_update,
+                       delta_max=delta_max)
     log, _ = run(scenario)
     assert len(log) == 201
     k = Kernel(scenario)
@@ -600,7 +648,8 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
     # own, then those of k2, k3 and k4), and the last logged state is
     # evaluated once more.  Each evaluation checks the envelope once, and
     # Scenario.validate checks the initial state.  The piecewise helpers
-    # that evaluate composes are off the run path.
+    # that evaluate composes, the generic tableau and the law's stage
+    # functions are off the run path.
     calls = Counter()
 
     def count(module, name):
@@ -612,8 +661,10 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
 
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((sim, "evaluate"), (sim, "check_envelope"), (igc, "state_terms"),
-                         (frames, "los_rows"), (airframe, "mixer")):
+    unused = ((igc, "state_terms"), (frames, "los_rows"), (airframe, "mixer"), (sim, "_rk4"),
+              (engagement, "guidance_map"), (igc, "guidance_stage"), (igc, "attitude_stage"),
+              (igc, "fin_stage"))
+    for module, name in ((sim, "evaluate"), (sim, "check_envelope"), *unused):
         count(module, name)
     shipped = parse_scenario(SCENARIO_DIR / "weave_disturbed.cfg")
     for steps in (10, 30):
@@ -623,4 +674,4 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
         assert summary.outcome == "timeout" and len(log) == steps + 1
         evaluations = 4 * steps + 1
         assert calls == {"evaluate": evaluations, "check_envelope": evaluations + 1}
-        assert calls["state_terms"] == calls["los_rows"] == calls["mixer"] == 0
+        assert [calls[name] for _, name in unused] == [0] * len(unused)
