@@ -435,6 +435,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check_gains(args) -> int:
+    for flag, value in (("--g0-norm", args.g0_norm), ("--g1-norm", args.g1_norm),
+                        ("--gamma0y", args.gamma0y), ("--gamma2y", args.gamma2y)):
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ScenarioError(f"{flag}: must be finite and >= 0, got {value!r}")
     scenario = parse_scenario(args.scenario)
     g0_norm = args.g0_norm if args.g0_norm is not None else \
         analysis.worst_case_g0_norm(scenario.cfg, scenario.r_min)

@@ -194,68 +194,21 @@ def law(k: LawConstants, y, terms=None):
     fins are clamped to it and ``saturated`` flags the clamp.  ``terms`` is
     :func:`state_terms` of ``y`` where the caller has already computed it.
 
-    One body: it writes out, term for term and in their operation order,
-    :func:`engagement.guidance_map`, :func:`guidance_stage`,
-    :func:`attitude_stage`, :func:`fin_stage` and :func:`airframe.clamp`,
-    which stay the reference decomposition it equals bit for bit; their
-    gates raise the same errors here.
+    The composition :func:`engagement.guidance_map` -> :func:`guidance_stage`
+    -> :func:`attitude_stage` -> :func:`fin_stage` -> :func:`airframe.clamp`;
+    each stage's gate raises its own error.
     """
     r, vr, _, _, x01, x02, _, _, gamma, alpha, beta, wx, wy, wz, _ = y
     rows, g1, f1, f2 = state_terms(k, y) if terms is None else terms
-    # engagement.guidance_map: g0 = (a, b, c, d), row-major
-    n00, n01, n10, n11 = rows[4], rows[5], rows[7], rows[8]
-    if abs(n00 * n11 - n01 * n10) < engagement.GEOMETRY_SINGULARITY:
-        engagement.guidance_map(k, r, rows)  # raises the geometry's SingularityError
-    scale = k.mass * r
-    a, b = -(n00 * k.lift_gain) / scale, -(n01 * k.side_gain) / scale
-    c, d = -(n10 * k.lift_gain) / scale, -(n11 * k.side_gain) / scale
-    # guidance_stage
-    det = a * d - b * c
-    if det == 0.0:
-        raise _singular("guidance")
-    cond_g0 = _gate("guidance", (a * a + b * b + c * c + d * d) / abs(det))
-    c0, s = k.c0, -2.0 * vr / r
-    v0, v1 = -(s * x01) - c0 * x01, -(s * x02) - c0 * x02
-    alpha_cmd, beta_cmd = (d * v0 - b * v1) / det, (a * v1 - c * v0) / det
-    # attitude_stage, on the attitude command (0, alpha_cmd, beta_cmd)
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = g1
-    a00 = m11 * m22 - m12 * m21
-    a01 = m12 * m20 - m10 * m22
-    a02 = m10 * m21 - m11 * m20
-    a10 = m02 * m21 - m01 * m22
-    a11 = m00 * m22 - m02 * m20
-    a12 = m01 * m20 - m00 * m21
-    a20 = m01 * m12 - m02 * m11
-    a21 = m02 * m10 - m00 * m12
-    a22 = m00 * m11 - m01 * m10
-    det = m00 * a00 + m01 * a01 + m02 * a02
-    if det == 0.0:
-        raise _singular("rate")
-    norm_g = (m00 * m00 + m01 * m01 + m02 * m02 + m10 * m10 + m11 * m11
-              + m12 * m12 + m20 * m20 + m21 * m21 + m22 * m22)
-    norm_adj = (a00 * a00 + a01 * a01 + a02 * a02 + a10 * a10 + a11 * a11
-                + a12 * a12 + a20 * a20 + a21 * a21 + a22 * a22)
-    cond_g1 = _gate("rate", math.sqrt(norm_g * norm_adj) / abs(det))
-    c1, (f10, f11, f12) = k.c1, f1
-    v0 = -f10 - c1 * (gamma - 0.0)
-    v1 = -f11 - c1 * (alpha - alpha_cmd)
-    v2 = -f12 - c1 * (beta - beta_cmd)
-    wx_cmd = (a00 * v0 + a10 * v1 + a20 * v2) / det
-    wy_cmd = (a01 * v0 + a11 * v1 + a21 * v2) / det
-    wz_cmd = (a02 * v0 + a12 * v1 + a22 * v2) / det
-    # fin_stage
-    ix, iy, iz = k.fin_inv or fin_inverse(k.fin_gain)
-    c2, (f20, f21, f22) = k.c2, f2
-    fins = (ix * (-f20 - c2 * (wx - wx_cmd)),
-            iy * (-f21 - c2 * (wy - wy_cmd)),
-            iz * (-f22 - c2 * (wz - wz_cmd)))
+    g0 = engagement.guidance_map(k, r, rows)
+    alpha_cmd, beta_cmd, cond_g0 = guidance_stage(k.c0, r, vr, x01, x02, g0)
+    wx_cmd, wy_cmd, wz_cmd, cond_g1 = attitude_stage(
+        k.c1, (gamma, alpha, beta), (0.0, alpha_cmd, beta_cmd), g1, f1)
+    x2_cmd = (wx_cmd, wy_cmd, wz_cmd)
+    fins = fin_stage(k.c2, (wx, wy, wz), x2_cmd, f2, k.fin_inv or fin_inverse(k.fin_gain))
     saturated = False
-    limit = k.delta_max
-    if limit is not None:  # airframe.clamp
-        dx, dy, dz = fins
-        clamped = (min(max(dx, -limit), limit),
-                   min(max(dy, -limit), limit),
-                   min(max(dz, -limit), limit))
+    if k.delta_max is not None:
+        clamped = airframe.clamp(fins, k.delta_max)
         saturated = clamped != fins
         fins = clamped
-    return fins, (alpha_cmd, beta_cmd), (wx_cmd, wy_cmd, wz_cmd), saturated, cond_g0, cond_g1
+    return fins, (alpha_cmd, beta_cmd), x2_cmd, saturated, cond_g0, cond_g1

@@ -73,8 +73,8 @@ class Scenario:
             check_envelope(self.initial)
         except GuardError as exc:
             raise ValueError(f"initial: {exc}") from None
-        if not self.dt > 0.0:
-            raise ValueError(f"sim.dt: must be > 0, got {self.dt!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"sim.dt: must be finite and > 0, got {self.dt!r}")
         if not self.t_max >= 0.0:
             raise ValueError(f"sim.t_max: must be >= 0, got {self.t_max!r}")
         if not self.r_intercept > 0.0:
@@ -412,14 +412,6 @@ def _step(k: Kernel, signals, y, t: float, dt: float, k1: list[float], held) -> 
                          y14 + w * (((a14 + 2.0 * b14) + 2.0 * c14) + d14)], t)
 
 
-def derivative(k: Kernel, u: tuple, y, fins=None) -> list[float]:
-    """Derivative of the 15-state closed loop as a list of floats, under the
-    exogenous inputs ``u`` (:meth:`Scenario.signals` at the time).  With
-    ``fins`` (a float triple) the control is held; otherwise the cascade is
-    evaluated at ``y``.  The derivative of :func:`evaluate`."""
-    return evaluate(k, u, y, fins)[0]
-
-
 def _miss_distance(log: SimLog) -> float:
     """Final range, refined by linear interpolation across the last step
     when the range rate changed sign inside it."""
@@ -446,12 +438,6 @@ def inputs(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, ...]:
     return out[:, 0:3], out[:, 3:6], out[:, 6], out[:, 7], out[:, 8:11]
 
 
-def _pass_rows(on_block, logged: array, start: int, stop: int) -> None:
-    # The view is released on return: `logged` cannot grow while one is alive.
-    with memoryview(logged) as table, table[start * LOG_WIDTH:stop * LOG_WIDTH] as rows:
-        on_block(rows)
-
-
 def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
     """Integrate the closed loop until intercept, miss, guard breach, or timeout:
     ``t_max`` reached, or MAX_STEPS steps logged, which the summary's message
@@ -459,8 +445,8 @@ def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
 
     ``on_block``, if given, is called with each completed LOG_BLOCK rows of
     the step table as they are logged, then with the remaining rows at the
-    end: a memoryview of the rows' floats, back to back, valid only during
-    the call.  An exception it raises ends the run and propagates."""
+    end: an ``array('d')`` of the rows' floats, back to back.  An exception
+    it raises ends the run and propagates."""
     scenario.validate()
     dt = scenario.dt
     r0 = scenario.initial[0]
@@ -489,7 +475,7 @@ def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
             logged.fromlist([t, *y, *fins, *x1_sharp, *x2_cmd, saturated])  # _LOG_LAYOUT order
             n += 1
             if n == block_end:
-                _pass_rows(on_block, logged, n - LOG_BLOCK, n)
+                on_block(logged[(n - LOG_BLOCK) * LOG_WIDTH:])
                 block_end += LOG_BLOCK
 
             r, vr = y[0], y[1]
@@ -508,7 +494,7 @@ def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
 
     if on_block is not None and n % LOG_BLOCK:
-        _pass_rows(on_block, logged, n - n % LOG_BLOCK, n)
+        on_block(logged[(n - n % LOG_BLOCK) * LOG_WIDTH:])
     log = SimLog(np.frombuffer(logged, dtype=float).reshape(n, LOG_WIDTH))
     if len(log) > 0:
         post_transient = log.t >= 0.8 * log.t[-1]  # the final 20% of the flight

@@ -94,6 +94,7 @@ def test_parse_rejects_non_numeric_value(tmp_path):
     (NOMINAL, NOMINAL.read_text()[NOMINAL.read_text().index("[sim]"):], "",
      "missing required section [sim]"),
     (NOMINAL, "dt = 0.001\n", "", "missing required key(s) in [sim]: dt"),
+    (NOMINAL, "dt = 0.001", "dt = 1e999", "sim.dt: must be finite and > 0, got inf"),
     (NOMINAL, "r = 4000.0", "r = -1.0", "initial: range -1 must be positive"),
     (NOMINAL, "beta = -0.02", "beta = 1.3", "initial: sideslip 1.3 breached guard 1.2"),
     (NOMINAL, "pitch = 0.26", "pitch = 1.6", "initial: pitch 1.6 breached guard 1.2"),
@@ -108,8 +109,8 @@ def test_parse_rejects_non_numeric_value(tmp_path):
     (WEAVE, "frequency = 1.0", "frequency = 1e308",
      "evader.frequency: frequency * (t_max + dt) + phase must be finite, "
      "got frequency=1e+308, phase=0.0, t_max=8.0"),
-], ids=["no-sim", "no-dt", "range", "beta", "pitch", "plant-mode", "evader-kind",
-        "signal-kind", "amplitude", "signal-phase"])
+], ids=["no-sim", "no-dt", "infinite-dt", "range", "beta", "pitch", "plant-mode",
+        "evader-kind", "signal-kind", "amplitude", "signal-phase"])
 def test_parse_error_names_section_and_key(tmp_path, capsys, source, old, new, message):
     path = write_variant(tmp_path, "variant.cfg", {old: new}, source)
     with pytest.raises(ScenarioError) as info:
@@ -504,6 +505,19 @@ def test_cmd_check_gains_tiny_delta(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "overall: PASS" in captured.out
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+@pytest.mark.parametrize("flag", ["--g0-norm", "--g1-norm", "--gamma0y", "--gamma2y"])
+def test_cmd_check_gains_rejects_bad_flag(capsys, flag, value):
+    # A negative or non-finite gain or norm is an input error naming its
+    # flag, not a certificate.
+    code = main(["check-gains", str(NOMINAL), "--gamma0y", "1.0", "--gamma2y", "2.0",
+                 flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {flag}: must be finite and >= 0, got {float(value)!r}\n"
+    assert captured.out == ""
 
 
 def test_cmd_check_gains_failing(tmp_path, capsys):

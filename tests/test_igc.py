@@ -264,8 +264,8 @@ def _composed_law(k, y):
 # A roll fin moment too weak for the fin map's gate.
 @example(y=make_state(), delta_max=None, roll_moment_fin=-1e-7)
 def test_law_equals_stage_composition(y, delta_max, roll_moment_fin):
-    # The one-body law equals the stage composition bit for bit, and a
-    # failing gate raises the same stage, condition and message.
+    # The law equals the stage composition bit for bit, and a failing gate
+    # raises the same stage, condition and message.
     k = LawConstants(make_cfg(roll_moment_fin=roll_moment_fin), make_gains(),
                      delta_max=delta_max)
     y = list(y)

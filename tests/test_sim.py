@@ -25,7 +25,6 @@ from igcsim.sim import (
     STATE_FIELDS,
     Kernel,
     check_envelope,
-    derivative,
     inputs,
     rk4_step,
     run,
@@ -77,7 +76,7 @@ def test_closed_loop_derivative_quiescent():
     scenario = make_scenario(
         initial=make_initial(x01=0.0, x02=0.0, alpha=0.0, beta=0.0,
                              gamma=0.0, pitch=0.0))
-    deriv = derivative(Kernel(scenario), scenario.signals(0.0), list(scenario.initial))
+    deriv = sim.evaluate(Kernel(scenario), scenario.signals(0.0), list(scenario.initial))[0]
     expected = np.zeros(15)
     expected[0] = scenario.initial[1]
     assert np.allclose(deriv, expected, atol=1e-15)
@@ -135,7 +134,6 @@ def test_closed_loop_derivative_composition(y, t, plant_mode, delta_max, held, q
     assert flat_law == (None if held else law_out)
     reference = _composed_evaluation(k, u, y, fins)
     assert array("d", flat).tobytes() == array("d", reference).tobytes()
-    assert derivative(k, u, y, fins) == flat
 
     _, g1, f1, f2 = igc.state_terms(k, y)
     rate, accel, lift, side, evader = u
@@ -214,7 +212,7 @@ def test_evaluation_takes_each_angles_trig_once(monkeypatch, plant_mode, held):
             return fn(x)
 
         monkeypatch.setattr(math, name, counted)
-    derivative(k, u, y, fins)
+    sim.evaluate(k, u, y, fins)
     assert calls == {"sin": 7, "cos": 7, "tan": 1}
 
 
@@ -280,7 +278,7 @@ def test_envelope_guard(field, value, message):
     with pytest.raises(GuardError) as alone:
         check_envelope(y)
     with pytest.raises(GuardError) as in_derivative:
-        derivative(Kernel(scenario), scenario.signals(0.0), y, (0.0, 0.0, 0.0))
+        sim.evaluate(Kernel(scenario), scenario.signals(0.0), y, (0.0, 0.0, 0.0))
     assert str(alone.value) == str(in_derivative.value) == message
 
 
@@ -601,7 +599,7 @@ def test_loop_tableau_matches_array_rk4(name, control_update, delta_max):
         held = tuple(log.fins[n].tolist()) if control_update == "hold" else None
 
         def deriv(t, y):
-            return np.array(derivative(k, scenario.signals(t), y.tolist(), held))
+            return np.array(sim.evaluate(k, scenario.signals(t), y.tolist(), held)[0])
 
         t, y = float(log.t[n]), log.states[n]
         assert np.array_equal(rk4_step(deriv, y, t, scenario.dt), log.states[n + 1]), n
@@ -647,9 +645,11 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
     # state is also its first stage, so a step evaluates four states (its
     # own, then those of k2, k3 and k4), and the last logged state is
     # evaluated once more.  Each evaluation checks the envelope once, and
-    # Scenario.validate checks the initial state.  The piecewise helpers
-    # that evaluate composes, the generic tableau and the law's stage
-    # functions are off the run path.
+    # Scenario.validate checks the initial state.  The law is its stage
+    # functions, so each runs once per law evaluation: once a step in hold
+    # mode, once per RK4 stage in substep mode, and once for the last logged
+    # state.  The piecewise helpers that evaluate composes and the generic
+    # tableau are off the run path.
     calls = Counter()
 
     def count(module, name):
@@ -661,10 +661,10 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
 
         monkeypatch.setattr(module, name, counted)
 
-    unused = ((igc, "state_terms"), (frames, "los_rows"), (airframe, "mixer"), (sim, "_rk4"),
-              (engagement, "guidance_map"), (igc, "guidance_stage"), (igc, "attitude_stage"),
+    unused = ((igc, "state_terms"), (frames, "los_rows"), (airframe, "mixer"), (sim, "_rk4"))
+    stages = ((engagement, "guidance_map"), (igc, "guidance_stage"), (igc, "attitude_stage"),
               (igc, "fin_stage"))
-    for module, name in ((sim, "evaluate"), (sim, "check_envelope"), *unused):
+    for module, name in ((sim, "evaluate"), (sim, "check_envelope"), *unused, *stages):
         count(module, name)
     shipped = parse_scenario(SCENARIO_DIR / "weave_disturbed.cfg")
     for steps in (10, 30):
@@ -673,5 +673,7 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
                                    control_update=control_update))
         assert summary.outcome == "timeout" and len(log) == steps + 1
         evaluations = 4 * steps + 1
-        assert calls == {"evaluate": evaluations, "check_envelope": evaluations + 1}
+        law_evaluations = steps + 1 if control_update == "hold" else evaluations
+        assert calls == {"evaluate": evaluations, "check_envelope": evaluations + 1,
+                         **{name: law_evaluations for _, name in stages}}
         assert [calls[name] for _, name in unused] == [0] * len(unused)
