@@ -141,16 +141,18 @@ def attitude_drift(k: AeroConstants, alpha: float, beta: float) -> tuple[float, 
     return 0.0, -lift / (k.mv * math.cos(beta)), side / k.mv
 
 
-def mixer(gamma: float, alpha: float, beta: float, pitch: float) -> tuple[float, ...]:
+def mixer(gamma, alpha, beta, pitch, trig=math) -> tuple:
     """Body-rate-to-attitude-rate mixing matrix g1 as nine floats, row-major.
 
     Invertible throughout a reasonable flight domain; its determinant is -1
-    exactly at zero angles.  The tangents are taken as sin/cos.
+    exactly at zero angles.  The tangents are taken as sin/cos.  ``trig`` is
+    anything with ``sin`` and ``cos``: with ``numpy``, the angles may be
+    arrays, and each entry but the constants 1 and 0 is then an array.
     """
-    tp = math.sin(pitch) / math.cos(pitch)
-    tb = math.sin(beta) / math.cos(beta)
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    return (1.0, -tp * math.cos(gamma), tp * math.sin(gamma),
+    tp = trig.sin(pitch) / trig.cos(pitch)
+    tb = trig.sin(beta) / trig.cos(beta)
+    sa, ca = trig.sin(alpha), trig.cos(alpha)
+    return (1.0, -tp * trig.cos(gamma), tp * trig.sin(gamma),
             -tb * ca, sa * tb, 1.0,
             sa, ca, 0.0)
 

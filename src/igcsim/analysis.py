@@ -20,7 +20,6 @@ and therefore sound as a test.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -32,6 +31,10 @@ from .engagement import DisturbanceModel, EvaderModel, VectorSignal
 from .igc import Gains
 
 DEFAULT_SLACK = 0.05
+
+# Half-width [rad] of the attack, sideslip and pitch ranges over which
+# worst_case_g1_norm scans the mixer.
+G1_SCAN_ANGLE = 0.3
 
 # The central differences of the command derivatives need three samples.
 MIN_AUDIT_SAMPLES = 3
@@ -130,14 +133,15 @@ def worst_case_g0_norm(cfg: AeroConfig, r_m: float) -> float:
 def worst_case_g1_norm() -> float:
     """Grid-scan bound on the rate mixing-matrix norm over the flight domain.
 
-    Scans attack, sideslip, and pitch over [-0.3, 0.3] on 9 points and the
-    roll angle over a full turn on 18.
+    Scans attack, sideslip, and pitch over [-G1_SCAN_ANGLE, G1_SCAN_ANGLE]
+    on 9 points and the roll angle over a full turn on 18.
     """
-    angles = np.linspace(-0.3, 0.3, 9).tolist()
-    rolls = np.linspace(-math.pi, math.pi, 18).tolist()
-    blocks = [airframe.mixer(gamma, alpha, beta, pitch)
-              for pitch in angles for alpha in angles for beta in angles for gamma in rolls]
-    return float(np.linalg.norm(np.reshape(blocks, (-1, 3, 3)), 2, axis=(-2, -1)).max())
+    angles = np.linspace(-G1_SCAN_ANGLE, G1_SCAN_ANGLE, 9)
+    rolls = np.linspace(-math.pi, math.pi, 18)
+    pitch, alpha, beta, gamma = np.meshgrid(angles, angles, angles, rolls, indexing="ij")
+    entries = np.broadcast_arrays(*airframe.mixer(gamma, alpha, beta, pitch, trig=np))
+    blocks = np.stack(entries, axis=-1).reshape(-1, 3, 3)
+    return float(np.linalg.norm(blocks, 2, axis=(-2, -1)).max())
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,7 @@ class GainCertificate:
     g1_norm: float
     gamma_0y_est: float | None = None
     gamma_2y_est: float | None = None
+    g1_scanned: bool = False  # g1_norm is worst_case_g1_norm's, not supplied
 
     @property
     def attitude_loop_product(self) -> float | None:
@@ -178,9 +183,12 @@ class GainCertificate:
         return all(p < 1.0 for p in products)
 
     def render(self) -> str:
+        g1_source = (f"scanned over |attack|, |sideslip|, |pitch| <= {G1_SCAN_ANGLE:g} rad "
+                     "and a full roll turn") if self.g1_scanned else "supplied, not scanned"
         lines = [
             "small-gain certificate",
             f"  |g0| bound: {self.g0_norm:.6g}   |g1| bound: {self.g1_norm:.6g}",
+            f"  |g1| bound {g1_source}",
             f"  explicit  gamma_1y = gamma_1u = {self.gamma_1y:.12g}",
             f"  explicit  gamma_3y = gamma_3u = {self.gamma_3y:.12g}",
         ]
@@ -203,7 +211,8 @@ class GainCertificate:
 
 def build_certificate(gains: Gains, g0_norm: float, g1_norm: float,
                       gamma_0y_est: float | None = None,
-                      gamma_2y_est: float | None = None) -> GainCertificate:
+                      gamma_2y_est: float | None = None,
+                      g1_scanned: bool = False) -> GainCertificate:
     g1y, _, g3y, _ = linear_gains(gains, g0_norm, g1_norm)
     return GainCertificate(
         gamma_1y=g1y.coefficient,
@@ -212,6 +221,7 @@ def build_certificate(gains: Gains, g0_norm: float, g1_norm: float,
         g1_norm=g1_norm,
         gamma_0y_est=gamma_0y_est,
         gamma_2y_est=gamma_2y_est,
+        g1_scanned=g1_scanned,
     )
 
 
@@ -228,6 +238,20 @@ def _running_sup(norms: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(norms)
 
 
+def _matvec(m, v) -> list:
+    """The matrix ``m`` (row-major entries) times the vector ``v``, where an
+    entry of either is a log column or a constant: one column per entry of
+    the product, its terms summed in order."""
+    w = len(v)
+    return [sum((m[i * w + j] * v[j] for j in range(1, w)), m[i * w] * v[0]) for i in range(w)]
+
+
+def _norm(*components) -> np.ndarray:
+    """Euclidean norm of the vector whose components are the given columns,
+    summed in order as ``np.linalg.norm(..., axis=-1)`` sums a row."""
+    return np.sqrt(sum((c * c for c in components[1:]), components[0] * components[0]))
+
+
 def bound_audit(log: sim.SimLog, scenario: sim.Scenario, slack: float = DEFAULT_SLACK
                 ) -> tuple[tuple[BoundTrace, ...], int]:
     """Channelwise envelope audit of the log of a run of ``scenario``, whose
@@ -237,9 +261,10 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario, slack: float = DEFAULT_
     the total violation count; a sample violates when measured exceeds
     bound * (1 + slack).  Command derivatives are estimated by central
     finite differences, so the default slack covers the discretization and
-    integration error of a smooth run.  The input maps are the law's own at
-    each logged state, so a state where the guidance map is singular, which
-    no run logs, raises SingularityError.
+    integration error of a smooth run.  The input maps are the law's own
+    helpers, called once over the log's columns, so a state where the
+    guidance map is singular, which no run logs, raises the law's
+    SingularityError for the first such state.
     """
     t = log.t
     n = t.shape[0]
@@ -253,41 +278,42 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario, slack: float = DEFAULT_
     gains, cfg, r_min = scenario.gains, scenario.cfg, scenario.r_min
     rate, accel, lift, side, evader = sim.inputs(scenario, t)
 
-    # The channels' input maps at every sample, replayed through the law's
-    # functions row by row into flat float arrays: lists of the whole log's
-    # floats would raise the peak memory of a run by a fifth.
+    # The channels' input maps at every sample, each entry a column.  Each
+    # column is dropped once used: the audit's transient memory sets the peak
+    # memory of `igcsim run --audit`.
     k = airframe.AeroConstants(cfg)
-    proj, g0, g1 = array("d"), array("d"), array("d")
-    for y in log.states:
-        r, _, theta_l, phi_l, _, _, theta_v, psi_v, gamma, alpha, beta, _, _, _, pitch = y.tolist()
-        m = frames.los_rows(theta_l, phi_l, theta_v, psi_v)
-        proj.extend((m[4], m[5], m[7], m[8]))
-        g0.extend(engagement.guidance_map(k, r, m))
-        g1.extend(airframe.mixer(gamma, alpha, beta, pitch))
-    proj, g0, g1 = (np.frombuffer(a, dtype=float).reshape(n, w, w)
-                    for a, w in ((proj, 2), (g0, 2), (g1, 3)))
+    m = frames.los_rows(log.theta_l, log.phi_l, log.theta_v, log.psi_v, trig=np)
+    singular = np.abs(engagement.projection_det(m)) < engagement.GEOMETRY_SINGULARITY
+    if singular.any():
+        i = int(singular.argmax())
+        # The law's gate raises its own error on the first singular sample.
+        engagement.guidance_map(k, float(log.r[i]), [float(c[i]) for c in m])
+    g0 = engagement.guidance_entries(k, log.r, m)
 
     # Guidance channel: disturbance is (evader + force uncertainty)/r plus
     # the attitude tracking error mapped through the input matrix.
     x0_norm = log.x0_norm
-    d_force = np.stack([lift, side], axis=-1) / cfg.mass
-    d0 = -np.einsum("nij,nj->ni", proj, d_force) + evader[:, 1:3]
-    y1 = np.einsum("nij,nj->ni", g0, log.eta1[:, 1:])
+    _, p0, p1 = frames.los_accel(m, 0.0, lift / cfg.mass, side / cfg.mass)
+    d0_norm = _norm(-p0 + evader[:, 1], -p1 + evader[:, 2])
+    del m, singular, p0, p1
+    y1_norm = _norm(*_matvec(g0, (log.alpha - log.alpha_cmd, log.beta - log.beta_cmd)))
+    del g0
     # Keep the 1/r scaling sound even if the final sample dips below r_min.
     r_floor = min(r_min, float(log.r.min()))
     bound_x0 = x0_bound(t, float(x0_norm[0]), gains, r_floor,
-                        _running_sup(np.linalg.norm(d0, axis=-1)),
-                        _running_sup(np.linalg.norm(y1, axis=-1)))
+                        _running_sup(d0_norm), _running_sup(y1_norm))
 
     # Attitude channel: disturbance is the rate noise, the command
     # derivative, and the rate tracking error mapped through the mixer.
     eta1_norm = log.eta1_norm
     y0 = -_central_differences(log.x1_cmd, dt)
-    y3 = np.einsum("nij,nj->ni", g1, log.eta2)
+    g1 = airframe.mixer(log.gamma, log.alpha, log.beta, log.pitch, trig=np)
+    y3_norm = _norm(*_matvec(g1, log.eta2.T))
+    del g1
     combined1 = (
         _running_sup(np.linalg.norm(rate, axis=-1))
         + _running_sup(np.linalg.norm(y0, axis=-1))
-        + _running_sup(np.linalg.norm(y3, axis=-1))
+        + _running_sup(y3_norm)
     )
     bound_eta1 = theorem2_bound(t, float(eta1_norm[0]), gains.k1, gains.delta1, combined1)
 

@@ -442,11 +442,11 @@ def cmd_check_gains(args) -> int:
     scenario = parse_scenario(args.scenario)
     g0_norm = args.g0_norm if args.g0_norm is not None else \
         analysis.worst_case_g0_norm(scenario.cfg, scenario.r_min)
-    g1_norm = args.g1_norm if args.g1_norm is not None else \
-        analysis.worst_case_g1_norm()
+    g1_scanned = args.g1_norm is None
+    g1_norm = analysis.worst_case_g1_norm() if g1_scanned else args.g1_norm
     certificate = analysis.build_certificate(
         scenario.gains, g0_norm, g1_norm,
-        gamma_0y_est=args.gamma0y, gamma_2y_est=args.gamma2y)
+        gamma_0y_est=args.gamma0y, gamma_2y_est=args.gamma2y, g1_scanned=g1_scanned)
     print(certificate.render())
     if certificate.passed is None:
         return 3

@@ -154,22 +154,32 @@ def los_rate_drift(r, vr, theta_l, x01, x02) -> tuple[float, float]:
     return -two_vr_r * x01 - x02 * x02 * tl, -two_vr_r * x02 + x01 * x02 * tl
 
 
+def projection_det(m):
+    """Determinant of the 2x2 projection block of the nine :func:`frames.los_rows`
+    ``m``; its magnitude equals |cos(LOS, velocity)|.  ``m`` may hold columns."""
+    return m[4] * m[8] - m[5] * m[7]
+
+
+def guidance_entries(k: AeroConstants, r, m) -> tuple:
+    """The four entries of :func:`guidance_map`, row-major, without its gate:
+    ``r`` and the entries of ``m`` may be floats or log columns."""
+    scale = k.mass * r
+    return (-(m[4] * k.lift_gain) / scale, -(m[5] * k.side_gain) / scale,
+            -(m[7] * k.lift_gain) / scale, -(m[8] * k.side_gain) / scale)
+
+
 def guidance_map(k: AeroConstants, r, m) -> tuple[float, float, float, float]:
     """Input map g0 from (attack, sideslip) to the LOS-rate derivatives as four
     floats, row-major, built from the small-angle force model at range ``r``
     and the nine :func:`frames.los_rows` ``m`` of the geometry; singular when
     the pursuer velocity is orthogonal to the LOS."""
-    m00, m01, m10, m11 = m[4], m[5], m[7], m[8]
-    # |det| of the projection equals |cos(LOS, velocity)|.
-    det_m = m00 * m11 - m01 * m10
+    det_m = projection_det(m)
     if abs(det_m) < GEOMETRY_SINGULARITY:
         raise SingularityError(
             "guidance", math.inf,
             f"guidance: velocity orthogonal to LOS (|cos| = {abs(det_m):.3g})",
         )
-    scale = k.mass * r
-    return (-(m00 * k.lift_gain) / scale, -(m01 * k.side_gain) / scale,
-            -(m10 * k.lift_gain) / scale, -(m11 * k.side_gain) / scale)
+    return guidance_entries(k, r, m)
 
 
 def relative_rates(r, vr, theta_l, x01, x02, accel_pursuer, accel_evader

@@ -60,19 +60,20 @@ def los_dcm(angles: LosAngles) -> np.ndarray:
     return _axis_rotation(angles.phi_l - math.pi / 2, angles.theta_l)
 
 
-def los_rows(theta_l: float, phi_l: float, theta_v: float, psi_v: float
-             ) -> tuple[float, ...]:
+def los_rows(theta_l, phi_l, theta_v, psi_v, trig=math) -> tuple:
     """Velocity-to-LOS acceleration map as nine floats, row-major.
 
     The closed form of ``los_dcm @ velocity_dcm.T`` with its azimuth row
     negated.  Rows are the radial, elevation and azimuth channels; columns
     the velocity-frame axes (a_v, a_theta, a_psi).  The lower-right 2x2 block
-    is :func:`projection_matrix`.
+    is :func:`projection_matrix`.  ``trig`` is anything with ``sin`` and
+    ``cos``: with ``numpy``, the angles may be whole log columns, and each of
+    the nine entries is then a column.
     """
-    stl, ctl = math.sin(theta_l), math.cos(theta_l)
-    stv, ctv = math.sin(theta_v), math.cos(theta_v)
+    stl, ctl = trig.sin(theta_l), trig.cos(theta_l)
+    stv, ctv = trig.sin(theta_v), trig.cos(theta_v)
     d = phi_l - psi_v
-    sd, cd = math.sin(d), math.cos(d)
+    sd, cd = trig.sin(d), trig.cos(d)
     return (stl * stv + ctl * ctv * sd, stl * ctv - ctl * stv * sd, ctl * cd,
             ctl * stv - stl * ctv * sd, stl * stv * sd + ctl * ctv, -stl * cd,
             ctv * cd, -stv * cd, -sd)

@@ -428,13 +428,18 @@ def _miss_distance(log: SimLog) -> float:
 def inputs(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """:meth:`Scenario.signals` at the times ``t``: (rate (n, 3), accel (n, 3),
     lift (n,), side (n,), evader (n, 3)).  At a log's ``t`` these are, bit for
-    bit, the inputs the run saw at its logged steps."""
-    out = np.empty((len(t), 11))
-    # Time-invariant signals are sampled once, into every row.
-    samples = [(out, 0.0)] if scenario.time_invariant else zip(out, t.tolist())
-    for rows, ti in samples:
-        rate, accel, lift, side, evader = scenario.signals(ti)
-        rows[:] = (*rate, *accel, lift, side, *evader)
+    bit, the inputs the run saw at its logged steps.  Time-invariant signals
+    are sampled once: the five are then read-only views that repeat that one
+    sample in every row, and take no memory per row."""
+    if scenario.time_invariant:
+        rate, accel, lift, side, evader = scenario.signals(0.0)
+        out = np.broadcast_to(np.array((*rate, *accel, lift, side, *evader), dtype=float),
+                              (len(t), 11))
+    else:
+        out = np.empty((len(t), 11))
+        for row, ti in zip(out, t.tolist()):
+            rate, accel, lift, side, evader = scenario.signals(ti)
+            row[:] = (*rate, *accel, lift, side, *evader)
     return out[:, 0:3], out[:, 3:6], out[:, 6], out[:, 7], out[:, 8:11]
 
 

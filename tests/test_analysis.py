@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from igcsim import sim
+from igcsim.airframe import AeroConstants
 from igcsim.analysis import (
     LinearGain,
     bound_audit,
@@ -18,8 +20,9 @@ from igcsim.analysis import (
     x0_bound,
 )
 from igcsim.cli import parse_scenario
-from igcsim.engagement import AxisSignal, DisturbanceModel, EngagementState
+from igcsim.engagement import AxisSignal, DisturbanceModel, EngagementState, guidance_map
 from igcsim.errors import SingularityError
+from igcsim.frames import los_rows
 from igcsim.sim import LOG_WIDTH, SimLog, inputs, run
 
 from .conftest import SCENARIO_DIR, g1_matrix, make_gains, make_scenario
@@ -132,11 +135,37 @@ def test_bound_audit_rejects_nonuniform_log():
 
 def test_bound_audit_rejects_singular_geometry():
     # No run logs a state at which the guidance map is singular (the law
-    # raises there first); the audit's replay of such a log raises likewise.
-    log = _constant_log()
-    log.psi_v[:] = 0.0  # velocity orthogonal to the LOS
-    with pytest.raises(SingularityError, match="guidance: velocity orthogonal to LOS"):
-        bound_audit(log, make_scenario(r_min=100.0))
+    # raises there first); the audit of such a log raises the law's own
+    # error for the first singular sample.  Rows 3 and 7 put the velocity
+    # orthogonal to the LOS, with |cos| = 0 and 5e-10.
+    log = _constant_log(n=10)
+    log.psi_v[3] = 0.0
+    log.psi_v[7] = 5e-10
+    scenario = make_scenario(r_min=100.0)
+    r, _, theta_l, phi_l, _, _, theta_v, psi_v = log.states[3, :8].tolist()
+    with pytest.raises(SingularityError) as row3:
+        guidance_map(AeroConstants(scenario.cfg), r, los_rows(theta_l, phi_l, theta_v, psi_v))
+    with pytest.raises(SingularityError) as info:
+        bound_audit(log, scenario)
+    assert str(info.value) == str(row3.value) == "guidance: velocity orthogonal to LOS (|cos| = 0)"
+    assert (info.value.stage, info.value.condition) == ("guidance", math.inf)
+
+
+def test_bound_audit_memory_of_nominal_log():
+    # The audit calls each input map once over the log's columns: on the
+    # full nominal.cfg log (8,065 rows, a 1.6 MB table) its heap peaks at
+    # most 2.5 MB above its inputs.
+    scenario = parse_scenario(SCENARIO_DIR / "nominal.cfg")
+    log, _ = run(scenario)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bound_audit(log, scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 8065
+    assert peak - base <= 2.5e6
 
 
 def test_bound_audit_rejects_invalid_r_min():

@@ -496,6 +496,19 @@ def test_cmd_check_gains_inconclusive(capsys):
     assert "INCONCLUSIVE" in captured.out
 
 
+@pytest.mark.parametrize("flags, note", [
+    ([], "|g1| bound scanned over |attack|, |sideslip|, |pitch| <= 0.3 rad and a full roll turn"),
+    (["--g1-norm", "2.0"], "|g1| bound supplied, not scanned"),
+])
+def test_cmd_check_gains_names_g1_domain(capsys, flags, note):
+    # Both shipped runs fly past the scanned pitch, so the certificate names
+    # the scanned box next to the bound, or says the bound was supplied.
+    main(["check-gains", str(NOMINAL), *flags])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("  |g0| bound: ")
+    assert lines[2] == "  " + note
+
+
 def test_cmd_check_gains_tiny_delta(tmp_path, capsys):
     tiny = write_variant(tmp_path, "tiny.cfg",
                          {"delta1 = 0.2": "delta1 = 1e-6",

@@ -318,7 +318,8 @@ def test_log_columns_are_table_views():
 
 def test_time_invariant_signals_sampled_once(monkeypatch):
     # Constant signals are sampled once per run and per audit; the run and
-    # the inputs are bit-identical to sampling them at every time.
+    # the inputs are bit-identical to sampling them at every time.  The
+    # inputs are then read-only views of the one sample, repeated per row.
     constant = DisturbanceModel(rate=VectorSignal(kind="constant", amplitude=(0.01, -0.02, 0.03)),
                                 lift=AxisSignal(kind="constant", amplitude=5.0))
     scenario = make_scenario(disturbances=constant, t_max=0.2)
@@ -328,6 +329,8 @@ def test_time_invariant_signals_sampled_once(monkeypatch):
     assert not replace(scenario, disturbances=wavy).time_invariant
     log, _ = run(scenario)
     sampled_once = inputs(scenario, log.t)
+    for once in sampled_once:
+        assert once.strides[0] == 0 and not once.flags.writeable
     monkeypatch.setattr(sim.Scenario, "time_invariant", False)
     log_each, _ = run(scenario)
     assert np.array_equal(log.table, log_each.table)
