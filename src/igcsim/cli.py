@@ -20,6 +20,7 @@ import re
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -224,11 +225,10 @@ def write_csv_log(log: SimLog, path) -> None:
                             for start in range(0, len(log), sim.LOG_BLOCK)))
 
 
-def _run_writer(handle, rows_in: int, report_out: int):
-    """The forked CSV writer: format the step-table rows arriving on the pipe
-    ``rows_in`` into ``handle`` until the pipe closes, then end the process.
-    A failure ends it with status 1 and its text written to ``report_out``."""
-    code = 1
+def _run_writer(handle, rows_in: int, report_out: int) -> None:
+    """The body of the forked CSV writer: format the step-table rows
+    arriving on the pipe ``rows_in`` into ``handle`` until the pipe closes.
+    A failure is written to ``report_out`` as text and raised again."""
     try:
         block_bytes = sim.LOG_BLOCK * sim.LOG_WIDTH * 8
         with open(rows_in, "rb") as rows:
@@ -237,12 +237,10 @@ def _run_writer(handle, rows_in: int, report_out: int):
             _write_csv(handle, (np.frombuffer(data).reshape(-1, sim.LOG_WIDTH)
                                 for data in blocks))
         handle.close()
-        code = 0
     except Exception as exc:
         # At most what a pipe holds unread: the parent reads after the exit.
         os.write(report_out, str(exc).encode()[:4096])
-    finally:
-        os._exit(code)  # never back into the caller's stack, nor its buffers flushed
+        raise
 
 
 # Room for 20 blocks of rows in the pipe to the writer, so the steps run on
@@ -272,25 +270,10 @@ def _forked_csv_writer(path):
     However the ``with`` block ends, the pipe is then closed and the writer
     reaped; a failure of the writer is raised as OSError with its text."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        fds = []
-        try:
-            fds += os.pipe()  # rows, to the writer
-            fds += os.pipe()  # the writer's error report
-            _widen_pipe(fds[1])
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            raise
-        rows_in, rows_out, report_in, report_out = fds
-        if pid == 0:
-            os.close(rows_out)  # else the writer would never see the stream end
-            os.close(report_in)
-            _run_writer(handle, rows_in, report_out)
+        writer = sim.ChildProcess(partial(_run_writer, handle))
     # This process's copy of the handle was closed unwritten.
-    os.close(rows_in)
-    os.close(report_out)
-    rows = open(rows_out, "wb")
+    rows = writer.to_child
+    _widen_pipe(rows.fileno())
 
     def send(block) -> None:
         rows.write(block)
@@ -301,15 +284,10 @@ def _forked_csv_writer(path):
     except BrokenPipeError:
         pass  # the writer ended before the stream did: its error is raised below
     finally:
-        try:
-            rows.close()
-        except BrokenPipeError:
-            pass
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        with open(report_in, "rb") as report:
-            text = report.read().decode(errors="replace")
+        code, report = writer.reap()
     if code != 0:
-        raise OSError(text or f"CSV log writer ended with exit code {code}")
+        raise OSError(report.decode(errors="replace")
+                      or f"CSV log writer ended with exit code {code}")
 
 
 def read_csv_log(path) -> dict[str, np.ndarray]:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from array import array
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -547,36 +549,167 @@ def fork_workers(tasks: int) -> int:
     return workers if workers >= 2 and hasattr(os, "fork") else 1
 
 
+class ChildProcess:
+    """A forked process that runs ``body(inbound, outbound)`` and ends.
+
+    ``inbound`` is the read end of a pipe from this process and ``outbound``
+    the write end of a pipe back to it; here their other ends are the
+    buffered files ``to_child`` and ``from_child``.  The child inherits
+    everything else, so ``body`` and what it reads need not pickle.  Before
+    ``body`` it closes this process's two ends and the descriptors in
+    ``close`` (other children's ends, which it must not hold open), and it
+    ends with ``os._exit`` whatever happens: status 0 when ``body`` returns,
+    1 when it raises, never back into the caller's stack nor its buffers
+    flushed.  Whoever forks one calls :meth:`reap` on every path.  Forked,
+    not spawned: a spawned process imports igcsim afresh, about 160 ms."""
+
+    def __init__(self, body, close=()):
+        fds = []
+        try:
+            fds += os.pipe()  # to the child
+            fds += os.pipe()  # from the child
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        inbound, to_child, from_child, outbound = fds
+        if pid == 0:
+            code = 1
+            try:
+                for fd in (to_child, from_child, *close):
+                    os.close(fd)
+                body(inbound, outbound)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(inbound)
+        os.close(outbound)
+        self.pid = pid
+        self.to_child = open(to_child, "wb")
+        self.from_child = open(from_child, "rb")
+
+    def fileno(self) -> int:  # select() waits on what the child sends back
+        return self.from_child.fileno()
+
+    def reap(self, kill: bool = False) -> tuple[int, bytes]:
+        """Close the pipe to the child, kill it first if ``kill``, and wait
+        for it to end.  Returns its exit code (minus the signal that ended
+        it) and, unless killed, what it sent back that was not read."""
+        if kill:
+            import signal  # here, not at module top: see map_points
+
+            os.kill(self.pid, signal.SIGKILL)
+        try:
+            self.to_child.close()
+        except BrokenPipeError:
+            pass  # the child ended before it read all that was sent
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        with self.from_child:
+            return code, b"" if kill else self.from_child.read()
+
+
+# The framing of map_points: item indices go down as unsigned 4-byte
+# integers, results come back as pickles after an 8-byte length.
+_INDEX_BYTES = 4
+_FRAME_BYTES = 8
+
+
+def _serve(fn, items, inbound: int, outbound: int) -> None:
+    """A :func:`map_points` worker: for each item index read from
+    ``inbound``, until it closes, write one length-prefixed pickle of
+    ``(index, ok, fn(item) or its exception)`` to ``outbound``."""
+    with open(inbound, "rb") as tasks, open(outbound, "wb") as results:
+        while task := tasks.read(_INDEX_BYTES):
+            index = int.from_bytes(task, "little")
+            try:
+                outcome = (True, fn(items[index]))
+            except Exception as exc:
+                outcome = (False, exc)
+            try:
+                frame = pickle.dumps((index, *outcome))
+            except Exception as exc:  # the result, or the exception, does not pickle
+                frame = pickle.dumps((index, False, exc))
+            results.write(len(frame).to_bytes(_FRAME_BYTES, "little"))
+            results.write(frame)
+            results.flush()
+
+
+def _receive(worker: ChildProcess):
+    """The next ``(index, ok, value)`` a :func:`map_points` worker sent, or
+    None where its pipe ends first: the worker ended, mid-frame or not."""
+    header = worker.from_child.read(_FRAME_BYTES)
+    size = int.from_bytes(header, "little")
+    frame = worker.from_child.read(size) if len(header) == _FRAME_BYTES else b""
+    return pickle.loads(frame) if size and len(frame) == size else None
+
+
 def map_points(fn, items) -> list:
     """``[fn(item) for item in items]``, in item order, computed in forked
     worker processes as :func:`fork_workers` decides; with one, the items
-    run here, one after another.  An exception ``fn`` raises propagates; the
-    result of an item whose worker process ended before it finished reads
-    None.  ``fn`` and the items must pickle, and so must the results."""
+    run here, one after another.
+
+    Each worker is handed one item index at a time and inherits ``fn`` and
+    the items through the fork, so neither needs to pickle; the results
+    come back pickled.  A worker that ends early loses only the item it was
+    running, whose result reads None; another worker is forked for the
+    items left.  An exception ``fn`` raises, or one pickling its result
+    raises, is that item's: no further items are handed out, and the
+    exception of the first failed item propagates once the running ones
+    are back.  Every worker is reaped before this returns or raises."""
     items = list(items)
     workers = fork_workers(len(items))
     if workers == 1:
         return [fn(item) for item in items]
-    # Imported here, not at module top: every process that never sweeps,
-    # such as each `igcsim run`, would pay about 30 ms of start-up.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    # Imported here, not at module top: `igcsim run` forks its CSV writer
+    # but never selects or kills, and the two imports add about 0.15 MB to
+    # its peak RSS.
+    import select
 
-    # fork, not spawn: a spawned worker imports igcsim afresh, about 160 ms
-    # each.  The pool forks its workers before it starts its own threads.
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-        # One future per item, not pool.map: map stops at the first lost
-        # item and drops the finished items after it.
-        futures = [pool.submit(fn, item) for item in items]
-        results = []
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BrokenProcessPool:
-                results.append(None)
-        return results
+    results = [None] * len(items)
+    failed = []
+    todo = deque(range(len(items)))
+    running = set()
+    try:
+        while running or todo:
+            if todo and len(running) < workers:
+                ends = [end for other in running for end in (other.to_child, other.from_child)]
+                worker = ChildProcess(partial(_serve, fn, items),
+                                      close=[end.fileno() for end in ends if not end.closed])
+                running.add(worker)
+                _hand_out(worker, todo)
+                continue
+            for worker in select.select(list(running), [], [])[0]:
+                received = _receive(worker)
+                if received is None:  # the worker ended; the item it ran, if any, is lost
+                    running.remove(worker)
+                    worker.reap()
+                    continue
+                index, ok, value = received
+                results[index] = value
+                if not ok:
+                    failed.append(index)
+                    todo.clear()
+                _hand_out(worker, todo)
+    finally:
+        for worker in running:
+            worker.reap(kill=True)
+    if failed:
+        raise results[min(failed)]
+    return results
+
+
+def _hand_out(worker: ChildProcess, todo: deque) -> None:
+    """Send the worker the next item index in ``todo``, or, with none left,
+    tell it to end."""
+    if not todo:
+        worker.to_child.close()
+        return
+    try:
+        worker.to_child.write(todo.popleft().to_bytes(_INDEX_BYTES, "little"))
+        worker.to_child.flush()
+    except BrokenPipeError:
+        pass  # the worker has ended: its pipe back closes and the item is lost
 
 
 def _sweep_point(scenario: Scenario, gains) -> SweepPoint:
@@ -592,9 +725,11 @@ def sweep(scenario: Scenario, grid) -> list[SweepPoint]:
 
     The points run in forked worker processes, one per usable CPU and at
     most one per point (:func:`map_points`); a one-point grid, a one-CPU
-    host or a platform without ``fork`` runs them in this process.  Either way the points come back in grid
-    order and identical to a serial sweep's.  Per-point failures are
-    recorded and the sweep continues, also when a worker process dies.
+    host or a platform without ``fork`` runs them in this process.  Either
+    way the points come back in grid order and identical to a serial
+    sweep's.  Per-point failures are recorded and the sweep continues; a
+    point whose worker process dies reads :data:`WORKER_LOST`, and the
+    other points still run.
     """
     grid = list(grid)
     if not grid:

@@ -62,12 +62,29 @@ def test_no_import_cycles():
         visit(name)
 
 
+_NO_POOL = """
+import sys, threading
+from dataclasses import replace
+import igcsim, igcsim.cli
+from igcsim import analysis, sim
+from igcsim.cli import parse_scenario
+
+pool = {'multiprocessing', 'concurrent.futures'}
+print(sorted(pool & set(sys.modules)))
+sim._usable_cpus = lambda: 2
+scenario = parse_scenario(sys.argv[1])
+points = sim.sweep(replace(scenario, t_max=0.2), [scenario.gains, replace(scenario.gains, k1=5.0)])
+assert [point.error for point in points] == ["", ""]
+analysis.estimate_loop_gain(replace(scenario, t_max=1.0), "rate", 0.02)
+print(sorted(pool & set(sys.modules)), threading.active_count())
+"""
+
+
 def test_import_leaves_out_the_worker_pool():
-    # The sweep imports its process pool when it first uses it, so the
-    # start-up of `igcsim run` and of every other command does not pay for it.
-    code = ("import sys, igcsim, igcsim.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    # Neither importing igcsim nor forking its sweep and probe workers loads
+    # a process pool or starts a thread.
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout == "[]\n"
+    scenario = PACKAGE_DIR.parent.parent / "scripts" / "scenarios" / "nominal.cfg"
+    done = subprocess.run([sys.executable, "-c", _NO_POOL, str(scenario)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "[]\n[] 1\n"

@@ -1,16 +1,18 @@
 import math
-import multiprocessing
 import os
+import pickle
 import re
+import signal
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from igcsim import airframe, engagement, frames, igc, sim
+from igcsim import airframe, cli, engagement, frames, igc, sim
 from igcsim.cli import parse_scenario
 from igcsim.engagement import (
     AxisSignal,
@@ -478,8 +480,7 @@ def test_sweep_rejects_empty_grid():
         sweep(make_scenario(), [])
 
 
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="worker processes are forked")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes are forked")
 
 
 def _pid(_):
@@ -534,9 +535,11 @@ def test_pooled_sweep_matches_serial_runs(monkeypatch):
 
 @needs_fork
 def test_sweep_survives_worker_death(monkeypatch):
+    # Six points on two workers: the worker that dies loses only the point it
+    # was running, and the other points all come back as a serial sweep's.
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
     scenario = make_scenario(t_max=0.2)
-    grid = [make_gains(k1=k, k2=k) for k in (5.0, 7.0, 10.0, 20.0)]
+    grid = [make_gains(k1=k, k2=k) for k in (5.0, 7.0, 10.0, 12.0, 15.0, 20.0)]
     serial = [run(replace(scenario, gains=g))[1] for g in grid]
     real_run = sim.run
 
@@ -545,13 +548,115 @@ def test_sweep_survives_worker_death(monkeypatch):
             os._exit(1)  # the worker process dies, as under a kill signal
         return real_run(s)
 
-    monkeypatch.setattr(sim, "run", dying_run)  # before the pool forks
-    points = sweep(scenario, grid)
+    monkeypatch.setattr(sim, "run", dying_run)  # before the workers fork
+    with _time_bound(60):
+        points = sweep(scenario, grid)
     assert [p.gains for p in points] == grid
     assert points[1].summary is None and points[1].error == sim.WORKER_LOST
-    for point, summary in zip(points, serial):
-        assert point.summary == summary or (point.summary is None
-                                             and point.error == sim.WORKER_LOST)
+    for point, summary in zip(points[:1] + points[2:], serial[:1] + serial[2:]):
+        assert point.error == "" and point.summary == summary
+    _assert_no_child_process()
+
+
+@contextmanager
+def _time_bound(seconds: float):
+    """Raise TimeoutError in the block if it runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _square(item):
+    return item * item
+
+
+def _map_then_return(monkeypatch, tmp_path):
+    assert sim.map_points(_square, range(5)) == [0, 1, 4, 9, 16]
+
+
+def _map_where_fn_raises(monkeypatch, tmp_path):
+    with pytest.raises(SingularityError):
+        sim.map_points(_raise_on_one, range(5))
+
+
+def _map_where_parent_raises(monkeypatch, tmp_path):
+    # The parent fails while results are still coming back.
+    real_receive = sim._receive
+    received = []
+
+    def receive_once(worker):
+        if received:
+            raise KeyError("collecting")
+        received.append(real_receive(worker))
+        return received[-1]
+
+    monkeypatch.setattr(sim, "_receive", receive_once)
+    with pytest.raises(KeyError, match="collecting"):
+        sim.map_points(_square, range(5))
+    assert received[0][:2] in [(0, True), (1, True)]
+
+
+def _csv_writer_where_run_raises(monkeypatch, tmp_path):
+    def fail_after_first(on_block):
+        def forward(rows):
+            on_block(rows)
+            raise KeyError("stepping")
+        return forward
+
+    path = tmp_path / "out.csv"
+    with pytest.raises(KeyError, match="stepping"):
+        with cli._forked_csv_writer(path) as on_block:
+            run(make_scenario(t_max=1.0), fail_after_first(on_block))
+    assert len(path.read_text().splitlines()) == 1 + sim.LOG_BLOCK
+
+
+@needs_fork
+@pytest.mark.parametrize("case", [_map_then_return, _map_where_fn_raises,
+                                  _map_where_parent_raises, _csv_writer_where_run_raises],
+                         ids=["returns", "fn-raises", "parent-raises", "csv-writer"])
+def test_no_child_outlives_map_points_or_csv_writer(monkeypatch, tmp_path, case):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    with _time_bound(60):
+        case(monkeypatch, tmp_path)
+    _assert_no_child_process()
+
+
+def _mebibyte(item):
+    return np.random.default_rng(item).random(1 << 17)  # 1 MiB of float64
+
+
+@needs_fork
+def test_map_points_returns_results_larger_than_a_pipe(monkeypatch):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    with _time_bound(60):
+        results = sim.map_points(_mebibyte, range(5))
+    assert [r.tobytes() for r in results] == [_mebibyte(i).tobytes() for i in range(5)]
+    _assert_no_child_process()
+
+
+@needs_fork
+def test_map_points_needs_only_results_to_pickle(monkeypatch):
+    # fn and the items reach the workers through the fork, unpickled.
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    with _time_bound(60):
+        assert sim.map_points(lambda item: item(), [lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
+        # A result that does not pickle is a pickling error here: not a
+        # hang, and not a lost worker.
+        with pytest.raises((pickle.PicklingError, AttributeError), match="[Cc]an't pickle"):
+            sim.map_points(lambda item: (lambda: item), range(3))
+    _assert_no_child_process()
 
 
 def test_validate_rejects_overflowing_signal_phase():
