@@ -32,6 +32,9 @@ from .igc import Gains
 
 DEFAULT_SLACK = 0.05
 
+# The second probe of estimate_loop_gain runs at this multiple of the first's amplitude.
+PROBE_AMPLITUDE_RATIO = 2.0
+
 # Half-width [rad] of the attack, sideslip and pitch ranges over which
 # worst_case_g1_norm scans the mixer.
 G1_SCAN_ANGLE = 0.3
@@ -252,15 +255,14 @@ def _norm(*components) -> np.ndarray:
     return np.sqrt(sum((c * c for c in components[1:]), components[0] * components[0]))
 
 
-def bound_audit(log: sim.SimLog, scenario: sim.Scenario, slack: float = DEFAULT_SLACK
-                ) -> tuple[tuple[BoundTrace, ...], int]:
+def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTrace, ...], int]:
     """Channelwise envelope audit of the log of a run of ``scenario``, whose
     gains, plant constants, ``r_min`` and signals (at the logged times) it reads.
 
     Returns one trace per channel (LOS rate, attitude error, rate error) and
     the total violation count; a sample violates when measured exceeds
-    bound * (1 + slack).  Command derivatives are estimated by central
-    finite differences, so the default slack covers the discretization and
+    bound * (1 + DEFAULT_SLACK).  Command derivatives are estimated by central
+    finite differences, so that slack covers the discretization and
     integration error of a smooth run.  The input maps are the law's own
     helpers, called once over the log's columns, so a state where the
     guidance map is singular, which no run logs, raises the law's
@@ -334,20 +336,21 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario, slack: float = DEFAULT_
         ("attitude_error", eta1_norm, bound_eta1),
         ("rate_error", eta2_norm, bound_eta2),
     ):
-        violations = int(np.count_nonzero(measured > bound * (1.0 + slack)))
+        violations = int(np.count_nonzero(measured > bound * (1.0 + DEFAULT_SLACK)))
         total += violations
         traces.append(BoundTrace(channel, t, measured, bound, violations))
     return tuple(traces), total
 
 
 def estimate_loop_gain(scenario, loop: str, base_amplitude: float,
-                       scale: float = 2.0, frequency: float = 2.0) -> LinearGain:
+                       frequency: float = 2.0) -> LinearGain:
     """Crude probe of an outer loop gain that has no closed form.
 
     Runs the closed loop twice with a sinusoidal input injected into the
-    target channel at two amplitudes, differences the responses of the
-    relevant command derivative (so matching transients cancel), and ratios
-    the response-difference supremum against the input-supremum difference.
+    target channel, at ``base_amplitude`` and at PROBE_AMPLITUDE_RATIO times
+    it, differences the responses of the relevant command derivative (so
+    matching transients cancel), and ratios the response-difference
+    supremum against the input-supremum difference.
     loop 'guidance' probes the attitude-command derivative against LOS-rate
     forcing; loop 'rate' probes the rate-command derivative against
     attitude-rate forcing.  The scenario must not intercept or breach a
@@ -356,15 +359,15 @@ def estimate_loop_gain(scenario, loop: str, base_amplitude: float,
     """
     if loop not in ("guidance", "rate"):
         raise ValueError(f"loop must be 'guidance' or 'rate', got {loop!r}")
-    if not base_amplitude > 0.0 or not scale > 1.0:
-        raise ValueError("base_amplitude must be > 0 and scale > 1")
+    if not base_amplitude > 0.0:
+        raise ValueError("base_amplitude must be > 0")
 
     # Start on the command manifold and strip the scenario's own inputs so
     # the paired responses differ only through the injected signal.
     quiet = sim.trim_attitude_to_commands(
         replace(scenario, evader=EvaderModel(), disturbances=DisturbanceModel()))
     probes = []
-    for amplitude in (base_amplitude, scale * base_amplitude):
+    for amplitude in (base_amplitude, PROBE_AMPLITUDE_RATIO * base_amplitude):
         if loop == "guidance":
             probe = replace(
                 quiet,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
@@ -225,22 +224,15 @@ def write_csv_log(log: SimLog, path) -> None:
                             for start in range(0, len(log), sim.LOG_BLOCK)))
 
 
-def _run_writer(handle, rows_in: int, report_out: int) -> None:
+def _run_writer(handle, rows_in: int) -> None:
     """The body of the forked CSV writer: format the step-table rows
-    arriving on the pipe ``rows_in`` into ``handle`` until the pipe closes.
-    A failure is written to ``report_out`` as text and raised again."""
-    try:
-        block_bytes = sim.LOG_BLOCK * sim.LOG_WIDTH * 8
-        with open(rows_in, "rb") as rows:
-            # read(n) returns n bytes, short only at the end of the stream.
-            blocks = iter(lambda: rows.read(block_bytes), b"")
-            _write_csv(handle, (np.frombuffer(data).reshape(-1, sim.LOG_WIDTH)
-                                for data in blocks))
-        handle.close()
-    except Exception as exc:
-        # At most what a pipe holds unread: the parent reads after the exit.
-        os.write(report_out, str(exc).encode()[:4096])
-        raise
+    arriving on the pipe ``rows_in`` into ``handle`` until the pipe closes."""
+    block_bytes = sim.LOG_BLOCK * sim.LOG_WIDTH * 8
+    with open(rows_in, "rb") as rows:
+        # read(n) returns n bytes, short only at the end of the stream.
+        blocks = iter(lambda: rows.read(block_bytes), b"")
+        _write_csv(handle, (np.frombuffer(data).reshape(-1, sim.LOG_WIDTH) for data in blocks))
+    handle.close()
 
 
 # Room for 20 blocks of rows in the pipe to the writer, so the steps run on
@@ -268,7 +260,7 @@ def _forked_csv_writer(path):
 
     The file is opened here, so an open error is raised before any step.
     However the ``with`` block ends, the pipe is then closed and the writer
-    reaped; a failure of the writer is raised as OSError with its text."""
+    reaped; the writer's own exception, if it raised one, is raised here."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = sim.ChildProcess(partial(_run_writer, handle))
     # This process's copy of the handle was closed unwritten.
@@ -284,10 +276,9 @@ def _forked_csv_writer(path):
     except BrokenPipeError:
         pass  # the writer ended before the stream did: its error is raised below
     finally:
-        code, report = writer.reap()
-    if code != 0:
-        raise OSError(report.decode(errors="replace")
-                      or f"CSV log writer ended with exit code {code}")
+        ok, error = writer.reap() or (False, OSError("CSV log writer ended before the log did"))
+    if not ok:
+        raise error
 
 
 def read_csv_log(path) -> dict[str, np.ndarray]:

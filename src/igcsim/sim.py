@@ -13,7 +13,6 @@ import math
 import os
 import pickle
 from array import array
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -530,7 +529,7 @@ class SweepPoint:
     error: str = ""
 
 
-# The error of a sweep point whose worker process died before returning it.
+# The error of a sweep point whose child process ended without an outcome.
 WORKER_LOST = "worker process ended before this point finished"
 
 
@@ -549,25 +548,31 @@ def fork_workers(tasks: int) -> int:
     return workers if workers >= 2 and hasattr(os, "fork") else 1
 
 
-class ChildProcess:
-    """A forked process that runs ``body(inbound, outbound)`` and ends.
+class _RemoteTraceback(Exception):
+    """The traceback text of an exception raised in a child process, chained
+    as that exception's cause where it is raised again."""
 
-    ``inbound`` is the read end of a pipe from this process and ``outbound``
-    the write end of a pipe back to it; here their other ends are the
-    buffered files ``to_child`` and ``from_child``.  The child inherits
-    everything else, so ``body`` and what it reads need not pickle.  Before
-    ``body`` it closes this process's two ends and the descriptors in
-    ``close`` (other children's ends, which it must not hold open), and it
-    ends with ``os._exit`` whatever happens: status 0 when ``body`` returns,
-    1 when it raises, never back into the caller's stack nor its buffers
+
+class ChildProcess:
+    """A forked process that runs ``body(inbound)`` once and sends back its
+    outcome.
+
+    ``inbound`` is the read end of a pipe whose write end here is the
+    buffered file ``to_child``.  The child inherits everything else, so
+    ``body`` and what it reads need not pickle.  Its outcome is one pickle,
+    of ``(True, what body returned)`` or ``(False, the exception it or the
+    pickling raised, its traceback text)``, written to the pipe read here
+    as ``from_child``, plus exit status 0.  A child that ends without one
+    (killed, or exited inside ``body``) is lost.  It ends with ``os._exit``
+    whatever happens, never back into the caller's stack nor its buffers
     flushed.  Whoever forks one calls :meth:`reap` on every path.  Forked,
     not spawned: a spawned process imports igcsim afresh, about 160 ms."""
 
-    def __init__(self, body, close=()):
+    def __init__(self, body):
         fds = []
         try:
             fds += os.pipe()  # to the child
-            fds += os.pipe()  # from the child
+            fds += os.pipe()  # the outcome, back
             pid = os.fork()
         except OSError:
             for fd in fds:
@@ -577,9 +582,19 @@ class ChildProcess:
         if pid == 0:
             code = 1
             try:
-                for fd in (to_child, from_child, *close):
-                    os.close(fd)
-                body(inbound, outbound)
+                os.close(to_child)
+                os.close(from_child)
+                try:
+                    sent = pickle.dumps((True, body(inbound)))
+                except Exception as exc:  # from body, or pickling what it returned
+                    import traceback
+
+                    try:
+                        sent = pickle.dumps((False, exc, traceback.format_exc()))
+                    except Exception as error:  # the exception does not pickle
+                        sent = pickle.dumps((False, error, traceback.format_exc()))
+                with open(outbound, "wb") as out:
+                    out.write(sent)
                 code = 0
             finally:
                 os._exit(code)
@@ -588,75 +603,53 @@ class ChildProcess:
         self.pid = pid
         self.to_child = open(to_child, "wb")
         self.from_child = open(from_child, "rb")
+        self._sent = None  # what the child sent, once it is reaped
 
-    def fileno(self) -> int:  # select() waits on what the child sends back
+    def fileno(self) -> int:  # select() waits on the outcome
         return self.from_child.fileno()
 
-    def reap(self, kill: bool = False) -> tuple[int, bytes]:
-        """Close the pipe to the child, kill it first if ``kill``, and wait
-        for it to end.  Returns its exit code (minus the signal that ended
-        it) and, unless killed, what it sent back that was not read."""
-        if kill:
-            import signal  # here, not at module top: see map_points
+    def reap(self, kill: bool = False):
+        """Close the pipe to the child, SIGKILL it first if ``kill``, read its
+        outcome to the end (unless killed) and wait for it to end.  Returns
+        ``(True, result)``, or ``(False, exception)`` with the child's
+        traceback chained as the exception's cause, or None where the child
+        was killed or is lost.  Once reaped, it waits for nothing more."""
+        if self._sent is None:
+            if kill:
+                import signal  # here, not at module top: see map_points
 
-            os.kill(self.pid, signal.SIGKILL)
-        try:
-            self.to_child.close()
-        except BrokenPipeError:
-            pass  # the child ended before it read all that was sent
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        with self.from_child:
-            return code, b"" if kill else self.from_child.read()
-
-
-# The framing of map_points: item indices go down as unsigned 4-byte
-# integers, results come back as pickles after an 8-byte length.
-_INDEX_BYTES = 4
-_FRAME_BYTES = 8
-
-
-def _serve(fn, items, inbound: int, outbound: int) -> None:
-    """A :func:`map_points` worker: for each item index read from
-    ``inbound``, until it closes, write one length-prefixed pickle of
-    ``(index, ok, fn(item) or its exception)`` to ``outbound``."""
-    with open(inbound, "rb") as tasks, open(outbound, "wb") as results:
-        while task := tasks.read(_INDEX_BYTES):
-            index = int.from_bytes(task, "little")
+                os.kill(self.pid, signal.SIGKILL)
             try:
-                outcome = (True, fn(items[index]))
-            except Exception as exc:
-                outcome = (False, exc)
-            try:
-                frame = pickle.dumps((index, *outcome))
-            except Exception as exc:  # the result, or the exception, does not pickle
-                frame = pickle.dumps((index, False, exc))
-            results.write(len(frame).to_bytes(_FRAME_BYTES, "little"))
-            results.write(frame)
-            results.flush()
-
-
-def _receive(worker: ChildProcess):
-    """The next ``(index, ok, value)`` a :func:`map_points` worker sent, or
-    None where its pipe ends first: the worker ended, mid-frame or not."""
-    header = worker.from_child.read(_FRAME_BYTES)
-    size = int.from_bytes(header, "little")
-    frame = worker.from_child.read(size) if len(header) == _FRAME_BYTES else b""
-    return pickle.loads(frame) if size and len(frame) == size else None
+                self.to_child.close()
+            except BrokenPipeError:
+                pass  # the child ended before it read all that was sent
+            try:  # to the end before waiting, so no outcome fills the pipe
+                sent = b"" if kill else self.from_child.read()
+            finally:
+                self.from_child.close()
+            status = os.waitpid(self.pid, 0)[1]
+            self._sent = sent if os.waitstatus_to_exitcode(status) == 0 else b""
+        if kill or not self._sent:
+            return None
+        ok, value, *text = pickle.loads(self._sent)
+        if text:
+            value.__cause__ = _RemoteTraceback(text[0])
+        return ok, value
 
 
 def map_points(fn, items) -> list:
-    """``[fn(item) for item in items]``, in item order, computed in forked
-    worker processes as :func:`fork_workers` decides; with one, the items
-    run here, one after another.
+    """``[fn(item) for item in items]``, in item order, each item computed in
+    its own forked :class:`ChildProcess`, at most :func:`fork_workers` of
+    them at once; where that is one, the items run here, one after another.
 
-    Each worker is handed one item index at a time and inherits ``fn`` and
-    the items through the fork, so neither needs to pickle; the results
-    come back pickled.  A worker that ends early loses only the item it was
-    running, whose result reads None; another worker is forked for the
-    items left.  An exception ``fn`` raises, or one pickling its result
-    raises, is that item's: no further items are handed out, and the
-    exception of the first failed item propagates once the running ones
-    are back.  Every worker is reaped before this returns or raises."""
+    The children inherit ``fn`` and the items through the fork, so neither
+    needs to pickle.  A child's outcome is one pickle plus exit status 0;
+    an item whose child ended without one (killed, or exited inside ``fn``)
+    is lost and reads None.  An exception ``fn`` raises, or one pickling
+    its result raises, is that item's, with the child's traceback as its
+    cause: no further children are forked, and the exception of the first
+    failed item propagates once the running ones are back.  Every child is
+    reaped before this returns or raises."""
     items = list(items)
     workers = fork_workers(len(items))
     if workers == 1:
@@ -666,50 +659,26 @@ def map_points(fn, items) -> list:
     # its peak RSS.
     import select
 
-    results = [None] * len(items)
-    failed = []
-    todo = deque(range(len(items)))
-    running = set()
+    outcomes = [None] * len(items)
+    running = {}  # each child to the index of its item
+    started = 0
     try:
-        while running or todo:
-            if todo and len(running) < workers:
-                ends = [end for other in running for end in (other.to_child, other.from_child)]
-                worker = ChildProcess(partial(_serve, fn, items),
-                                      close=[end.fileno() for end in ends if not end.closed])
-                running.add(worker)
-                _hand_out(worker, todo)
-                continue
-            for worker in select.select(list(running), [], [])[0]:
-                received = _receive(worker)
-                if received is None:  # the worker ended; the item it ran, if any, is lost
-                    running.remove(worker)
-                    worker.reap()
-                    continue
-                index, ok, value = received
-                results[index] = value
-                if not ok:
-                    failed.append(index)
-                    todo.clear()
-                _hand_out(worker, todo)
+        while running or started < len(items):
+            while started < len(items) and len(running) < workers:
+                running[ChildProcess(lambda _, item=items[started]: fn(item))] = started
+                started += 1
+            for child in select.select(list(running), [], [])[0]:
+                outcome = outcomes[running[child]] = child.reap()
+                del running[child]
+                if outcome is not None and not outcome[0]:
+                    started = len(items)  # an item failed: start no more
     finally:
-        for worker in running:
-            worker.reap(kill=True)
-    if failed:
-        raise results[min(failed)]
-    return results
-
-
-def _hand_out(worker: ChildProcess, todo: deque) -> None:
-    """Send the worker the next item index in ``todo``, or, with none left,
-    tell it to end."""
-    if not todo:
-        worker.to_child.close()
-        return
-    try:
-        worker.to_child.write(todo.popleft().to_bytes(_INDEX_BYTES, "little"))
-        worker.to_child.flush()
-    except BrokenPipeError:
-        pass  # the worker has ended: its pipe back closes and the item is lost
+        for child in running:
+            child.reap(kill=True)
+    for outcome in outcomes:
+        if outcome is not None and not outcome[0]:
+            raise outcome[1]
+    return [None if outcome is None else outcome[1] for outcome in outcomes]
 
 
 def _sweep_point(scenario: Scenario, gains) -> SweepPoint:
@@ -723,13 +692,14 @@ def _sweep_point(scenario: Scenario, gains) -> SweepPoint:
 def sweep(scenario: Scenario, grid) -> list[SweepPoint]:
     """Run the scenario once per gain set, identical inputs at every point.
 
-    The points run in forked worker processes, one per usable CPU and at
-    most one per point (:func:`map_points`); a one-point grid, a one-CPU
+    Each point runs in its own forked child process, at most one per
+    usable CPU at once (:func:`map_points`); a one-point grid, a one-CPU
     host or a platform without ``fork`` runs them in this process.  Either
     way the points come back in grid order and identical to a serial
-    sweep's.  Per-point failures are recorded and the sweep continues; a
-    point whose worker process dies reads :data:`WORKER_LOST`, and the
-    other points still run.
+    sweep's.  A child's outcome is one pickle plus exit status 0.
+    Per-point failures are recorded and the sweep continues; a point whose
+    child ended without an outcome (killed for memory, say) is lost and
+    reads :data:`WORKER_LOST`, and the other points still run.
     """
     grid = list(grid)
     if not grid:

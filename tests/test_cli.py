@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from igcsim.cli import (
     write_csv_log,
     CSV_COLUMNS,
 )
-from igcsim import sim
+from igcsim import cli, sim
 from igcsim.engagement import AxisSignal, DisturbanceModel, EvaderModel, VectorSignal
 from igcsim.errors import ScenarioError
 from igcsim.sim import run
@@ -407,6 +408,19 @@ def test_cmd_run_write_error_exits_before_summary(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert captured.err == "error: [Errno 28] No space left on device\n"
     assert captured.out == "" and not summary.exists()
+    _assert_no_child_process()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@needs_fork
+def test_forked_csv_writer_raises_its_own_error():
+    # The writer's OSError comes back whole, errno and all, with the
+    # writer's traceback as its cause.
+    with pytest.raises(OSError) as info:
+        with cli._forked_csv_writer("/dev/full"):
+            pass  # the header alone does not fit
+    assert info.value.errno == errno.ENOSPC
+    assert "_run_writer" in str(info.value.__cause__)
     _assert_no_child_process()
 
 

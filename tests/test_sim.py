@@ -3,6 +3,7 @@ import os
 import pickle
 import re
 import signal
+import time
 from array import array
 from collections import Counter
 from contextlib import contextmanager
@@ -487,6 +488,13 @@ def _pid(_):
     return os.getpid()
 
 
+def _nap(_):
+    """The child's pid and the monotonic times around a short sleep in it."""
+    start = time.monotonic()
+    time.sleep(0.05)
+    return os.getpid(), start, time.monotonic()
+
+
 def _raise_on_one(item):
     if item == 1:
         raise SingularityError("attitude", 7.5)
@@ -496,9 +504,13 @@ def _raise_on_one(item):
 @needs_fork
 def test_map_points_forks_one_worker_per_cpu(monkeypatch):
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
-    pids = sim.map_points(_pid, range(5))
-    assert len(pids) == 5 and os.getpid() not in pids
-    assert len(set(pids)) <= 2
+    spans = sim.map_points(_nap, range(5))
+    pids = [pid for pid, _, _ in spans]
+    # Each item ran in a child of its own, never here.
+    assert os.getpid() not in pids and len(set(pids)) == 5
+    # At most two items ran at once: at each start, at most two were running.
+    for _, start, _ in spans:
+        assert sum(begin <= start < end for _, begin, end in spans) <= 2
     # One item, or one usable CPU: the items run in this process.
     assert sim.map_points(_pid, [0]) == [os.getpid()]
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
@@ -514,9 +526,28 @@ def test_map_points_propagates_worker_exceptions(monkeypatch):
     assert str(info.value) == str(SingularityError("attitude", 7.5))
 
 
+def _inner_failure(item):
+    raise ValueError(f"item {item} failed")
+
+
+def _outer_call(item):
+    return _inner_failure(item)
+
+
+@needs_fork
+def test_map_points_chains_the_child_traceback(monkeypatch):
+    # The exception is raised again here with the child's traceback as its
+    # cause, which names the frame that raised it.
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="item 0 failed") as info:
+        sim.map_points(_outer_call, range(2))
+    assert "_inner_failure" in str(info.value.__cause__)
+    assert "_outer_call" in str(info.value.__cause__)
+
+
 @needs_fork
 def test_pooled_sweep_matches_serial_runs(monkeypatch):
-    # Five points on two workers, so each worker runs several points.
+    # Five points on two CPUs, so children run side by side and in turn.
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
     scenario = make_scenario(t_max=0.3)
     grid = [make_gains(delta1=d, delta2=d) for d in (0.5, 0.25)] + [None] + \
@@ -535,8 +566,8 @@ def test_pooled_sweep_matches_serial_runs(monkeypatch):
 
 @needs_fork
 def test_sweep_survives_worker_death(monkeypatch):
-    # Six points on two workers: the worker that dies loses only the point it
-    # was running, and the other points all come back as a serial sweep's.
+    # Six points on two CPUs: the child that dies loses only its own point,
+    # and the other points all come back as a serial sweep's.
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
     scenario = make_scenario(t_max=0.2)
     grid = [make_gains(k1=k, k2=k) for k in (5.0, 7.0, 10.0, 12.0, 15.0, 20.0)]
@@ -592,20 +623,38 @@ def _map_where_fn_raises(monkeypatch, tmp_path):
 
 
 def _map_where_parent_raises(monkeypatch, tmp_path):
-    # The parent fails while results are still coming back.
-    real_receive = sim._receive
-    received = []
+    # The parent fails while outcomes are still coming back: the second
+    # reap that is not a kill raises before it reaps.
+    real_reap = sim.ChildProcess.reap
+    reaped = []
 
-    def receive_once(worker):
-        if received:
+    def reap_once(child, kill=False):
+        if kill:
+            return real_reap(child, kill)
+        if reaped:
             raise KeyError("collecting")
-        received.append(real_receive(worker))
-        return received[-1]
+        reaped.append(real_reap(child))
+        return reaped[-1]
 
-    monkeypatch.setattr(sim, "_receive", receive_once)
+    monkeypatch.setattr(sim.ChildProcess, "reap", reap_once)
     with pytest.raises(KeyError, match="collecting"):
         sim.map_points(_square, range(5))
-    assert received[0][:2] in [(0, True), (1, True)]
+    assert reaped[0] in [(True, 0), (True, 1)]
+
+
+class _TwoArgumentError(Exception):
+    # Pickles as (cls, (message,)), so it does not unpickle here.
+    def __init__(self, stage, condition):
+        super().__init__(f"{stage}: {condition}")
+
+
+def _raise_two_argument_error(item):
+    raise _TwoArgumentError("attitude", item)
+
+
+def _map_where_error_does_not_unpickle(monkeypatch, tmp_path):
+    with pytest.raises(TypeError, match="condition"):
+        sim.map_points(_raise_two_argument_error, range(5))
 
 
 def _csv_writer_where_run_raises(monkeypatch, tmp_path):
@@ -624,8 +673,10 @@ def _csv_writer_where_run_raises(monkeypatch, tmp_path):
 
 @needs_fork
 @pytest.mark.parametrize("case", [_map_then_return, _map_where_fn_raises,
-                                  _map_where_parent_raises, _csv_writer_where_run_raises],
-                         ids=["returns", "fn-raises", "parent-raises", "csv-writer"])
+                                  _map_where_parent_raises, _csv_writer_where_run_raises,
+                                  _map_where_error_does_not_unpickle],
+                         ids=["returns", "fn-raises", "parent-raises", "csv-writer",
+                              "error-does-not-unpickle"])
 def test_no_child_outlives_map_points_or_csv_writer(monkeypatch, tmp_path, case):
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
     with _time_bound(60):
