@@ -168,20 +168,6 @@ def rate_drift(k: AeroConstants, alpha: float, beta: float,
     )
 
 
-def accels(k: AeroConstants, alpha: float, beta: float, d_lift: float, d_side: float,
-           trig: bool) -> tuple[float, float]:
-    """Velocity-frame normal/lateral accelerations (a_theta, a_psi) [m/s^2].
-
-    ``trig`` evaluates the exact thrust projection; otherwise the small-angle
-    model the guidance law is designed against.  d_lift/d_side are additive
-    force uncertainties [N].
-    """
-    if trig:
-        lift, side = aero_forces(k, alpha, beta)
-        return (lift + d_lift) / k.mass, (side + d_side) / k.mass
-    return (k.lift_gain * alpha + d_lift) / k.mass, (k.side_gain * beta + d_side) / k.mass
-
-
 def attitude_rates(k: AeroConstants, g1, f1, f2, gamma, wx, wy, wz,
                    fins, d1, d2) -> tuple[float, ...]:
     """Derivatives of (gamma, alpha, beta, wx, wy, wz, pitch) as seven floats
@@ -207,15 +193,19 @@ def attitude_rates(k: AeroConstants, g1, f1, f2, gamma, wx, wy, wz,
     )
 
 
-def lift_side_accels(
-    alpha: float,
-    beta: float,
-    d_lift: float,
-    d_side: float,
-    cfg: AeroConfig,
-    mode: str = "trig",
-) -> tuple[float, float]:
-    """:func:`accels` with the plant mode by name, ``trig`` or ``linear``."""
+def lift_side_accels(alpha: float, beta: float, d_lift: float, d_side: float,
+                     cfg: AeroConfig, mode: str = "trig") -> tuple[float, float]:
+    """Velocity-frame normal/lateral accelerations (a_theta, a_psi) [m/s^2].
+
+    ``mode`` ``trig`` evaluates the exact thrust projection
+    (:func:`aero_forces`), ``linear`` the small-angle model the guidance law
+    is designed against.  d_lift/d_side are additive force uncertainties
+    [N].  :func:`sim.evaluate` writes the same formulas out inline.
+    """
     if mode not in ("trig", "linear"):
         raise ValueError(f"plant mode must be 'trig' or 'linear', got {mode!r}")
-    return accels(AeroConstants(cfg), alpha, beta, d_lift, d_side, mode == "trig")
+    k = AeroConstants(cfg)
+    if mode == "trig":
+        lift, side = aero_forces(k, alpha, beta)
+        return (lift + d_lift) / k.mass, (side + d_side) / k.mass
+    return (k.lift_gain * alpha + d_lift) / k.mass, (k.side_gain * beta + d_side) / k.mass

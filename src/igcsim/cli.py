@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
@@ -205,23 +205,23 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 def _write_csv(handle, tables) -> None:
     """The one CSV formatter: write the header to ``handle``, then the rows
     of each step table in ``tables``."""
-    # Tables of sim.LOG_BLOCK rows at most: the whole table's text at once
-    # would raise the peak memory of `igcsim run` on nominal.cfg by about 40 %.
+    # sim.LOG_BLOCK rows at a time: the whole table's text at once would
+    # raise the peak memory of `igcsim run` on nominal.cfg by about 40 %.
     handle.write(",".join(CSV_COLUMNS) + "\n")
     for table in tables:
-        log = SimLog(table)
-        rows = np.column_stack([
-            log.t, log.states, log.fins, log.x1_sharp_cmd, log.x2_cmd,
-            log.x0_norm, log.eta1_norm, log.eta2_norm,
-        ])
-        handle.write((_CSV_ROW * len(log)) % tuple(rows.ravel().tolist()))
+        for start in range(0, len(table), sim.LOG_BLOCK):
+            log = SimLog(table[start:start + sim.LOG_BLOCK])
+            rows = np.column_stack([
+                log.t, log.states, log.fins, log.x1_sharp_cmd, log.x2_cmd,
+                log.x0_norm, log.eta1_norm, log.eta2_norm,
+            ])
+            handle.write((_CSV_ROW * len(log)) % tuple(rows.ravel().tolist()))
 
 
 def write_csv_log(log: SimLog, path) -> None:
     """Write the per-step log as the fixed 27-column CSV."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        _write_csv(handle, (log.table[start:start + sim.LOG_BLOCK]
-                            for start in range(0, len(log), sim.LOG_BLOCK)))
+        _write_csv(handle, [log.table])
 
 
 def _run_writer(handle, rows_in: int) -> None:
@@ -327,12 +327,13 @@ def cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     # The steps and the CSV formatting are two tasks: a forked writer formats
     # the log while the steps run where sim.fork_workers allows, else the
-    # log is written after the run.
+    # log is written after the run.  Either way the file is opened first.
     streamed = sim.fork_workers(2) > 1
-    with _forked_csv_writer(args.out_csv) if streamed else nullcontext() as on_block:
-        log, summary = sim.run(scenario, on_block)
+    with (_forked_csv_writer(args.out_csv) if streamed
+          else open(args.out_csv, "w", encoding="utf-8", newline="\n")) as sink:
+        log, summary = sim.run(scenario, sink if streamed else None)
         if not streamed:
-            write_csv_log(log, args.out_csv)
+            _write_csv(sink, [log.table])
         traces = None
         if args.audit and len(log) >= analysis.MIN_AUDIT_SAMPLES:
             traces, total = analysis.bound_audit(log, scenario)
@@ -385,10 +386,10 @@ def _parse_grid(specs, base: Gains) -> list[Gains]:
 def cmd_sweep(args) -> int:
     scenario = parse_scenario(args.scenario)
     grid = _parse_grid(args.grid, scenario.gains)
-    points = sim.sweep(scenario, grid)
     header = list(SCHEMA["gains"]) + ["outcome", "final_r", "flight_time",
                                   "miss_distance", "post_transient_sup_x0", "error"]
     with open(args.out_table, "w", encoding="utf-8", newline="\n") as handle:
+        points = sim.sweep(scenario, grid)  # after the open, so a bad path fails first
         handle.write(",".join(header) + "\n")
         for point in points:
             cells = [_fmt(getattr(point.gains, k)) for k in SCHEMA["gains"]]

@@ -182,24 +182,6 @@ def guidance_map(k: AeroConstants, r, m) -> tuple[float, float, float, float]:
     return guidance_entries(k, r, m)
 
 
-def relative_rates(r, vr, theta_l, x01, x02, accel_pursuer, accel_evader
-                   ) -> tuple[float, float, float, float, float, float]:
-    """Time derivatives (r, vr, theta_l, phi_l, x01, x02) of the relative
-    motion.  Both accelerations are LOS-frame float triples (radial,
-    elevation channel, azimuth channel) [m/s^2]."""
-    ap0, ap1, ap2 = accel_pursuer
-    ae0, ae1, ae2 = accel_evader
-    drift0, drift1 = los_rate_drift(r, vr, theta_l, x01, x02)
-    return (
-        vr,
-        r * (x01 * x01 + x02 * x02) + ae0 - ap0,
-        x01,
-        x02 / math.cos(theta_l),
-        drift0 + (ae1 - ap1) / r,
-        drift1 + (ae2 - ap2) / r,
-    )
-
-
 def f0(state: EngagementState) -> np.ndarray:
     """:func:`los_rate_drift` of ``state`` as an array [rad/s^2]."""
     return np.array(los_rate_drift(state.r, state.vr, state.theta_l, state.x01, state.x02))
@@ -212,13 +194,24 @@ def g0(state: EngagementState, cfg: AeroConfig) -> np.ndarray:
     return np.array(m).reshape(2, 2)
 
 
-def relative_derivatives(
-    state: EngagementState, accel_pursuer, accel_evader
-) -> tuple[float, float, float, float, float, float]:
-    """:func:`relative_rates` of ``state`` under array-like accelerations."""
-    return relative_rates(state.r, state.vr, state.theta_l, state.x01, state.x02,
-                          [float(a) for a in accel_pursuer],
-                          [float(a) for a in accel_evader])
+def relative_derivatives(state: EngagementState, accel_pursuer, accel_evader
+                         ) -> tuple[float, float, float, float, float, float]:
+    """Time derivatives (r, vr, theta_l, phi_l, x01, x02) of the relative
+    motion of ``state``.  Both accelerations are array-like LOS-frame
+    triples (radial, elevation channel, azimuth channel) [m/s^2].
+    :func:`sim.evaluate` writes the same formulas out inline."""
+    r, vr, theta_l, x01, x02 = state.r, state.vr, state.theta_l, state.x01, state.x02
+    ap0, ap1, ap2 = (float(a) for a in accel_pursuer)
+    ae0, ae1, ae2 = (float(a) for a in accel_evader)
+    drift0, drift1 = los_rate_drift(r, vr, theta_l, x01, x02)
+    return (
+        vr,
+        r * (x01 * x01 + x02 * x02) + ae0 - ap0,
+        x01,
+        x02 / math.cos(theta_l),
+        drift0 + (ae1 - ap1) / r,
+        drift1 + (ae2 - ap2) / r,
+    )
 
 
 def velocity_angle_derivatives(

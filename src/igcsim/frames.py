@@ -107,26 +107,14 @@ def accel_velocity_to_los(
     return np.array(los_accel(m, a_v, a_theta, a_psi))
 
 
-def los_unit_vector(los: LosAngles) -> np.ndarray:
-    """Unit vector along the LOS in ground coordinates."""
-    ct = math.cos(los.theta_l)
-    return np.array(
-        [ct * math.sin(los.phi_l), math.sin(los.theta_l), ct * math.cos(los.phi_l)]
-    )
-
-
-def velocity_unit_vector(vel: VelocityAngles) -> np.ndarray:
-    """Unit vector along the pursuer velocity in ground coordinates."""
-    ct = math.cos(vel.theta_v)
-    return np.array(
-        [ct * math.cos(vel.psi_v), math.sin(vel.theta_v), -ct * math.sin(vel.psi_v)]
-    )
-
-
 def los_velocity_cosine(los: LosAngles, vel: VelocityAngles) -> float:
-    """Cosine of the angle between the LOS and the pursuer velocity.
+    """Cosine of the angle between the LOS and the pursuer velocity: the dot
+    product of their unit vectors in ground coordinates.
 
     Equals |det| of :func:`projection_matrix` up to sign, which makes it the
     natural invertibility diagnostic for the guidance channel.
     """
-    return float(los_unit_vector(los) @ velocity_unit_vector(vel))
+    ctl, ctv = math.cos(los.theta_l), math.cos(vel.theta_v)
+    along_los = (ctl * math.sin(los.phi_l), math.sin(los.theta_l), ctl * math.cos(los.phi_l))
+    along_vel = (ctv * math.cos(vel.psi_v), math.sin(vel.theta_v), -ctv * math.sin(vel.psi_v))
+    return float(np.array(along_los) @ np.array(along_vel))

@@ -171,18 +171,6 @@ class LawConstants(airframe.AeroConstants):
         self.delta_max = delta_max
 
 
-def state_terms(k: airframe.AeroConstants, y):
-    """The terms of the state ``y`` that both :func:`law` and the plant
-    derivative read: (LOS rows, mixer g1, drift f1, drift f2), each as
-    :mod:`frames` and :mod:`airframe` compute it.  :func:`sim.evaluate`
-    writes the same terms out inline, bit for bit."""
-    _, _, theta_l, phi_l, _, _, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
-    return (frames.los_rows(theta_l, phi_l, theta_v, psi_v),
-            airframe.mixer(gamma, alpha, beta, pitch),
-            airframe.attitude_drift(k, alpha, beta),
-            airframe.rate_drift(k, alpha, beta, wx, wy, wz))
-
-
 def law(k: LawConstants, y, terms=None):
     """The guidance -> attitude -> fin cascade on the 15 floats of a state.
 
@@ -192,14 +180,22 @@ def law(k: LawConstants, y, terms=None):
     commanded to zero (skid-to-turn).  Raises SingularityError naming the
     stage whose map is not invertible at ``y``.  With ``k.delta_max`` set the
     fins are clamped to it and ``saturated`` flags the clamp.  ``terms`` is
-    :func:`state_terms` of ``y`` where the caller has already computed it.
+    the (LOS rows, mixer g1, drift f1, drift f2) of ``y``, where the caller
+    has them (:func:`sim.evaluate` computes them inline); by default the law
+    takes them from :func:`frames.los_rows`, :func:`airframe.mixer`,
+    :func:`airframe.attitude_drift` and :func:`airframe.rate_drift`.
 
     The composition :func:`engagement.guidance_map` -> :func:`guidance_stage`
     -> :func:`attitude_stage` -> :func:`fin_stage` -> :func:`airframe.clamp`;
     each stage's gate raises its own error.
     """
-    r, vr, _, _, x01, x02, _, _, gamma, alpha, beta, wx, wy, wz, _ = y
-    rows, g1, f1, f2 = state_terms(k, y) if terms is None else terms
+    r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
+    if terms is None:
+        terms = (frames.los_rows(theta_l, phi_l, theta_v, psi_v),
+                 airframe.mixer(gamma, alpha, beta, pitch),
+                 airframe.attitude_drift(k, alpha, beta),
+                 airframe.rate_drift(k, alpha, beta, wx, wy, wz))
+    rows, g1, f1, f2 = terms
     g0 = engagement.guidance_map(k, r, rows)
     alpha_cmd, beta_cmd, cond_g0 = guidance_stage(k.c0, r, vr, x01, x02, g0)
     wx_cmd, wy_cmd, wz_cmd, cond_g1 = attitude_stage(

@@ -225,18 +225,15 @@ def _finite_step(y_next: list[float], t: float) -> list[float]:
     return y_next
 
 
-def _rk4(deriv, at, y: list[float], t: float, dt: float, k1: list[float]) -> list[float]:
-    """One classical RK4 step of dy/dt = deriv(at(t), y) over a float list of
-    any length: the generic tableau under :func:`rk4_step`, and the
-    reference that the step loop's written-out :func:`_step` equals bit for
-    bit.  ``k1`` is deriv(at(t), y), which the caller evaluates.  ``at`` maps
-    a later stage time to deriv's first argument and is called once per
-    distinct time, so both midpoint stages share it."""
+def _rk4(deriv, y: list[float], t: float, dt: float, k1: list[float]) -> list[float]:
+    """One classical RK4 step of dy/dt = deriv(t, y) over a float list of any
+    length: the generic tableau under :func:`rk4_step`, and the reference
+    that the step loop's written-out :func:`_step` equals bit for bit.
+    ``k1`` is deriv(t, y), which the caller evaluates."""
     h = 0.5 * dt
-    mid = at(t + h)
-    k2 = deriv(mid, [a + h * b for a, b in zip(y, k1)])
-    k3 = deriv(mid, [a + h * b for a, b in zip(y, k2)])
-    k4 = deriv(at(t + dt), [a + dt * b for a, b in zip(y, k3)])
+    k2 = deriv(t + h, [a + h * b for a, b in zip(y, k1)])
+    k3 = deriv(t + h, [a + h * b for a, b in zip(y, k2)])
+    k4 = deriv(t + dt, [a + dt * b for a, b in zip(y, k3)])
     c = dt / 6.0
     return _finite_step([a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
                          for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)], t)
@@ -253,7 +250,7 @@ def rk4_step(deriv, y, t: float, dt: float):
         return np.ravel(deriv(tt, np.reshape(yy, shape)[()])).tolist()
 
     y = np.ravel(y).tolist()
-    return np.reshape(_rk4(flat, lambda tt: tt, y, t, dt, flat(t, y)), shape)[()]
+    return np.reshape(_rk4(flat, y, t, dt, flat(t, y)), shape)[()]
 
 
 class Kernel(igc.LawConstants):
@@ -294,9 +291,11 @@ def evaluate(k: Kernel, u: tuple, y, fins=None) -> tuple[list[float], tuple | No
     tuple at ``y`` or None when the fins are held).
 
     The step loop's one evaluation per RK4 stage.  It writes out, term for
-    term and in their operation order, :func:`igc.state_terms` and the plant
-    helpers (:func:`airframe.accels`, :func:`frames.los_accel`,
-    :func:`engagement.relative_rates`,
+    term and in their operation order, the terms the law reads
+    (:func:`frames.los_rows`, :func:`airframe.mixer`,
+    :func:`airframe.attitude_drift`, :func:`airframe.rate_drift`) and the
+    plant helpers (:func:`airframe.lift_side_accels`,
+    :func:`frames.los_accel`, :func:`engagement.relative_derivatives`,
     :func:`engagement.velocity_angle_derivatives`,
     :func:`airframe.attitude_rates`), so that each angle's sine and cosine is
     taken once; those helpers stay the reference decomposition it equals bit
@@ -334,7 +333,7 @@ def evaluate(k: Kernel, u: tuple, y, fins=None) -> tuple[list[float], tuple | No
                                  (0.0, f11, f12), (f20, f21, f22)))
         fins = law_out[0]
     rate, accel, lift, side, evader = u
-    # airframe.accels
+    # airframe.lift_side_accels
     if k.trig:
         a_theta, a_psi = (lift_force + lift) / k.mass, (side_force + side) / k.mass
     else:
@@ -351,7 +350,7 @@ def evaluate(k: Kernel, u: tuple, y, fins=None) -> tuple[list[float], tuple | No
     bx, by, bz = k.fin_gain
     dx, dy, dz = fins
     return [
-        # engagement.relative_rates
+        # engagement.relative_derivatives
         vr,
         r * (x01 * x01 + x02 * x02) + ae0 - ap0,
         x01,
@@ -562,11 +561,13 @@ class ChildProcess:
     ``body`` and what it reads need not pickle.  Its outcome is one pickle,
     of ``(True, what body returned)`` or ``(False, the exception it or the
     pickling raised, its traceback text)``, written to the pipe read here
-    as ``from_child``, plus exit status 0.  A child that ends without one
-    (killed, or exited inside ``body``) is lost.  It ends with ``os._exit``
-    whatever happens, never back into the caller's stack nor its buffers
-    flushed.  Whoever forks one calls :meth:`reap` on every path.  Forked,
-    not spawned: a spawned process imports igcsim afresh, about 160 ms."""
+    as ``from_child``, plus exit status 0; an exception that does not
+    pickle, or does not load back, goes as a RuntimeError naming its type
+    and message.  A child that ends without an outcome (killed, or exited
+    inside ``body``) is lost.  It ends with ``os._exit`` whatever happens,
+    never back into the caller's stack nor its buffers flushed.  Whoever
+    forks one calls :meth:`reap` on every path.  Forked, not spawned: a
+    spawned process imports igcsim afresh, about 160 ms."""
 
     def __init__(self, body):
         fds = []
@@ -589,10 +590,13 @@ class ChildProcess:
                 except Exception as exc:  # from body, or pickling what it returned
                     import traceback
 
+                    text = traceback.format_exc()
                     try:
-                        sent = pickle.dumps((False, exc, traceback.format_exc()))
-                    except Exception as error:  # the exception does not pickle
-                        sent = pickle.dumps((False, error, traceback.format_exc()))
+                        sent = pickle.dumps((False, exc, text))
+                        pickle.loads(sent)
+                    except Exception:  # the exception does not pickle, or does not load
+                        stand_in = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+                        sent = pickle.dumps((False, stand_in, text))
                 with open(outbound, "wb") as out:
                     out.write(sent)
                 code = 0

@@ -427,7 +427,9 @@ def test_forked_csv_writer_raises_its_own_error():
 @pytest.mark.parametrize("streamed", [False, pytest.param(True, marks=needs_fork)],
                          ids=["after-run", "streamed"])
 def test_cmd_run_reports_missing_directory(tmp_path, capsys, monkeypatch, streamed):
+    # The log's file is opened before the first step, forked writer or not.
     _force_log_writer(monkeypatch, streamed)
+    monkeypatch.setattr(sim, "run", lambda *args: pytest.fail("ran before opening the log"))
     scenario = write_variant(tmp_path, "s.cfg", {"t_max = 15.0": "t_max = 0.1"})
     out_csv = tmp_path / "missing" / "out.csv"
     assert main(["run", str(scenario), str(out_csv)]) == 1
@@ -468,6 +470,15 @@ def test_cmd_sweep_table(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("k0,k1,k2,delta0,delta1,delta2,outcome")
+
+
+def test_cmd_sweep_reports_missing_directory_before_any_point(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sim, "sweep", lambda *args: pytest.fail("swept before opening the table"))
+    out = tmp_path / "missing" / "t.csv"
+    assert main(["sweep", str(WEAVE), str(out), "--grid", "k1=5,10,20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert captured.out == ""
 
 
 def test_cmd_sweep_joint_grids(tmp_path):

@@ -88,8 +88,7 @@ def test_column_maps_equal_scalar_rows(states):
 @given(valid_states(), st.sampled_from(["trig", "linear"]))
 def test_projection_matches_frame_composition(state, mode):
     eng, (_, alpha, beta, *_) = state
-    k = airframe.AeroConstants(make_cfg())
-    a_theta, a_psi = airframe.accels(k, alpha, beta, 0.0, 0.0, mode == "trig")
+    a_theta, a_psi = airframe.lift_side_accels(alpha, beta, 0.0, 0.0, make_cfg(), mode)
     rows = frames.los_rows(eng.theta_l, eng.phi_l, eng.theta_v, eng.psi_v)
     got = frames.los_accel(rows, 0.0, a_theta, a_psi)
     w = los_dcm(eng.los) @ velocity_dcm(eng.vel).T @ np.array([0.0, a_theta, a_psi])

@@ -85,18 +85,21 @@ def test_closed_loop_derivative_quiescent():
     assert np.allclose(deriv, expected, atol=1e-15)
 
 
-def _composed_evaluation(k, u, y, fins):
+def _composed_evaluation(scenario, k, u, y, fins):
     # The reference decomposition of sim.evaluate: the closed-loop derivative
     # composed from the piecewise helpers.
     check_envelope(y)
-    rows, g1, f1, f2 = igc.state_terms(k, y)
+    _, _, theta_l, phi_l, _, _, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
+    rows = frames.los_rows(theta_l, phi_l, theta_v, psi_v)
+    g1 = airframe.mixer(gamma, alpha, beta, pitch)
+    f1, f2 = airframe.attitude_drift(k, alpha, beta), airframe.rate_drift(k, alpha, beta, wx, wy, wz)
     if fins is None:
         fins = igc.law(k, y)[0]
     rate, accel, lift, side, evader = u
-    r, vr, theta_l, _, x01, x02, theta_v, _, gamma, alpha, beta, wx, wy, wz, _ = y
-    a_theta, a_psi = airframe.accels(k, alpha, beta, lift, side, k.trig)
+    a_theta, a_psi = airframe.lift_side_accels(alpha, beta, lift, side,
+                                               scenario.cfg, scenario.plant_mode)
     accel_p = frames.los_accel(rows, 0.0, a_theta, a_psi)
-    rel = engagement.relative_rates(r, vr, theta_l, x01, x02, accel_p, evader)
+    rel = engagement.relative_derivatives(EngagementState(*y[:8]), accel_p, evader)
     tv_dot, pv_dot = engagement.velocity_angle_derivatives(a_theta, a_psi, k, theta_v)
     att = airframe.attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz, fins, rate, accel)
     return [*rel, tv_dot, pv_dot, *att]
@@ -135,15 +138,13 @@ def test_closed_loop_derivative_composition(y, t, plant_mode, delta_max, held, q
     fins = law_out[0] if law_out else (0.01, -0.02, 0.03)
     flat, flat_law = sim.evaluate(k, u, y, fins if held else None)
     assert flat_law == (None if held else law_out)
-    reference = _composed_evaluation(k, u, y, fins)
+    reference = _composed_evaluation(scenario, k, u, y, fins)
     assert array("d", flat).tobytes() == array("d", reference).tobytes()
 
-    _, g1, f1, f2 = igc.state_terms(k, y)
     rate, accel, lift, side, evader = u
     eng, (gamma, alpha, beta, wx, wy, wz, pitch) = EngagementState(*y[:8]), y[8:]
-    assert g1 == airframe.mixer(gamma, alpha, beta, pitch)
-    assert (f1, f2) == (airframe.attitude_drift(k, alpha, beta),
-                        airframe.rate_drift(k, alpha, beta, wx, wy, wz))
+    g1 = airframe.mixer(gamma, alpha, beta, pitch)
+    f1, f2 = airframe.attitude_drift(k, alpha, beta), airframe.rate_drift(k, alpha, beta, wx, wy, wz)
     assert flat[8:] == list(airframe.attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz,
                                                     fins, rate, accel))
     a_theta, a_psi = airframe.lift_side_accels(alpha, beta, lift, side,
@@ -183,7 +184,7 @@ def test_written_out_step_matches_tableau(y, t, dt, control_update, plant_mode, 
     held = fins if control_update == "hold" else None
     outcome = _step_outcome(lambda: sim._step(k, signals, y, t, dt, k1, held))
     assert outcome == _step_outcome(lambda: sim._rk4(
-        lambda u, yy: sim.evaluate(k, u, yy, held)[0], signals, y, t, dt, k1))
+        lambda tt, yy: sim.evaluate(k, signals(tt), yy, held)[0], y, t, dt, k1))
     if dt == 1e300:
         assert outcome[0] is GuardError
 
@@ -197,7 +198,7 @@ def test_written_out_step_reports_a_non_finite_state(monkeypatch):
     outcome = _step_outcome(lambda: sim._step(k, scenario.signals, y, 0.5, 1.0, k1, None))
     assert outcome == (GuardError, "non-finite state produced by integrator step at t=0.5")
     assert outcome == _step_outcome(lambda: sim._rk4(
-        lambda u, yy: sim.evaluate(k, u, yy, None)[0], scenario.signals, y, 0.5, 1.0, k1))
+        lambda tt, yy: sim.evaluate(k, scenario.signals(tt), yy, None)[0], y, 0.5, 1.0, k1))
 
 
 @pytest.mark.parametrize("plant_mode", ["trig", "linear"])
@@ -643,7 +644,7 @@ def _map_where_parent_raises(monkeypatch, tmp_path):
 
 
 class _TwoArgumentError(Exception):
-    # Pickles as (cls, (message,)), so it does not unpickle here.
+    # Pickles as (cls, (message,)), so it does not unpickle.
     def __init__(self, stage, condition):
         super().__init__(f"{stage}: {condition}")
 
@@ -653,8 +654,23 @@ def _raise_two_argument_error(item):
 
 
 def _map_where_error_does_not_unpickle(monkeypatch, tmp_path):
-    with pytest.raises(TypeError, match="condition"):
+    # The child sends a stand-in naming the type and message, with the
+    # child's traceback still chained.
+    with pytest.raises(RuntimeError, match="^_TwoArgumentError: attitude: 0$") as info:
         sim.map_points(_raise_two_argument_error, range(5))
+    assert "_raise_two_argument_error" in str(info.value.__cause__)
+
+
+def _raise_unpicklable_error(item):
+    error = ValueError(f"attitude: {item}")
+    error.hook = lambda: item  # pickled with the exception, and a lambda does not pickle
+    raise error
+
+
+def _map_where_error_does_not_pickle(monkeypatch, tmp_path):
+    with pytest.raises(RuntimeError, match="^ValueError: attitude: 0$") as info:
+        sim.map_points(_raise_unpicklable_error, range(5))
+    assert "_raise_unpicklable_error" in str(info.value.__cause__)
 
 
 def _csv_writer_where_run_raises(monkeypatch, tmp_path):
@@ -674,9 +690,10 @@ def _csv_writer_where_run_raises(monkeypatch, tmp_path):
 @needs_fork
 @pytest.mark.parametrize("case", [_map_then_return, _map_where_fn_raises,
                                   _map_where_parent_raises, _csv_writer_where_run_raises,
-                                  _map_where_error_does_not_unpickle],
+                                  _map_where_error_does_not_unpickle,
+                                  _map_where_error_does_not_pickle],
                          ids=["returns", "fn-raises", "parent-raises", "csv-writer",
-                              "error-does-not-unpickle"])
+                              "error-does-not-unpickle", "error-does-not-pickle"])
 def test_no_child_outlives_map_points_or_csv_writer(monkeypatch, tmp_path, case):
     monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
     with _time_bound(60):
@@ -820,7 +837,7 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
 
         monkeypatch.setattr(module, name, counted)
 
-    unused = ((igc, "state_terms"), (frames, "los_rows"), (airframe, "mixer"), (sim, "_rk4"))
+    unused = ((frames, "los_rows"), (airframe, "mixer"), (sim, "_rk4"))
     stages = ((engagement, "guidance_map"), (igc, "guidance_stage"), (igc, "attitude_stage"),
               (igc, "fin_stage"))
     for module, name in ((sim, "evaluate"), (sim, "check_envelope"), *unused, *stages):
