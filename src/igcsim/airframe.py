@@ -168,31 +168,6 @@ def rate_drift(k: AeroConstants, alpha: float, beta: float,
     )
 
 
-def attitude_rates(k: AeroConstants, g1, f1, f2, gamma, wx, wy, wz,
-                   fins, d1, d2) -> tuple[float, ...]:
-    """Derivatives of (gamma, alpha, beta, wx, wy, wz, pitch) as seven floats
-    under fin command and disturbances.
-
-    ``g1``, ``f1`` and ``f2`` are :func:`mixer`, :func:`attitude_drift` and
-    :func:`rate_drift` at the state.  ``fins``, ``d1`` [rad/s, angle
-    channel] and ``d2`` [rad/s^2, rate channel] are triples.
-    """
-    a0, a1, a2 = f1
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = g1
-    r0, r1, r2 = f2
-    bx, by, bz = k.fin_gain
-    dx, dy, dz = fins
-    return (
-        a0 + (m00 * wx + m01 * wy + m02 * wz) + d1[0],
-        a1 + (m10 * wx + m11 * wy + m12 * wz) + d1[1],
-        a2 + (m20 * wx + m21 * wy + m22 * wz) + d1[2],
-        r0 + bx * dx + d2[0],
-        r1 + by * dy + d2[1],
-        r2 + bz * dz + d2[2],
-        wy * math.sin(gamma) + wz * math.cos(gamma),
-    )
-
-
 def lift_side_accels(alpha: float, beta: float, d_lift: float, d_side: float,
                      cfg: AeroConfig, mode: str = "trig") -> tuple[float, float]:
     """Velocity-frame normal/lateral accelerations (a_theta, a_psi) [m/s^2].

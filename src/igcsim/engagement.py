@@ -213,13 +213,3 @@ def relative_derivatives(state: EngagementState, accel_pursuer, accel_evader
         drift1 + (ae2 - ap2) / r,
     )
 
-
-def velocity_angle_derivatives(
-    a_theta: float, a_psi: float, cfg: AeroConfig | AeroConstants, theta_v: float
-) -> tuple[float, float]:
-    """Rates of the velocity elevation/azimuth under the frame accelerations.
-
-    Reads only ``cfg.speed``, so ``cfg`` may be an AeroConfig or its
-    AeroConstants.
-    """
-    return a_theta / cfg.speed, -a_psi / (cfg.speed * math.cos(theta_v))

@@ -76,8 +76,8 @@ class Scenario:
             raise ValueError(f"initial: {exc}") from None
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"sim.dt: must be finite and > 0, got {self.dt!r}")
-        if not self.t_max >= 0.0:
-            raise ValueError(f"sim.t_max: must be >= 0, got {self.t_max!r}")
+        if not (math.isfinite(self.t_max) and self.t_max >= 0.0):
+            raise ValueError(f"sim.t_max: must be finite and >= 0, got {self.t_max!r}")
         if not self.r_intercept > 0.0:
             raise ValueError(f"sim.r_intercept: must be > 0, got {self.r_intercept!r}")
         if not 0.0 < self.r_min < self.initial[0] < self.r_max:
@@ -225,32 +225,30 @@ def _finite_step(y_next: list[float], t: float) -> list[float]:
     return y_next
 
 
-def _rk4(deriv, y: list[float], t: float, dt: float, k1: list[float]) -> list[float]:
-    """One classical RK4 step of dy/dt = deriv(t, y) over a float list of any
-    length: the generic tableau under :func:`rk4_step`, and the reference
-    that the step loop's written-out :func:`_step` equals bit for bit.
-    ``k1`` is deriv(t, y), which the caller evaluates."""
-    h = 0.5 * dt
-    k2 = deriv(t + h, [a + h * b for a, b in zip(y, k1)])
-    k3 = deriv(t + h, [a + h * b for a, b in zip(y, k2)])
-    k4 = deriv(t + dt, [a + dt * b for a, b in zip(y, k3)])
-    c = dt / 6.0
-    return _finite_step([a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)], t)
-
-
 def rk4_step(deriv, y, t: float, dt: float):
     """Classical fourth-order Runge-Kutta update for dy/dt = deriv(t, y) on a
-    float or an array: the numpy-facing adapter over :func:`_rk4`."""
+    float or an array of any shape, in :func:`_step`'s operation order.  A
+    float ``y`` comes back as a numpy float, an array as a float array of its
+    shape; ``deriv`` may return any array-like of ``y``'s size.  An entry of
+    the new state that is not finite raises GuardError."""
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    shape = np.shape(y)
+    y = np.array(y, dtype=float)[()]  # [()] turns a 0-d array into a numpy float
+    shape, h = np.shape(y), 0.5 * dt
 
-    def flat(tt, yy):  # [()] turns a 0-d array back into a scalar
-        return np.ravel(deriv(tt, np.reshape(yy, shape)[()])).tolist()
+    def stage(tt, yy):
+        return np.reshape(np.asarray(deriv(tt, yy), dtype=float), shape)
 
-    y = np.ravel(y).tolist()
-    return np.reshape(_rk4(flat, y, t, dt, flat(t, y)), shape)[()]
+    # An overflow, in a stage state, a sum or deriv, ends in the check of the
+    # new state below, not in a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = stage(t, y)
+        k2 = stage(t + h, y + h * k1)
+        k3 = stage(t + h, y + h * k2)
+        k4 = stage(t + dt, y + dt * k3)
+        y_next = y + dt / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+    _finite_step(np.ravel(y_next).tolist(), t)
+    return y_next
 
 
 class Kernel(igc.LawConstants):
@@ -295,11 +293,10 @@ def evaluate(k: Kernel, u: tuple, y, fins=None) -> tuple[list[float], tuple | No
     (:func:`frames.los_rows`, :func:`airframe.mixer`,
     :func:`airframe.attitude_drift`, :func:`airframe.rate_drift`) and the
     plant helpers (:func:`airframe.lift_side_accels`,
-    :func:`frames.los_accel`, :func:`engagement.relative_derivatives`,
-    :func:`engagement.velocity_angle_derivatives`,
-    :func:`airframe.attitude_rates`), so that each angle's sine and cosine is
-    taken once; those helpers stay the reference decomposition it equals bit
-    for bit."""
+    :func:`frames.los_accel`, :func:`engagement.relative_derivatives`), so
+    that each angle's sine and cosine is taken once.  The tests compose those
+    helpers, and the velocity-angle and attitude rates, into the reference
+    it equals bit for bit."""
     check_envelope(y)
     r, vr, theta_l, phi_l, x01, x02, theta_v, psi_v, gamma, alpha, beta, wx, wy, wz, pitch = y
     stl, ctl = math.sin(theta_l), math.cos(theta_l)
@@ -357,10 +354,10 @@ def evaluate(k: Kernel, u: tuple, y, fins=None) -> tuple[list[float], tuple | No
         x02 / ctl,
         drift0 + (ae1 - ap1) / r,
         drift1 + (ae2 - ap2) / r,
-        # engagement.velocity_angle_derivatives
+        # the velocity angles
         a_theta / k.speed,
         -a_psi / (k.speed * ctv),
-        # airframe.attitude_rates
+        # the attitude angles, the body rates and pitch
         0.0 + (1.0 * wx + g01 * wy + g02 * wz) + rate[0],
         f11 + (g10 * wx + g11 * wy + 1.0 * wz) + rate[1],
         f12 + (sa * wx + ca * wy + 0.0 * wz) + rate[2],
@@ -372,11 +369,11 @@ def evaluate(k: Kernel, u: tuple, y, fins=None) -> tuple[list[float], tuple | No
 
 
 def _step(k: Kernel, signals, y, t: float, dt: float, k1: list[float], held) -> list[float]:
-    """The step loop's RK4 step of the 15-float state ``y`` from ``t``:
-    :func:`_rk4` of :func:`evaluate` under :meth:`Scenario.signals`, with the
-    fins ``held`` (None: the law at every stage), each stage written out over
-    locals in the tableau's operation order, so that it equals that
-    reference bit for bit.  ``k1`` is the evaluation of ``y``."""
+    """The step loop's RK4 step of the 15-float state ``y`` from ``t``: the
+    tableau of :func:`rk4_step` over :func:`evaluate` under
+    :meth:`Scenario.signals`, with the fins ``held`` (None: the law at every
+    stage), each stage written out over locals in that operation order.
+    ``k1`` is the evaluation of ``y``."""
     y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14 = y
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14 = k1
     h = 0.5 * dt

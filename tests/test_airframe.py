@@ -8,13 +8,13 @@ from igcsim.airframe import (
     AeroConfig,
     AeroConstants,
     attitude_drift,
-    attitude_rates,
     lift_side_accels,
     mixer,
     rate_drift,
 )
 
 from .conftest import g1_matrix, make_cfg
+from .oracles import attitude_rates
 
 ZERO3 = (0.0, 0.0, 0.0)
 small_angles = st.floats(min_value=-0.3, max_value=0.3)

@@ -96,6 +96,8 @@ def test_parse_rejects_non_numeric_value(tmp_path):
      "missing required section [sim]"),
     (NOMINAL, "dt = 0.001\n", "", "missing required key(s) in [sim]: dt"),
     (NOMINAL, "dt = 0.001", "dt = 1e999", "sim.dt: must be finite and > 0, got inf"),
+    (NOMINAL, "t_max = 15.0", "t_max = 1e999", "sim.t_max: must be finite and >= 0, got inf"),
+    (WEAVE, "t_max = 8.0", "t_max = 1e999", "sim.t_max: must be finite and >= 0, got inf"),
     (NOMINAL, "r = 4000.0", "r = -1.0", "initial: range -1 must be positive"),
     (NOMINAL, "beta = -0.02", "beta = 1.3", "initial: sideslip 1.3 breached guard 1.2"),
     (NOMINAL, "pitch = 0.26", "pitch = 1.6", "initial: pitch 1.6 breached guard 1.2"),
@@ -110,8 +112,9 @@ def test_parse_rejects_non_numeric_value(tmp_path):
     (WEAVE, "frequency = 1.0", "frequency = 1e308",
      "evader.frequency: frequency * (t_max + dt) + phase must be finite, "
      "got frequency=1e+308, phase=0.0, t_max=8.0"),
-], ids=["no-sim", "no-dt", "infinite-dt", "range", "beta", "pitch", "plant-mode",
-        "evader-kind", "signal-kind", "amplitude", "signal-phase"])
+], ids=["no-sim", "no-dt", "infinite-dt", "infinite-t_max-nominal", "infinite-t_max-weave",
+        "range", "beta", "pitch", "plant-mode", "evader-kind", "signal-kind", "amplitude",
+        "signal-phase"])
 def test_parse_error_names_section_and_key(tmp_path, capsys, source, old, new, message):
     path = write_variant(tmp_path, "variant.cfg", {old: new}, source)
     with pytest.raises(ScenarioError) as info:

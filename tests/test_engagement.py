@@ -14,11 +14,11 @@ from igcsim.engagement import (
     f0,
     g0,
     relative_derivatives,
-    velocity_angle_derivatives,
 )
 from igcsim.errors import SingularityError
 
 from .conftest import make_cfg
+from .oracles import velocity_angle_derivatives
 
 
 def state_strategy():

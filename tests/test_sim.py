@@ -1,9 +1,11 @@
+import errno
 import math
 import os
 import pickle
 import re
 import signal
 import time
+import warnings
 from array import array
 from collections import Counter
 from contextlib import contextmanager
@@ -38,6 +40,7 @@ from igcsim.sim import (
 from .conftest import (
     IN_ENVELOPE, SCENARIO_DIR, make_gains, make_initial, make_scenario,
 )
+from .oracles import attitude_rates, rk4_tableau, velocity_angle_derivatives
 
 
 def test_rk4_scalar_decay():
@@ -60,6 +63,35 @@ def test_rk4_rejects_bad_step():
 def test_rk4_detects_nonfinite():
     with pytest.raises(GuardError):
         rk4_step(lambda t, x: x * np.inf, np.array([1.0]), 0.0, 0.1)
+
+
+def test_rk4_step_contract():
+    # What rk4_step accepts and returns, pinned: a deriv may return a tuple,
+    # a 2-D state keeps its shape, and a float comes back as a numpy float.
+    y = np.array([1.0, -2.0])
+    assert np.array_equal(rk4_step(lambda t, x: (-x[0], -x[1]), y, 0.0, 0.1),
+                          rk4_step(lambda t, x: -x, y, 0.0, 0.1))
+    grid = np.arange(6.0).reshape(2, 3)
+    out = rk4_step(lambda t, x: -x, grid, 0.0, 0.1)
+    assert out.shape == (2, 3)
+    assert np.array_equal(out.ravel(), rk4_step(lambda t, x: -x, grid.ravel(), 0.0, 0.1))
+    assert type(rk4_step(lambda t, x: -x, 1.0, 0.0, 0.1)) is np.float64
+    with pytest.raises(ValueError, match="^dt must be > 0, got nan$"):
+        rk4_step(lambda t, x: -x, 1.0, 0.0, math.nan)
+
+
+def test_rk4_step_overflow_is_a_guard_error():
+    # Stage states that overflow to inf (k2's), and a combination of inf and
+    # -inf (k2 and k4), end in GuardError with its message, not in a
+    # RuntimeWarning.
+    def deriv(t, x):
+        return (1e308 if t < 10.0 else -1e308) * x
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GuardError,
+                           match=r"^non-finite state produced by integrator step at t=0\.5$"):
+            rk4_step(deriv, np.array([1.0, -1.0]), 0.5, 10.0)
 
 
 def test_rk4_observed_order():
@@ -100,8 +132,8 @@ def _composed_evaluation(scenario, k, u, y, fins):
                                                scenario.cfg, scenario.plant_mode)
     accel_p = frames.los_accel(rows, 0.0, a_theta, a_psi)
     rel = engagement.relative_derivatives(EngagementState(*y[:8]), accel_p, evader)
-    tv_dot, pv_dot = engagement.velocity_angle_derivatives(a_theta, a_psi, k, theta_v)
-    att = airframe.attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz, fins, rate, accel)
+    tv_dot, pv_dot = velocity_angle_derivatives(a_theta, a_psi, k, theta_v)
+    att = attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz, fins, rate, accel)
     return [*rel, tv_dot, pv_dot, *att]
 
 
@@ -145,13 +177,12 @@ def test_closed_loop_derivative_composition(y, t, plant_mode, delta_max, held, q
     eng, (gamma, alpha, beta, wx, wy, wz, pitch) = EngagementState(*y[:8]), y[8:]
     g1 = airframe.mixer(gamma, alpha, beta, pitch)
     f1, f2 = airframe.attitude_drift(k, alpha, beta), airframe.rate_drift(k, alpha, beta, wx, wy, wz)
-    assert flat[8:] == list(airframe.attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz,
-                                                    fins, rate, accel))
+    assert flat[8:] == list(attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz, fins, rate, accel))
     a_theta, a_psi = airframe.lift_side_accels(alpha, beta, lift, side,
                                                scenario.cfg, scenario.plant_mode)
     accel_p = frames.accel_velocity_to_los((0.0, a_theta, a_psi), eng.los, eng.vel)
     assert np.array_equal(flat[:6], engagement.relative_derivatives(eng, accel_p, evader))
-    assert tuple(flat[6:8]) == engagement.velocity_angle_derivatives(
+    assert tuple(flat[6:8]) == velocity_angle_derivatives(
         a_theta, a_psi, scenario.cfg, eng.theta_v)
 
 
@@ -183,7 +214,7 @@ def test_written_out_step_matches_tableau(y, t, dt, control_update, plant_mode, 
         k1 = sim.evaluate(k, signals(t), y, fins)[0]
     held = fins if control_update == "hold" else None
     outcome = _step_outcome(lambda: sim._step(k, signals, y, t, dt, k1, held))
-    assert outcome == _step_outcome(lambda: sim._rk4(
+    assert outcome == _step_outcome(lambda: rk4_tableau(
         lambda tt, yy: sim.evaluate(k, signals(tt), yy, held)[0], y, t, dt, k1))
     if dt == 1e300:
         assert outcome[0] is GuardError
@@ -197,7 +228,7 @@ def test_written_out_step_reports_a_non_finite_state(monkeypatch):
     k, y, k1 = Kernel(scenario), list(scenario.initial), [1e308] * 15
     outcome = _step_outcome(lambda: sim._step(k, scenario.signals, y, 0.5, 1.0, k1, None))
     assert outcome == (GuardError, "non-finite state produced by integrator step at t=0.5")
-    assert outcome == _step_outcome(lambda: sim._rk4(
+    assert outcome == _step_outcome(lambda: rk4_tableau(
         lambda tt, yy: sim.evaluate(k, scenario.signals(tt), yy, None)[0], y, 0.5, 1.0, k1))
 
 
@@ -701,6 +732,43 @@ def test_no_child_outlives_map_points_or_csv_writer(monkeypatch, tmp_path, case)
     _assert_no_child_process()
 
 
+def _open_descriptors():
+    # None where there is no /proc to list them.
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@needs_fork
+def test_failed_fork_closes_its_pipes(monkeypatch, tmp_path, capsys):
+    # When os.fork fails, ChildProcess closes the two pipes it made and
+    # raises the error: map_points raises it once the child it already forked
+    # is reaped, and `igcsim run` reports the writer's as an error.
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+    real_fork, forks = os.fork, []
+
+    def fork_failing_at(call):
+        def fork():
+            forks.append(None)
+            if len(forks) == call:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+        return fork
+
+    descriptors = _open_descriptors()
+    monkeypatch.setattr(os, "fork", fork_failing_at(2))
+    with _time_bound(60), pytest.raises(OSError) as info:
+        sim.map_points(_square, range(3))
+    assert info.value.errno == errno.EAGAIN and len(forks) == 2
+    _assert_no_child_process()
+
+    forks.clear()
+    monkeypatch.setattr(os, "fork", fork_failing_at(1))
+    assert cli.main(["run", str(SCENARIO_DIR / "nominal.cfg"), str(tmp_path / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+    assert captured.out == "" and len(forks) == 1
+    assert _open_descriptors() == descriptors
+
+
 def _mebibyte(item):
     return np.random.default_rng(item).random(1 << 17)  # 1 MiB of float64
 
@@ -824,8 +892,8 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
     # Scenario.validate checks the initial state.  The law is its stage
     # functions, so each runs once per law evaluation: once a step in hold
     # mode, once per RK4 stage in substep mode, and once for the last logged
-    # state.  The piecewise helpers that evaluate composes and the generic
-    # tableau are off the run path.
+    # state.  The piecewise helpers that evaluate composes and rk4_step are
+    # off the run path.
     calls = Counter()
 
     def count(module, name):
@@ -837,7 +905,7 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
 
         monkeypatch.setattr(module, name, counted)
 
-    unused = ((frames, "los_rows"), (airframe, "mixer"), (sim, "_rk4"))
+    unused = ((frames, "los_rows"), (airframe, "mixer"), (sim, "rk4_step"))
     stages = ((engagement, "guidance_map"), (igc, "guidance_stage"), (igc, "attitude_stage"),
               (igc, "fin_stage"))
     for module, name in ((sim, "evaluate"), (sim, "check_envelope"), *unused, *stages):
