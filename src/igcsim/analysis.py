@@ -228,15 +228,6 @@ def build_certificate(gains: Gains, g0_norm: float, g1_norm: float,
     )
 
 
-def _central_differences(series: np.ndarray, dt: float) -> np.ndarray:
-    """Columnwise derivative estimate; one-sided at the endpoints."""
-    out = np.empty_like(series)
-    out[1:-1] = (series[2:] - series[:-2]) / (2.0 * dt)
-    out[0] = (series[1] - series[0]) / dt
-    out[-1] = (series[-1] - series[-2]) / dt
-    return out
-
-
 def _running_sup(norms: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(norms)
 
@@ -257,16 +248,17 @@ def _norm(*components) -> np.ndarray:
 
 def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTrace, ...], int]:
     """Channelwise envelope audit of the log of a run of ``scenario``, whose
-    gains, plant constants, ``r_min`` and signals (at the logged times) it reads.
+    gains, plant constants, ``r_min`` (> 0 once the scenario is built, which
+    bounds the 1/r scaling) and signals (at the logged times) it reads.
 
     Returns one trace per channel (LOS rate, attitude error, rate error) and
     the total violation count; a sample violates when measured exceeds
     bound * (1 + DEFAULT_SLACK).  Command derivatives are estimated by central
-    finite differences, so that slack covers the discretization and
-    integration error of a smooth run.  The input maps are the law's own
-    helpers, called once over the log's columns, so a state where the
-    guidance map is singular, which no run logs, raises the law's
-    SingularityError for the first such state.
+    finite differences (``np.gradient``, one-sided at the endpoints), so that
+    slack covers the discretization and integration error of a smooth run.
+    The input maps are the law's own helpers, called once over the log's
+    columns, so a state where the guidance map is singular, which no run
+    logs, raises the law's SingularityError for the first such state.
     """
     t = log.t
     n = t.shape[0]
@@ -276,7 +268,6 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTra
     dt = steps[0]
     if not np.all(np.abs(steps - dt) <= 1e-9 * max(dt, 1.0)):
         raise ValueError("log timestamps are not uniform")
-    scenario.validate()  # r_min > 0 bounds the 1/r scaling below
     gains, cfg, r_min = scenario.gains, scenario.cfg, scenario.r_min
     rate, accel, lift, side, evader = sim.inputs(scenario, t)
 
@@ -308,7 +299,7 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTra
     # Attitude channel: disturbance is the rate noise, the command
     # derivative, and the rate tracking error mapped through the mixer.
     eta1_norm = log.eta1_norm
-    y0 = -_central_differences(log.x1_cmd, dt)
+    y0 = -np.gradient(log.x1_cmd, dt, axis=0)
     g1 = airframe.mixer(log.gamma, log.alpha, log.beta, log.pitch, trig=np)
     y3_norm = _norm(*_matvec(g1, log.eta2.T))
     del g1
@@ -322,7 +313,7 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTra
     # Rate channel: disturbance is the moment noise plus the rate-command
     # derivative.
     eta2_norm = log.eta2_norm
-    y2 = -_central_differences(log.x2_cmd, dt)
+    y2 = -np.gradient(log.x2_cmd, dt, axis=0)
     combined2 = (
         _running_sup(np.linalg.norm(accel, axis=-1))
         + _running_sup(np.linalg.norm(y2, axis=-1))
@@ -412,4 +403,4 @@ def _probe_response(loop: str, probe: sim.Scenario) -> tuple[np.ndarray, float]:
         cmd = log.x2_cmd
         forcing = np.linalg.norm(rate, axis=-1)
     # Drop the one-sided finite-difference endpoints.
-    return _central_differences(cmd, probe.dt)[2:-2], float(forcing.max())
+    return np.gradient(cmd, probe.dt, axis=0)[2:-2], float(forcing.max())

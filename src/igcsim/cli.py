@@ -163,14 +163,12 @@ def parse_scenario(path) -> Scenario:
         }
         signals[signal.name] = _build("disturbance", signal_type, kwargs, key_prefix=prefix)
 
-    scenario = Scenario(cfg=cfg, gains=gains, initial=initial, evader=evader,
-                        disturbances=DisturbanceModel(**signals),
-                        **_section(sections, "sim"))
-    try:
-        scenario.validate()
+    sim_values = _section(sections, "sim")
+    try:  # the whole scenario is checked when built, after every section
+        return Scenario(cfg=cfg, gains=gains, initial=initial, evader=evader,
+                        disturbances=DisturbanceModel(**signals), **sim_values)
     except ValueError as exc:
         raise ScenarioError(str(exc))
-    return scenario
 
 
 def _fmt(value: float) -> str:
@@ -216,12 +214,6 @@ def _write_csv(handle, tables) -> None:
                 log.x0_norm, log.eta1_norm, log.eta2_norm,
             ])
             handle.write((_CSV_ROW * len(log)) % tuple(rows.ravel().tolist()))
-
-
-def write_csv_log(log: SimLog, path) -> None:
-    """Write the per-step log as the fixed 27-column CSV."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        _write_csv(handle, [log.table])
 
 
 def _run_writer(handle, rows_in: int) -> None:

@@ -49,7 +49,8 @@ _BANDED = (("LOS elevation", 2), ("velocity elevation", 6), ("sideslip", 10), ("
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a run needs: plant constants, gains, initial state, inputs."""
+    """Everything a run needs: plant constants, gains, initial state, inputs.
+    Building or ``replace``-ing one checks it: ValueError names a bad key."""
 
     cfg: AeroConfig
     gains: Gains
@@ -60,13 +61,13 @@ class Scenario:
     t_max: float = 20.0          # [s]
     r_intercept: float = 1.0     # [m], range at which interception is declared
     r_min: float = 1.0           # [m], assumed lower range bound for analysis
-    r_max: float = 1e5           # [m], sanity bound on the initial range; only validate reads it
+    r_max: float = 1e5           # [m], sanity bound on the initial range; only checked when built
     plant_mode: str = "trig"     # force model of the truth plant
     delta_max: float | None = None   # optional symmetric fin limit [rad]
     divergence_factor: float = 1.5   # miss once r exceeds this times the initial range while opening
     control_update: str = "hold"     # 'hold' or 'substep'
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.initial) != len(STATE_FIELDS):
             raise ValueError(f"initial: need {len(STATE_FIELDS)} floats in STATE_FIELDS order, "
                              f"got {len(self.initial)}")
@@ -78,8 +79,9 @@ class Scenario:
             raise ValueError(f"sim.dt: must be finite and > 0, got {self.dt!r}")
         if not (math.isfinite(self.t_max) and self.t_max >= 0.0):
             raise ValueError(f"sim.t_max: must be finite and >= 0, got {self.t_max!r}")
-        if not self.r_intercept > 0.0:
-            raise ValueError(f"sim.r_intercept: must be > 0, got {self.r_intercept!r}")
+        if not 0.0 < self.r_intercept < self.initial[0]:
+            raise ValueError(f"sim.r_intercept: need 0 < r_intercept < initial range, got "
+                             f"r_intercept={self.r_intercept!r}, r={self.initial[0]!r}")
         if not 0.0 < self.r_min < self.initial[0] < self.r_max:
             raise ValueError(
                 "sim.r_min/sim.r_max: need 0 < r_min < initial range < r_max, got "
@@ -216,15 +218,6 @@ class SimSummary:
     audit_violations: tuple[int, int, int] | None = None
 
 
-def _finite_step(y_next: list[float], t: float) -> list[float]:
-    """``y_next``, the state an integrator step from ``t`` produced, unless an
-    entry is not finite: then GuardError."""
-    # A finite sum means every entry is finite; one that overflows is checked entry by entry.
-    if not math.isfinite(sum(y_next)) and not all(map(math.isfinite, y_next)):
-        raise GuardError(f"non-finite state produced by integrator step at t={t:.6g}")
-    return y_next
-
-
 def rk4_step(deriv, y, t: float, dt: float):
     """Classical fourth-order Runge-Kutta update for dy/dt = deriv(t, y) on a
     float or an array of any shape, in :func:`_step`'s operation order.  A
@@ -247,7 +240,8 @@ def rk4_step(deriv, y, t: float, dt: float):
         k3 = stage(t + h, y + h * k2)
         k4 = stage(t + dt, y + dt * k3)
         y_next = y + dt / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
-    _finite_step(np.ravel(y_next).tolist(), t)
+    if not np.isfinite(y_next).all():
+        raise GuardError(f"non-finite state produced by integrator step at t={t:.6g}")
     return y_next
 
 
@@ -373,7 +367,8 @@ def _step(k: Kernel, signals, y, t: float, dt: float, k1: list[float], held) -> 
     tableau of :func:`rk4_step` over :func:`evaluate` under
     :meth:`Scenario.signals`, with the fins ``held`` (None: the law at every
     stage), each stage written out over locals in that operation order.
-    ``k1`` is the evaluation of ``y``."""
+    ``k1`` is the evaluation of ``y``.  The new state is unchecked here: the
+    run's next :func:`evaluate` is its one envelope check."""
     y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14 = y
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14 = k1
     h = 0.5 * dt
@@ -392,21 +387,21 @@ def _step(k: Kernel, signals, y, t: float, dt: float, k1: list[float], held) -> 
                              y10 + dt * c10, y11 + dt * c11, y12 + dt * c12, y13 + dt * c13,
                              y14 + dt * c14], held)[0]
     w = dt / 6.0
-    return _finite_step([y0 + w * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
-                         y1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
-                         y2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
-                         y3 + w * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
-                         y4 + w * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
-                         y5 + w * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
-                         y6 + w * (((a6 + 2.0 * b6) + 2.0 * c6) + d6),
-                         y7 + w * (((a7 + 2.0 * b7) + 2.0 * c7) + d7),
-                         y8 + w * (((a8 + 2.0 * b8) + 2.0 * c8) + d8),
-                         y9 + w * (((a9 + 2.0 * b9) + 2.0 * c9) + d9),
-                         y10 + w * (((a10 + 2.0 * b10) + 2.0 * c10) + d10),
-                         y11 + w * (((a11 + 2.0 * b11) + 2.0 * c11) + d11),
-                         y12 + w * (((a12 + 2.0 * b12) + 2.0 * c12) + d12),
-                         y13 + w * (((a13 + 2.0 * b13) + 2.0 * c13) + d13),
-                         y14 + w * (((a14 + 2.0 * b14) + 2.0 * c14) + d14)], t)
+    return [y0 + w * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
+            y1 + w * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+            y2 + w * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+            y3 + w * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+            y4 + w * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+            y5 + w * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
+            y6 + w * (((a6 + 2.0 * b6) + 2.0 * c6) + d6),
+            y7 + w * (((a7 + 2.0 * b7) + 2.0 * c7) + d7),
+            y8 + w * (((a8 + 2.0 * b8) + 2.0 * c8) + d8),
+            y9 + w * (((a9 + 2.0 * b9) + 2.0 * c9) + d9),
+            y10 + w * (((a10 + 2.0 * b10) + 2.0 * c10) + d10),
+            y11 + w * (((a11 + 2.0 * b11) + 2.0 * c11) + d11),
+            y12 + w * (((a12 + 2.0 * b12) + 2.0 * c12) + d12),
+            y13 + w * (((a13 + 2.0 * b13) + 2.0 * c13) + d13),
+            y14 + w * (((a14 + 2.0 * b14) + 2.0 * c14) + d14)]
 
 
 def _miss_distance(log: SimLog) -> float:
@@ -443,13 +438,13 @@ def inputs(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, ...]:
 def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
     """Integrate the closed loop until intercept, miss, guard breach, or timeout:
     ``t_max`` reached, or MAX_STEPS steps logged, which the summary's message
-    names.  Each RK4 stage is one :func:`evaluate`.
+    names.  Each RK4 stage is one :func:`evaluate`, whose envelope check is
+    the one check of each state the run reaches.
 
     ``on_block``, if given, is called with each completed LOG_BLOCK rows of
     the step table as they are logged, then with the remaining rows at the
     end: an ``array('d')`` of the rows' floats, back to back.  An exception
     it raises ends the run and propagates."""
-    scenario.validate()
     dt = scenario.dt
     r0 = scenario.initial[0]
     hold = scenario.control_update == "hold"

@@ -6,20 +6,19 @@ with the package's own piecewise helpers), and :func:`igcsim.sim._step` to
 
 import math
 
-from igcsim import sim
-
 
 def rk4_tableau(deriv, y, t, dt, k1):
     """One classical RK4 step of dy/dt = deriv(t, y) over a float list of any
     length, in the operation order of ``sim._step`` and ``sim.rk4_step``.
-    ``k1`` is deriv(t, y), which the caller evaluates."""
+    ``k1`` is deriv(t, y), which the caller evaluates.  Like ``sim._step``,
+    it returns the new state unchecked, finite or not."""
     h = 0.5 * dt
     k2 = deriv(t + h, [a + h * b for a, b in zip(y, k1)])
     k3 = deriv(t + h, [a + h * b for a, b in zip(y, k2)])
     k4 = deriv(t + dt, [a + dt * b for a, b in zip(y, k3)])
     c = dt / 6.0
-    return sim._finite_step([a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)], t)
+    return [a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def attitude_rates(k, g1, f1, f2, gamma, wx, wy, wz, fins, d1, d2):

@@ -13,7 +13,6 @@ from igcsim.cli import (
     parse_scenario,
     read_csv_log,
     serialize_scenario,
-    write_csv_log,
     CSV_COLUMNS,
 )
 from igcsim import cli, sim
@@ -112,9 +111,13 @@ def test_parse_rejects_non_numeric_value(tmp_path):
     (WEAVE, "frequency = 1.0", "frequency = 1e308",
      "evader.frequency: frequency * (t_max + dt) + phase must be finite, "
      "got frequency=1e+308, phase=0.0, t_max=8.0"),
+    (NOMINAL, "r_intercept = 1.0", "r_intercept = 5000.0",
+     "sim.r_intercept: need 0 < r_intercept < initial range, got r_intercept=5000.0, r=4000.0"),
+    (WEAVE, "r_intercept = 1.0", "r_intercept = 3000.0",
+     "sim.r_intercept: need 0 < r_intercept < initial range, got r_intercept=3000.0, r=3000.0"),
 ], ids=["no-sim", "no-dt", "infinite-dt", "infinite-t_max-nominal", "infinite-t_max-weave",
         "range", "beta", "pitch", "plant-mode", "evader-kind", "signal-kind", "amplitude",
-        "signal-phase"])
+        "signal-phase", "r_intercept-nominal", "r_intercept-weave"])
 def test_parse_error_names_section_and_key(tmp_path, capsys, source, old, new, message):
     path = write_variant(tmp_path, "variant.cfg", {old: new}, source)
     with pytest.raises(ScenarioError) as info:
@@ -129,8 +132,8 @@ def test_parse_error_names_section_and_key(tmp_path, capsys, source, old, new, m
 
 
 def test_parse_reports_initial_state_after_sections(tmp_path):
-    # Scenario.validate checks the initial state, after every section is
-    # built, so a bad evader kind is reported before a bad initial range.
+    # A Scenario checks the initial state when it is built, after every
+    # section is, so a bad evader kind is reported before a bad initial range.
     path = write_variant(tmp_path, "two.cfg", {"r = 3000.0": "r = -1.0",
                                                "kind = weave": "kind = spiral"}, WEAVE)
     with pytest.raises(ScenarioError, match=r"^evader\.kind: "):
@@ -175,7 +178,8 @@ def test_csv_round_trip(tmp_path):
     scenario = make_scenario(t_max=0.05)
     log, _ = run(scenario)
     path = tmp_path / "log.csv"
-    write_csv_log(log, path)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        cli._write_csv(handle, [log.table])
     back = read_csv_log(path)
     assert np.array_equal(back["t"], log.t)
     assert np.array_equal(back["r"], log.r)
@@ -186,7 +190,8 @@ def test_csv_round_trip(tmp_path):
 def test_read_csv_log_names_malformed_row(tmp_path):
     log, _ = run(make_scenario(t_max=0.05))
     path = tmp_path / "log.csv"
-    write_csv_log(log, path)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        cli._write_csv(handle, [log.table])
     lines = path.read_text().splitlines(keepends=True)
     # A truncated log, such as `head -c 3000` of it, ends inside a row.
     head = path.read_bytes()[:3000]

@@ -221,15 +221,29 @@ def test_written_out_step_matches_tableau(y, t, dt, control_update, plant_mode, 
 
 
 def test_written_out_step_reports_a_non_finite_state(monkeypatch):
-    # Stage derivatives that overflow the combined state: the tableau's
-    # finite check, with its message.
+    # Stage derivatives that overflow the combined state: the step returns
+    # it, as the tableau does, and a run ends at the next state's envelope
+    # check, whose note names the variable.
+    evaluate = sim.evaluate
     monkeypatch.setattr(sim, "evaluate", lambda k, u, y, fins: ([1e308] * 15, None))
     scenario = make_scenario()
     k, y, k1 = Kernel(scenario), list(scenario.initial), [1e308] * 15
     outcome = _step_outcome(lambda: sim._step(k, scenario.signals, y, 0.5, 1.0, k1, None))
-    assert outcome == (GuardError, "non-finite state produced by integrator step at t=0.5")
+    assert outcome == array("d", [math.inf] * 15).tobytes()
     assert outcome == _step_outcome(lambda: rk4_tableau(
         lambda tt, yy: sim.evaluate(k, scenario.signals(tt), yy, None)[0], y, 0.5, 1.0, k1))
+
+    def overflowing(k, u, y, fins=None):
+        # The held stages' range-rate derivative overflows the new vr.
+        derivative, law_out = evaluate(k, u, y, fins)
+        if fins is not None:
+            derivative[1] = 1e308
+        return derivative, law_out
+
+    monkeypatch.setattr(sim, "evaluate", overflowing)
+    log, summary = run(scenario)
+    assert (summary.outcome, summary.message) == ("guard-breach", "t=0.001: vr inf must be finite")
+    assert len(log) == 1
 
 
 @pytest.mark.parametrize("plant_mode", ["trig", "linear"])
@@ -266,11 +280,14 @@ def test_run_timeout_immediately():
 
 
 def test_run_immediate_intercept():
-    scenario = make_scenario(initial=make_initial(r=0.5), r_intercept=1.0,
-                             r_min=0.1, t_max=1.0)
-    log, summary = run(scenario)
-    assert summary.outcome == "intercept"
-    assert summary.steps == 1
+    # An r_intercept at or past the initial range would "intercept" at the
+    # first step; such a scenario is rejected when built, naming both values.
+    for r_intercept in (1.0, 0.5, 0.0):
+        with pytest.raises(ValueError, match=re.escape(
+                "sim.r_intercept: need 0 < r_intercept < initial range, got "
+                f"r_intercept={r_intercept!r}, r=0.5")):
+            make_scenario(initial=make_initial(r=0.5), r_intercept=r_intercept,
+                          r_min=0.1, t_max=1.0)
 
 
 def test_run_miss_on_opening_range():
@@ -419,11 +436,11 @@ def test_log_uniform_timestamps():
 
 def test_scenario_validation_messages():
     with pytest.raises(ValueError, match="sim.dt"):
-        make_scenario(dt=0.0).validate()
+        make_scenario(dt=0.0)
     with pytest.raises(ValueError, match="r_min"):
-        make_scenario(r_min=5000.0).validate()
+        make_scenario(r_min=5000.0)
     with pytest.raises(ValueError, match="plant_mode"):
-        make_scenario(plant_mode="exact").validate()
+        make_scenario(plant_mode="exact")
 
 
 @pytest.mark.parametrize("initial, message", [
@@ -448,14 +465,13 @@ def test_scenario_validation_messages():
                  id="long"),
 ])
 def test_scenario_validates_initial_state(initial, message):
-    # A scenario built in code holds any floats; validate, and so run, rejects
-    # an initial state that is not 15 floats inside the flight envelope.
-    scenario = make_scenario(initial=initial)
-    with pytest.raises(ValueError) as info:
-        scenario.validate()
-    assert str(info.value) == message
-    with pytest.raises(ValueError, match="^initial: "):
-        run(scenario)
+    # A scenario built in code is checked as one read from a file is: building
+    # it, or replacing a valid one's initial state, rejects an initial state
+    # that is not 15 floats inside the flight envelope.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_scenario(initial=initial)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(make_scenario(), initial=initial)
 
 
 def test_trimmed_attitude_zeroes_tracking_errors():
@@ -800,9 +816,8 @@ def test_validate_rejects_overflowing_signal_phase():
     # must be finite; a signal that never samples its sine is not checked.
     huge = AxisSignal(kind="sinusoid", amplitude=1.0, frequency=1e308)
     with pytest.raises(ValueError, match=r"^disturbance\.lift_frequency: "):
-        make_scenario(disturbances=DisturbanceModel(lift=huge), t_max=2.0).validate()
-    make_scenario(disturbances=DisturbanceModel(lift=replace(huge, kind="constant")),
-                  t_max=2.0).validate()
+        make_scenario(disturbances=DisturbanceModel(lift=huge), t_max=2.0)
+    make_scenario(disturbances=DisturbanceModel(lift=replace(huge, kind="constant")), t_max=2.0)
 
 
 def test_substep_control_mode_runs():
@@ -889,11 +904,12 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
     # state is also its first stage, so a step evaluates four states (its
     # own, then those of k2, k3 and k4), and the last logged state is
     # evaluated once more.  Each evaluation checks the envelope once, and
-    # Scenario.validate checks the initial state.  The law is its stage
-    # functions, so each runs once per law evaluation: once a step in hold
-    # mode, once per RK4 stage in substep mode, and once for the last logged
-    # state.  The piecewise helpers that evaluate composes and rk4_step are
-    # off the run path.
+    # nothing else does: the scenario, built before counting, was checked
+    # when built, and a step's new state is checked when next evaluated.
+    # The law is its stage functions, so each runs once per law evaluation:
+    # once a step in hold mode, once per RK4 stage in substep mode, and once
+    # for the last logged state.  The piecewise helpers that evaluate
+    # composes and rk4_step are off the run path.
     calls = Counter()
 
     def count(module, name):
@@ -912,12 +928,12 @@ def test_step_evaluates_each_state_once(monkeypatch, control_update):
         count(module, name)
     shipped = parse_scenario(SCENARIO_DIR / "weave_disturbed.cfg")
     for steps in (10, 30):
+        scenario = replace(shipped, t_max=steps * shipped.dt, control_update=control_update)
         calls.clear()
-        log, summary = run(replace(shipped, t_max=steps * shipped.dt,
-                                   control_update=control_update))
+        log, summary = run(scenario)
         assert summary.outcome == "timeout" and len(log) == steps + 1
         evaluations = 4 * steps + 1
         law_evaluations = steps + 1 if control_update == "hold" else evaluations
-        assert calls == {"evaluate": evaluations, "check_envelope": evaluations + 1,
+        assert calls == {"evaluate": evaluations, "check_envelope": evaluations,
                          **{name: law_evaluations for _, name in stages}}
         assert [calls[name] for _, name in unused] == [0] * len(unused)
