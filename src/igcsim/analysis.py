@@ -42,6 +42,11 @@ G1_SCAN_ANGLE = 0.3
 # The central differences of the command derivatives need three samples.
 MIN_AUDIT_SAMPLES = 3
 
+# Rows per block in which bound_audit reads the log.  Each block holds its
+# own temporaries and pays numpy's per-call cost once more: at 256 rows the
+# audit of nominal.cfg's log took twice as long.
+AUDIT_BLOCK = 4 * sim.LOG_BLOCK
+
 
 @dataclass(frozen=True)
 class LinearGain:
@@ -228,10 +233,6 @@ def build_certificate(gains: Gains, g0_norm: float, g1_norm: float,
     )
 
 
-def _running_sup(norms: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(norms)
-
-
 def _matvec(m, v) -> list:
     """The matrix ``m`` (row-major entries) times the vector ``v``, where an
     entry of either is a log column or a constant: one column per entry of
@@ -246,6 +247,42 @@ def _norm(*components) -> np.ndarray:
     return np.sqrt(sum((c * c for c in components[1:]), components[0] * components[0]))
 
 
+def _disturbance_norms(log: sim.SimLog, lo: int, hi: int, scenario: sim.Scenario,
+                       k: airframe.AeroConstants, dt: float) -> np.ndarray:
+    """The norms of the channels' seven disturbance terms at rows ``lo:hi`` of
+    ``log``, as a (7, hi - lo) array.  Guidance: the evader and force
+    uncertainty (scaled by 1/r in its bound), and the attitude tracking error
+    mapped through the input matrix.  Attitude: the rate noise, the
+    command derivative, and the rate tracking error mapped through the
+    mixer.  Rate: the moment noise and the rate-command derivative."""
+    rows = sim.SimLog(log.table[lo:hi])
+    rate, accel, lift, side, evader = sim.inputs(scenario, rows.t)
+    m = frames.los_rows(rows.theta_l, rows.phi_l, rows.theta_v, rows.psi_v, trig=np)
+    singular = np.abs(engagement.projection_det(m)) < engagement.GEOMETRY_SINGULARITY
+    if singular.any():
+        i = int(singular.argmax())
+        # The law's gate raises its own error on the first singular sample.
+        engagement.guidance_map(k, float(rows.r[i]), [float(c[i]) for c in m])
+    g0 = engagement.guidance_entries(k, rows.r, m)
+    _, p0, p1 = frames.los_accel(m, 0.0, lift / k.mass, side / k.mass)
+    g1 = airframe.mixer(rows.gamma, rows.alpha, rows.beta, rows.pitch, trig=np)
+    # One row of halo on each side: the central differences reach across the
+    # block's ends, and are one-sided only at the log's.
+    a = max(lo - 1, 0)
+    halo = sim.SimLog(log.table[a:hi + 1])
+    y0 = -np.gradient(halo.x1_cmd, dt, axis=0)[lo - a:hi - a]
+    y2 = -np.gradient(halo.x2_cmd, dt, axis=0)[lo - a:hi - a]
+    return np.stack((
+        _norm(-p0 + evader[:, 1], -p1 + evader[:, 2]),
+        _norm(*_matvec(g0, (rows.alpha - rows.alpha_cmd, rows.beta - rows.beta_cmd))),
+        np.linalg.norm(rate, axis=-1),
+        np.linalg.norm(y0, axis=-1),
+        _norm(*_matvec(g1, rows.eta2.T)),
+        np.linalg.norm(accel, axis=-1),
+        np.linalg.norm(y2, axis=-1),
+    ))
+
+
 def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTrace, ...], int]:
     """Channelwise envelope audit of the log of a run of ``scenario``, whose
     gains, plant constants, ``r_min`` (> 0 once the scenario is built, which
@@ -254,11 +291,14 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTra
     Returns one trace per channel (LOS rate, attitude error, rate error) and
     the total violation count; a sample violates when measured exceeds
     bound * (1 + DEFAULT_SLACK).  Command derivatives are estimated by central
-    finite differences (``np.gradient``, one-sided at the endpoints), so that
-    slack covers the discretization and integration error of a smooth run.
-    The input maps are the law's own helpers, called once over the log's
-    columns, so a state where the guidance map is singular, which no run
-    logs, raises the law's SingularityError for the first such state.
+    finite differences (``np.gradient``, one-sided at the log's two ends), so
+    that slack covers the discretization and integration error of a smooth
+    run.  The log is read in blocks of AUDIT_BLOCK rows: the input maps are
+    the law's own helpers, called once over each block's columns, and each
+    running supremum carries on from the previous block's last value, so
+    the traces are those of one pass over the whole columns.  A state where
+    the guidance map is singular, which no run logs, raises the law's
+    SingularityError for the first such state.
     """
     t = log.t
     n = t.shape[0]
@@ -268,69 +308,38 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTra
     dt = steps[0]
     if not np.all(np.abs(steps - dt) <= 1e-9 * max(dt, 1.0)):
         raise ValueError("log timestamps are not uniform")
-    gains, cfg, r_min = scenario.gains, scenario.cfg, scenario.r_min
-    rate, accel, lift, side, evader = sim.inputs(scenario, t)
-
-    # The channels' input maps at every sample, each entry a column.  Each
-    # column is dropped once used: the audit's transient memory sets the peak
-    # memory of `igcsim run --audit`.
-    k = airframe.AeroConstants(cfg)
-    m = frames.los_rows(log.theta_l, log.phi_l, log.theta_v, log.psi_v, trig=np)
-    singular = np.abs(engagement.projection_det(m)) < engagement.GEOMETRY_SINGULARITY
-    if singular.any():
-        i = int(singular.argmax())
-        # The law's gate raises its own error on the first singular sample.
-        engagement.guidance_map(k, float(log.r[i]), [float(c[i]) for c in m])
-    g0 = engagement.guidance_entries(k, log.r, m)
-
-    # Guidance channel: disturbance is (evader + force uncertainty)/r plus
-    # the attitude tracking error mapped through the input matrix.
-    x0_norm = log.x0_norm
-    _, p0, p1 = frames.los_accel(m, 0.0, lift / cfg.mass, side / cfg.mass)
-    d0_norm = _norm(-p0 + evader[:, 1], -p1 + evader[:, 2])
-    del m, singular, p0, p1
-    y1_norm = _norm(*_matvec(g0, (log.alpha - log.alpha_cmd, log.beta - log.beta_cmd)))
-    del g0
+    del steps
+    gains = scenario.gains
+    k = airframe.AeroConstants(scenario.cfg)
     # Keep the 1/r scaling sound even if the final sample dips below r_min.
-    r_floor = min(r_min, float(log.r.min()))
-    bound_x0 = x0_bound(t, float(x0_norm[0]), gains, r_floor,
-                        _running_sup(d0_norm), _running_sup(y1_norm))
+    r_floor = min(scenario.r_min, float(log.r.min()))
 
-    # Attitude channel: disturbance is the rate noise, the command
-    # derivative, and the rate tracking error mapped through the mixer.
-    eta1_norm = log.eta1_norm
-    y0 = -np.gradient(log.x1_cmd, dt, axis=0)
-    g1 = airframe.mixer(log.gamma, log.alpha, log.beta, log.pitch, trig=np)
-    y3_norm = _norm(*_matvec(g1, log.eta2.T))
-    del g1
-    combined1 = (
-        _running_sup(np.linalg.norm(rate, axis=-1))
-        + _running_sup(np.linalg.norm(y0, axis=-1))
-        + _running_sup(y3_norm)
-    )
-    bound_eta1 = theorem2_bound(t, float(eta1_norm[0]), gains.k1, gains.delta1, combined1)
+    # Only the measured norms and the bounds span the log; every other
+    # temporary spans one block, so the audit adds a bounded amount to the
+    # peak memory of `igcsim run --audit`.
+    measured, bound = np.empty((3, n)), np.empty((3, n))
+    sups = np.full((7, 1), -math.inf)  # the running suprema at the previous block's end
+    violations = np.zeros(3, dtype=int)
+    for lo in range(0, n, AUDIT_BLOCK):
+        hi = min(lo + AUDIT_BLOCK, n)
+        running = np.maximum(np.maximum.accumulate(_disturbance_norms(log, lo, hi, scenario, k, dt),
+                                                   axis=1), sups)
+        sups = running[:, -1:]
+        d0, y1, rate, y0, y3, accel, y2 = running
+        rows, tb = sim.SimLog(log.table[lo:hi]), t[lo:hi]
+        measured[0, lo:hi] = rows.x0_norm
+        measured[1, lo:hi] = rows.eta1_norm
+        measured[2, lo:hi] = rows.eta2_norm
+        x0_first, eta1_first, eta2_first = measured[:, 0].tolist()  # set by the first block
+        bound[0, lo:hi] = x0_bound(tb, x0_first, gains, r_floor, d0, y1)
+        bound[1, lo:hi] = theorem2_bound(tb, eta1_first, gains.k1, gains.delta1, rate + y0 + y3)
+        bound[2, lo:hi] = theorem2_bound(tb, eta2_first, gains.k2, gains.delta2, accel + y2)
+        violations += np.count_nonzero(
+            measured[:, lo:hi] > bound[:, lo:hi] * (1.0 + DEFAULT_SLACK), axis=1)
 
-    # Rate channel: disturbance is the moment noise plus the rate-command
-    # derivative.
-    eta2_norm = log.eta2_norm
-    y2 = -np.gradient(log.x2_cmd, dt, axis=0)
-    combined2 = (
-        _running_sup(np.linalg.norm(accel, axis=-1))
-        + _running_sup(np.linalg.norm(y2, axis=-1))
-    )
-    bound_eta2 = theorem2_bound(t, float(eta2_norm[0]), gains.k2, gains.delta2, combined2)
-
-    traces = []
-    total = 0
-    for channel, measured, bound in (
-        ("los_rate", x0_norm, bound_x0),
-        ("attitude_error", eta1_norm, bound_eta1),
-        ("rate_error", eta2_norm, bound_eta2),
-    ):
-        violations = int(np.count_nonzero(measured > bound * (1.0 + DEFAULT_SLACK)))
-        total += violations
-        traces.append(BoundTrace(channel, t, measured, bound, violations))
-    return tuple(traces), total
+    traces = tuple(BoundTrace(channel, t, measured[c], bound[c], int(violations[c]))
+                   for c, channel in enumerate(("los_rate", "attitude_error", "rate_error")))
+    return traces, int(violations.sum())
 
 
 def estimate_loop_gain(scenario, loop: str, base_amplitude: float,

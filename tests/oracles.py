@@ -1,10 +1,18 @@
 """Reference formulas that the package writes out inline, kept here so that
 the tests can hold it to them bit for bit: :func:`igcsim.sim.evaluate` to
 :func:`attitude_rates` and :func:`velocity_angle_derivatives` (composed
-with the package's own piecewise helpers), and :func:`igcsim.sim._step` to
-:func:`rk4_tableau` over :func:`igcsim.sim.evaluate`."""
+with the package's own piecewise helpers), :func:`igcsim.sim._step` to
+:func:`rk4_tableau` over :func:`igcsim.sim.evaluate`, and
+:func:`igcsim.analysis.bound_audit`, which walks the log in row blocks, to
+:func:`bound_audit_columns` over its whole columns."""
 
 import math
+
+import numpy as np
+
+from igcsim import airframe, engagement, frames, sim
+from igcsim.analysis import (DEFAULT_SLACK, MIN_AUDIT_SAMPLES, BoundTrace, _matvec, _norm,
+                             theorem2_bound, x0_bound)
 
 
 def rk4_tableau(deriv, y, t, dt, k1):
@@ -54,3 +62,80 @@ def velocity_angle_derivatives(a_theta, a_psi, cfg, theta_v):
     AeroConstants.
     """
     return a_theta / cfg.speed, -a_psi / (cfg.speed * math.cos(theta_v))
+
+
+def bound_audit_columns(log, scenario):
+    """:func:`igcsim.analysis.bound_audit` over the log's whole columns: each
+    input map is called once over every row, and each running supremum is
+    one ``np.maximum.accumulate`` of its full column.  Returns the same
+    (traces, total)."""
+    t = log.t
+    n = t.shape[0]
+    if n < MIN_AUDIT_SAMPLES:
+        raise ValueError(f"log too short for finite differences: {n} samples")
+    steps = np.diff(t)
+    dt = steps[0]
+    if not np.all(np.abs(steps - dt) <= 1e-9 * max(dt, 1.0)):
+        raise ValueError("log timestamps are not uniform")
+    gains, cfg, r_min = scenario.gains, scenario.cfg, scenario.r_min
+    rate, accel, lift, side, evader = sim.inputs(scenario, t)
+
+    # The channels' input maps at every sample, each entry a column.  Each
+    # column is dropped once used.
+    k = airframe.AeroConstants(cfg)
+    m = frames.los_rows(log.theta_l, log.phi_l, log.theta_v, log.psi_v, trig=np)
+    singular = np.abs(engagement.projection_det(m)) < engagement.GEOMETRY_SINGULARITY
+    if singular.any():
+        i = int(singular.argmax())
+        # The law's gate raises its own error on the first singular sample.
+        engagement.guidance_map(k, float(log.r[i]), [float(c[i]) for c in m])
+    g0 = engagement.guidance_entries(k, log.r, m)
+
+    # Guidance channel: disturbance is (evader + force uncertainty)/r plus
+    # the attitude tracking error mapped through the input matrix.
+    x0_norm = log.x0_norm
+    _, p0, p1 = frames.los_accel(m, 0.0, lift / cfg.mass, side / cfg.mass)
+    d0_norm = _norm(-p0 + evader[:, 1], -p1 + evader[:, 2])
+    del m, singular, p0, p1
+    y1_norm = _norm(*_matvec(g0, (log.alpha - log.alpha_cmd, log.beta - log.beta_cmd)))
+    del g0
+    # Keep the 1/r scaling sound even if the final sample dips below r_min.
+    r_floor = min(r_min, float(log.r.min()))
+    bound_x0 = x0_bound(t, float(x0_norm[0]), gains, r_floor,
+                        np.maximum.accumulate(d0_norm), np.maximum.accumulate(y1_norm))
+
+    # Attitude channel: disturbance is the rate noise, the command
+    # derivative, and the rate tracking error mapped through the mixer.
+    eta1_norm = log.eta1_norm
+    y0 = -np.gradient(log.x1_cmd, dt, axis=0)
+    g1 = airframe.mixer(log.gamma, log.alpha, log.beta, log.pitch, trig=np)
+    y3_norm = _norm(*_matvec(g1, log.eta2.T))
+    del g1
+    combined1 = (
+        np.maximum.accumulate(np.linalg.norm(rate, axis=-1))
+        + np.maximum.accumulate(np.linalg.norm(y0, axis=-1))
+        + np.maximum.accumulate(y3_norm)
+    )
+    bound_eta1 = theorem2_bound(t, float(eta1_norm[0]), gains.k1, gains.delta1, combined1)
+
+    # Rate channel: disturbance is the moment noise plus the rate-command
+    # derivative.
+    eta2_norm = log.eta2_norm
+    y2 = -np.gradient(log.x2_cmd, dt, axis=0)
+    combined2 = (
+        np.maximum.accumulate(np.linalg.norm(accel, axis=-1))
+        + np.maximum.accumulate(np.linalg.norm(y2, axis=-1))
+    )
+    bound_eta2 = theorem2_bound(t, float(eta2_norm[0]), gains.k2, gains.delta2, combined2)
+
+    traces = []
+    total = 0
+    for channel, measured, bound in (
+        ("los_rate", x0_norm, bound_x0),
+        ("attitude_error", eta1_norm, bound_eta1),
+        ("rate_error", eta2_norm, bound_eta2),
+    ):
+        violations = int(np.count_nonzero(measured > bound * (1.0 + DEFAULT_SLACK)))
+        total += violations
+        traces.append(BoundTrace(channel, t, measured, bound, violations))
+    return tuple(traces), total

@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from igcsim import sim
 from igcsim.airframe import AeroConstants
 from igcsim.analysis import (
+    AUDIT_BLOCK,
+    MIN_AUDIT_SAMPLES,
     LinearGain,
     bound_audit,
     build_certificate,
@@ -26,6 +28,7 @@ from igcsim.frames import los_rows
 from igcsim.sim import LOG_WIDTH, SimLog, inputs, run
 
 from .conftest import SCENARIO_DIR, g1_matrix, make_gains, make_scenario
+from .oracles import bound_audit_columns
 from .test_kernel import assert_close, composed_projection
 
 positive = st.floats(min_value=0.1, max_value=10.0)
@@ -136,27 +139,25 @@ def test_bound_audit_rejects_nonuniform_log():
 def test_bound_audit_rejects_singular_geometry():
     # No run logs a state at which the guidance map is singular (the law
     # raises there first); the audit of such a log raises the law's own
-    # error for the first singular sample.  Rows 3 and 7 put the velocity
-    # orthogonal to the LOS, with |cos| = 0 and 5e-10.
-    log = _constant_log(n=10)
-    log.psi_v[3] = 0.0
-    log.psi_v[7] = 5e-10
+    # error for the first singular sample.  Two rows put the velocity
+    # orthogonal to the LOS, with |cos| = 0 and 5e-10: rows 3 and 7 of a
+    # one-block log, then two rows after the first block of a longer one.
     scenario = make_scenario(r_min=100.0)
-    r, _, theta_l, phi_l, _, _, theta_v, psi_v = log.states[3, :8].tolist()
-    with pytest.raises(SingularityError) as row3:
-        guidance_map(AeroConstants(scenario.cfg), r, los_rows(theta_l, phi_l, theta_v, psi_v))
-    with pytest.raises(SingularityError) as info:
-        bound_audit(log, scenario)
-    assert str(info.value) == str(row3.value) == "guidance: velocity orthogonal to LOS (|cos| = 0)"
-    assert (info.value.stage, info.value.condition) == ("guidance", math.inf)
+    for n, first, second in ((10, 3, 7), (AUDIT_BLOCK + 10, AUDIT_BLOCK + 3, AUDIT_BLOCK + 7)):
+        log = _constant_log(n=n)
+        log.psi_v[first] = 0.0
+        log.psi_v[second] = 5e-10
+        r, _, theta_l, phi_l, _, _, theta_v, psi_v = log.states[first, :8].tolist()
+        with pytest.raises(SingularityError) as row:
+            guidance_map(AeroConstants(scenario.cfg), r, los_rows(theta_l, phi_l, theta_v, psi_v))
+        with pytest.raises(SingularityError) as info:
+            bound_audit(log, scenario)
+        assert str(info.value) == str(row.value) == "guidance: velocity orthogonal to LOS (|cos| = 0)"
+        assert (info.value.stage, info.value.condition) == ("guidance", math.inf)
 
 
-def test_bound_audit_memory_of_nominal_log():
-    # The audit calls each input map once over the log's columns: on the
-    # full nominal.cfg log (8,065 rows, a 1.6 MB table) its heap peaks at
-    # most 2.5 MB above its inputs.
-    scenario = parse_scenario(SCENARIO_DIR / "nominal.cfg")
-    log, _ = run(scenario)
+def _audit_peak(log, scenario):
+    """The audit's heap peak above its inputs [B]."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -164,8 +165,27 @@ def test_bound_audit_memory_of_nominal_log():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak - base
+
+
+def test_bound_audit_memory_of_nominal_log():
+    # The audit reads the log in blocks of AUDIT_BLOCK rows and holds only
+    # its six output columns at the log's length: on the full nominal.cfg
+    # log (8,065 rows, a 1.6 MB table) its heap peaks at most 1.2 MB above
+    # its inputs, below the 1.6 MB of bound_audit_columns, which holds
+    # whole-column temporaries.
+    scenario = parse_scenario(SCENARIO_DIR / "nominal.cfg")
+    log, _ = run(scenario)
     assert len(log) == 8065
-    assert peak - base <= 2.5e6
+    assert _audit_peak(log, scenario) <= 1.2e6
+
+
+def test_bound_audit_memory_scales_with_outputs():
+    # Per row, the audit keeps six float64 output columns (48 B); the rest
+    # of its peak is one block's temporaries, which do not grow with the
+    # log.  bound_audit_columns peaks at 7.7 MB here.
+    n = 40_000
+    assert _audit_peak(_constant_log(n=n), make_scenario(r_min=100.0)) <= 48 * n + 0.6e6
 
 
 def test_bound_audit_rejects_invalid_r_min():
@@ -231,6 +251,38 @@ def test_bound_audit_envelopes_from_frame_oracle(name):
         assert_close(trace.bound, bound)
 
 
+@pytest.fixture(scope="module")
+def shipped_runs():
+    """Each shipped scenario with the log of its full run."""
+    runs = {}
+    for name in ("nominal.cfg", "weave_disturbed.cfg"):
+        scenario = parse_scenario(SCENARIO_DIR / name)
+        runs[name] = scenario, run(scenario)[0]
+    return runs
+
+
+@pytest.mark.parametrize("rows", [None, MIN_AUDIT_SAMPLES, AUDIT_BLOCK - 1, AUDIT_BLOCK,
+                                  AUDIT_BLOCK + 1, 2 * AUDIT_BLOCK + 1])
+@pytest.mark.parametrize("name", ["nominal.cfg", "weave_disturbed.cfg"])
+def test_bound_audit_blocks_equal_whole_columns(shipped_runs, name, rows):
+    # The block walk reproduces the audit over the whole columns bit for
+    # bit: on the full run (rows None) and on its first rows, at the
+    # shortest audited log and around one and two blocks.  Every operation
+    # is elementwise, or a running maximum carried across blocks, so no
+    # tolerance is allowed.
+    scenario, log = shipped_runs[name]
+    log = SimLog(log.table[:rows])
+    traces, total = bound_audit(log, scenario)
+    expected, expected_total = bound_audit_columns(log, scenario)
+    assert total == expected_total
+    for trace, want in zip(traces, expected, strict=True):
+        assert trace.channel == want.channel
+        assert trace.violations == want.violations
+        assert np.array_equal(trace.time, want.time)
+        assert np.array_equal(trace.measured, want.measured)
+        assert np.array_equal(trace.bound, want.bound)
+
+
 def test_bound_audit_clean_short_run():
     scenario = make_scenario(t_max=1.5)
     log, summary = run(scenario)
@@ -253,11 +305,16 @@ def test_bound_audit_measures_logged_channels():
 
 def test_bound_audit_flags_violations():
     # A constant nonzero LOS rate with no disturbance cannot satisfy a
-    # decaying envelope.
-    log = _constant_log(n=50)
-    log.states[:, 4] = 0.05
-    _, total = bound_audit(log, make_scenario(r_min=100.0))
-    assert total > 0
+    # decaying envelope.  Over three blocks, each block counts its own
+    # violations: as many in all as over the whole columns.
+    scenario = make_scenario(r_min=100.0)
+    for n in (50, 2 * AUDIT_BLOCK + 1):
+        log = _constant_log(n=n)
+        log.states[:, 4] = 0.05
+        traces, total = bound_audit(log, scenario)
+        expected, expected_total = bound_audit_columns(log, scenario)
+        assert total == expected_total > 0
+        assert [trace.violations for trace in traces] == [trace.violations for trace in expected]
 
 
 def test_certificate_render_and_pass():

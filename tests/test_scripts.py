@@ -56,6 +56,20 @@ def test_bound_audit_report_short_log(tmp_path):
     assert out.read_text().splitlines() == ["channel,t,measured,bound,margin"]
 
 
+def test_audit_memory(tmp_path, short_weave):
+    done = run_script("audit_memory.py", "--scenario", str(short_weave), "--t-max", "0.1",
+                      "--t-max", "0.2", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    header, *lines = done.stdout.splitlines()
+    assert header == "scenario t_max rows audit_ms heap_peak_mb rss_growth_mb"
+    # One line per run length, in a process of its own: 51 and 101 rows at dt = 0.002.
+    assert [line.split()[:3] for line in lines] == [[short_weave.name, "0.1", "51"],
+                                                    [short_weave.name, "0.2", "101"]]
+    for line in lines:
+        audit_ms, heap_peak_mb, rss_growth_mb = map(float, line.split()[3:])
+        assert audit_ms > 0.0 and heap_peak_mb > 0.0 and rss_growth_mb >= 0.0
+
+
 def test_module_entry_point(tmp_path, short_weave):
     done = run_python("-m", "igcsim", "run", str(short_weave), str(tmp_path / "out.csv"),
                       "--audit", cwd=tmp_path)
