@@ -42,9 +42,9 @@ G1_SCAN_ANGLE = 0.3
 # The central differences of the command derivatives need three samples.
 MIN_AUDIT_SAMPLES = 3
 
-# Rows per block in which bound_audit reads the log.  Each block holds its
-# own temporaries and pays numpy's per-call cost once more: at 256 rows the
-# audit of nominal.cfg's log took twice as long.
+# Rows the audit takes per pass.  Each pass holds its own temporaries and
+# pays numpy's per-call cost once more: at 256 rows the audit of
+# nominal.cfg's log took twice as long.
 AUDIT_BLOCK = 4 * sim.LOG_BLOCK
 
 
@@ -247,15 +247,17 @@ def _norm(*components) -> np.ndarray:
     return np.sqrt(sum((c * c for c in components[1:]), components[0] * components[0]))
 
 
-def _disturbance_norms(log: sim.SimLog, lo: int, hi: int, scenario: sim.Scenario,
+def _disturbance_norms(window: np.ndarray, lo: int, hi: int, scenario: sim.Scenario,
                        k: airframe.AeroConstants, dt: float) -> np.ndarray:
     """The norms of the channels' seven disturbance terms at rows ``lo:hi`` of
-    ``log``, as a (7, hi - lo) array.  Guidance: the evader and force
-    uncertainty (scaled by 1/r in its bound), and the attitude tracking error
-    mapped through the input matrix.  Attitude: the rate noise, the
-    command derivative, and the rate tracking error mapped through the
-    mixer.  Rate: the moment noise and the rate-command derivative."""
-    rows = sim.SimLog(log.table[lo:hi])
+    the step-table rows ``window``, as a (7, hi - lo) array; the rows of
+    ``window`` around them are their neighbours in the log.  Guidance: the
+    evader and force uncertainty, divided by each row's range, and the
+    attitude tracking error mapped through the input matrix.  Attitude: the
+    rate noise, the command derivative, and the rate tracking error mapped
+    through the mixer.  Rate: the moment noise and the rate-command
+    derivative."""
+    rows = sim.SimLog(window[lo:hi])
     rate, accel, lift, side, evader = sim.inputs(scenario, rows.t)
     m = frames.los_rows(rows.theta_l, rows.phi_l, rows.theta_v, rows.psi_v, trig=np)
     singular = np.abs(engagement.projection_det(m)) < engagement.GEOMETRY_SINGULARITY
@@ -266,14 +268,13 @@ def _disturbance_norms(log: sim.SimLog, lo: int, hi: int, scenario: sim.Scenario
     g0 = engagement.guidance_entries(k, rows.r, m)
     _, p0, p1 = frames.los_accel(m, 0.0, lift / k.mass, side / k.mass)
     g1 = airframe.mixer(rows.gamma, rows.alpha, rows.beta, rows.pitch, trig=np)
-    # One row of halo on each side: the central differences reach across the
-    # block's ends, and are one-sided only at the log's.
-    a = max(lo - 1, 0)
-    halo = sim.SimLog(log.table[a:hi + 1])
-    y0 = -np.gradient(halo.x1_cmd, dt, axis=0)[lo - a:hi - a]
-    y2 = -np.gradient(halo.x2_cmd, dt, axis=0)[lo - a:hi - a]
+    # The central differences reach the rows of the window around lo:hi,
+    # and are one-sided only at the log's two ends.
+    around = sim.SimLog(window)
+    y0 = -np.gradient(around.x1_cmd, dt, axis=0)[lo:hi]
+    y2 = -np.gradient(around.x2_cmd, dt, axis=0)[lo:hi]
     return np.stack((
-        _norm(-p0 + evader[:, 1], -p1 + evader[:, 2]),
+        _norm(-p0 + evader[:, 1], -p1 + evader[:, 2]) / rows.r,
         _norm(*_matvec(g0, (rows.alpha - rows.alpha_cmd, rows.beta - rows.beta_cmd))),
         np.linalg.norm(rate, axis=-1),
         np.linalg.norm(y0, axis=-1),
@@ -283,63 +284,128 @@ def _disturbance_norms(log: sim.SimLog, lo: int, hi: int, scenario: sim.Scenario
     ))
 
 
+CHANNELS = ("los_rate", "attitude_error", "rate_error")
+
+
+class BlockAudit:
+    """The envelope audit of a run of ``scenario``, fed its step table in
+    order, block by block: call it with each block of rows (a 2-D table, or
+    the ``array('d')`` of :func:`sim.stream`), then :meth:`close` it.
+
+    It audits AUDIT_BLOCK rows per pass, once the row after them has come,
+    and keeps one row of the last pass for the central differences: it
+    holds at most a pass, the block that completed it and that row.  For
+    each pass ``on_pass(lo, measured, bound)``, if given, receives the
+    (3, rows) measured norms and bounds of the channels (CHANNELS order)
+    from log row ``lo`` on.  ``violations`` and ``worst_margins`` reduce
+    them, per channel, as :func:`bound_audit`'s traces do."""
+
+    def __init__(self, scenario: sim.Scenario, on_pass=None):
+        self._scenario, self._on_pass = scenario, on_pass
+        self._k = airframe.AeroConstants(scenario.cfg)
+        self._tables = []   # the last audited row, if any, then the rows not yet audited
+        self._start = 0     # the log index of the first row of self._tables
+        self._end = 0       # rows received
+        self._next = 0      # the log index of the first row not yet audited
+        self._dt = None
+        self._first = None  # the measured norms of row 0
+        self._sups = np.full((7, 1), -math.inf)  # the running suprema at the last pass's end
+        self.violations = np.zeros(3, dtype=int)
+        self.worst_margins = np.full(3, math.inf)
+
+    def __call__(self, rows) -> None:
+        if not isinstance(rows, np.ndarray):
+            rows = np.frombuffer(rows).reshape(-1, sim.LOG_WIDTH)
+        self._tables.append(rows)
+        self._end += len(rows)
+        if self._end - self._next > AUDIT_BLOCK:
+            self._audit(final=False)
+
+    def close(self) -> None:
+        """Audit the rows not yet audited, the log's last row among them."""
+        if self._end < MIN_AUDIT_SAMPLES:
+            raise ValueError(f"log too short for finite differences: {self._end} samples")
+        self._audit(final=True)  # a call leaves at least its last row unaudited
+
+    def _audit(self, final: bool) -> None:
+        """Audit AUDIT_BLOCK rows per pass while the row after them has come,
+        and then, if ``final``, the rows left."""
+        tables, start = self._tables, self._start
+        table = tables[0] if len(tables) == 1 else np.concatenate(tables)
+        lo = self._next
+        while self._end - lo > AUDIT_BLOCK or (final and lo < self._end):
+            hi = min(lo + AUDIT_BLOCK, self._end)
+            a = max(lo - 1, 0)  # one row of halo on each side, where the log has one
+            self._pass(table[a - start:hi + 1 - start], lo - a, hi - a, lo)
+            lo = hi
+        self._next, self._start = lo, lo - 1
+        self._tables = [table[lo - 1 - start:]]
+
+    def _pass(self, window: np.ndarray, lo: int, hi: int, row: int) -> None:
+        """Audit rows ``lo:hi`` of ``window``, the log's rows from ``row`` on;
+        the other rows of ``window`` are their halo."""
+        t = window[:, 0]
+        if self._dt is None:
+            self._dt = t[1] - t[0]
+        dt = self._dt
+        if not np.all(np.abs(np.diff(t) - dt) <= 1e-9 * max(dt, 1.0)):
+            raise ValueError("log timestamps are not uniform")
+        norms = _disturbance_norms(window, lo, hi, self._scenario, self._k, dt)
+        running = np.maximum(np.maximum.accumulate(norms, axis=1), self._sups)
+        self._sups = running[:, -1:]
+        d0, y1, rate, y0, y3, accel, y2 = running
+        rows = sim.SimLog(window[lo:hi])
+        measured = np.stack((rows.x0_norm, rows.eta1_norm, rows.eta2_norm))
+        if self._first is None:
+            self._first = measured[:, 0].tolist()
+        x0_first, eta1_first, eta2_first = self._first
+        g = self._scenario.gains
+        bound = np.stack((
+            theorem2_bound(rows.t, x0_first, g.k0, g.delta0, d0 + y1),
+            theorem2_bound(rows.t, eta1_first, g.k1, g.delta1, rate + y0 + y3),
+            theorem2_bound(rows.t, eta2_first, g.k2, g.delta2, accel + y2),
+        ))
+        self.violations += np.count_nonzero(measured > bound * (1.0 + DEFAULT_SLACK), axis=1)
+        self.worst_margins = np.minimum(self.worst_margins, (bound - measured).min(axis=1))
+        if self._on_pass is not None:
+            self._on_pass(row, measured, bound)
+
+
 def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTrace, ...], int]:
     """Channelwise envelope audit of the log of a run of ``scenario``, whose
-    gains, plant constants, ``r_min`` (> 0 once the scenario is built, which
-    bounds the 1/r scaling) and signals (at the logged times) it reads.
+    gains, plant constants and signals (at the logged times) it reads.
 
     Returns one trace per channel (LOS rate, attitude error, rate error) and
     the total violation count; a sample violates when measured exceeds
-    bound * (1 + DEFAULT_SLACK).  Command derivatives are estimated by central
+    bound * (1 + DEFAULT_SLACK).  The LOS channel's evader and force term is
+    the running supremum of its norm divided by the range, row by row: the
+    sup over [0, t] of the channel's disturbance d0/r, which the ISS
+    estimate at time t takes.  Command derivatives are estimated by central
     finite differences (``np.gradient``, one-sided at the log's two ends), so
     that slack covers the discretization and integration error of a smooth
-    run.  The log is read in blocks of AUDIT_BLOCK rows: the input maps are
-    the law's own helpers, called once over each block's columns, and each
-    running supremum carries on from the previous block's last value, so
+    run.  It is :class:`BlockAudit` fed the whole log: the input maps are
+    the law's own helpers, called once over each pass's columns, and each
+    running supremum carries on from the previous pass's last value, so
     the traces are those of one pass over the whole columns.  A state where
     the guidance map is singular, which no run logs, raises the law's
     SingularityError for the first such state.
     """
-    t = log.t
-    n = t.shape[0]
-    if n < MIN_AUDIT_SAMPLES:
-        raise ValueError(f"log too short for finite differences: {n} samples")
-    steps = np.diff(t)
-    dt = steps[0]
-    if not np.all(np.abs(steps - dt) <= 1e-9 * max(dt, 1.0)):
-        raise ValueError("log timestamps are not uniform")
-    del steps
-    gains = scenario.gains
-    k = airframe.AeroConstants(scenario.cfg)
-    # Keep the 1/r scaling sound even if the final sample dips below r_min.
-    r_floor = min(scenario.r_min, float(log.r.min()))
-
     # Only the measured norms and the bounds span the log; every other
-    # temporary spans one block, so the audit adds a bounded amount to the
-    # peak memory of `igcsim run --audit`.
+    # temporary spans one pass.
+    n = len(log)
     measured, bound = np.empty((3, n)), np.empty((3, n))
-    sups = np.full((7, 1), -math.inf)  # the running suprema at the previous block's end
-    violations = np.zeros(3, dtype=int)
-    for lo in range(0, n, AUDIT_BLOCK):
-        hi = min(lo + AUDIT_BLOCK, n)
-        running = np.maximum(np.maximum.accumulate(_disturbance_norms(log, lo, hi, scenario, k, dt),
-                                                   axis=1), sups)
-        sups = running[:, -1:]
-        d0, y1, rate, y0, y3, accel, y2 = running
-        rows, tb = sim.SimLog(log.table[lo:hi]), t[lo:hi]
-        measured[0, lo:hi] = rows.x0_norm
-        measured[1, lo:hi] = rows.eta1_norm
-        measured[2, lo:hi] = rows.eta2_norm
-        x0_first, eta1_first, eta2_first = measured[:, 0].tolist()  # set by the first block
-        bound[0, lo:hi] = x0_bound(tb, x0_first, gains, r_floor, d0, y1)
-        bound[1, lo:hi] = theorem2_bound(tb, eta1_first, gains.k1, gains.delta1, rate + y0 + y3)
-        bound[2, lo:hi] = theorem2_bound(tb, eta2_first, gains.k2, gains.delta2, accel + y2)
-        violations += np.count_nonzero(
-            measured[:, lo:hi] > bound[:, lo:hi] * (1.0 + DEFAULT_SLACK), axis=1)
 
-    traces = tuple(BoundTrace(channel, t, measured[c], bound[c], int(violations[c]))
-                   for c, channel in enumerate(("los_rate", "attitude_error", "rate_error")))
-    return traces, int(violations.sum())
+    def store(lo: int, pass_measured: np.ndarray, pass_bound: np.ndarray) -> None:
+        hi = lo + pass_measured.shape[1]
+        measured[:, lo:hi] = pass_measured
+        bound[:, lo:hi] = pass_bound
+
+    audit = BlockAudit(scenario, store)
+    audit(log.table)
+    audit.close()
+    traces = tuple(BoundTrace(channel, log.t, measured[c], bound[c], int(audit.violations[c]))
+                   for c, channel in enumerate(CHANNELS))
+    return traces, int(audit.violations.sum())
 
 
 def estimate_loop_gain(scenario, loop: str, base_amplitude: float,

@@ -197,23 +197,35 @@ def serialize_scenario(scenario: Scenario) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 
-def _write_csv(handle, tables) -> None:
-    """The one CSV formatter: write the header to ``handle``, then the rows
-    of each step table in ``tables``."""
+def _write_rows(handle, table) -> None:
+    """The one CSV formatter: write the rows of the step table ``table`` to
+    ``handle``."""
     # sim.LOG_BLOCK rows at a time: the whole table's text at once would
     # raise the peak memory of `igcsim run` on nominal.cfg by about 40 %.
-    handle.write(",".join(CSV_COLUMNS) + "\n")
+    for start in range(0, len(table), sim.LOG_BLOCK):
+        log = SimLog(table[start:start + sim.LOG_BLOCK])
+        rows = np.column_stack([
+            log.t, log.states, log.fins, log.x1_sharp_cmd, log.x2_cmd,
+            log.x0_norm, log.eta1_norm, log.eta2_norm,
+        ])
+        handle.write((_CSV_ROW * len(log)) % tuple(rows.ravel().tolist()))
+
+
+def _write_csv(handle, tables) -> None:
+    """Write the CSV header to ``handle``, then the rows of each step table
+    in ``tables``."""
+    handle.write(_CSV_HEADER)
     for table in tables:
-        for start in range(0, len(table), sim.LOG_BLOCK):
-            log = SimLog(table[start:start + sim.LOG_BLOCK])
-            rows = np.column_stack([
-                log.t, log.states, log.fins, log.x1_sharp_cmd, log.x2_cmd,
-                log.x0_norm, log.eta1_norm, log.eta2_norm,
-            ])
-            handle.write((_CSV_ROW * len(log)) % tuple(rows.ravel().tolist()))
+        _write_rows(handle, table)
+
+
+def _table(block) -> np.ndarray:
+    """The step-table rows of a block of :func:`sim.stream`, or of its bytes."""
+    return np.frombuffer(block).reshape(-1, sim.LOG_WIDTH)
 
 
 def _run_writer(handle, rows_in: int) -> None:
@@ -223,7 +235,7 @@ def _run_writer(handle, rows_in: int) -> None:
     with open(rows_in, "rb") as rows:
         # read(n) returns n bytes, short only at the end of the stream.
         blocks = iter(lambda: rows.read(block_bytes), b"")
-        _write_csv(handle, (np.frombuffer(data).reshape(-1, sim.LOG_WIDTH) for data in blocks))
+        _write_csv(handle, map(_table, blocks))
     handle.close()
 
 
@@ -245,10 +257,20 @@ def _widen_pipe(fd: int) -> None:
 
 
 @contextmanager
+def _csv_writer(path):
+    """Write the CSV log at ``path`` in this process as the run steps:
+    yields the ``on_block`` callback of :func:`sim.stream`, which formats
+    each block of rows.  The file is opened, and its header written, here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(_CSV_HEADER)
+        yield lambda block: _write_rows(handle, _table(block))
+
+
+@contextmanager
 def _forked_csv_writer(path):
     """Write the CSV log at ``path`` from a forked process while the run
-    steps: yields the ``on_block`` callback of :func:`sim.run`, which sends
-    each block of rows to the writer through a pipe as raw bytes.
+    steps: yields the ``on_block`` callback of :func:`sim.stream`, which
+    sends each block of rows to the writer through a pipe as raw bytes.
 
     The file is opened here, so an open error is raised before any step.
     However the ``with`` block ends, the pipe is then closed and the writer
@@ -318,26 +340,30 @@ def _print_summary(summary: SimSummary) -> None:
 def cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     # The steps and the CSV formatting are two tasks: a forked writer formats
-    # the log while the steps run where sim.fork_workers allows, else the
-    # log is written after the run.  Either way the file is opened first.
-    streamed = sim.fork_workers(2) > 1
-    with (_forked_csv_writer(args.out_csv) if streamed
-          else open(args.out_csv, "w", encoding="utf-8", newline="\n")) as sink:
-        log, summary = sim.run(scenario, sink if streamed else None)
-        if not streamed:
-            _write_csv(sink, [log.table])
-        traces = None
-        if args.audit and len(log) >= analysis.MIN_AUDIT_SAMPLES:
-            traces, total = analysis.bound_audit(log, scenario)
-            summary = replace(summary, audit_violations=tuple(tr.violations for tr in traces))
+    # the log while the steps run where sim.fork_workers allows, else this
+    # process formats each block as it comes.  Either way the file is opened
+    # first, and no block outlives its consumers.
+    sink = _forked_csv_writer if sim.fork_workers(2) > 1 else _csv_writer
+    audit = analysis.BlockAudit(scenario) if args.audit else None
+    with sink(args.out_csv) as write:
+        def on_block(block) -> None:
+            write(block)
+            if audit is not None:
+                audit(block)
+
+        summary = sim.stream(scenario, on_block)
+        audited = audit is not None and summary.steps >= analysis.MIN_AUDIT_SAMPLES
+        if audited:
+            audit.close()
+            summary = replace(summary, audit_violations=tuple(audit.violations.tolist()))
     _print_summary(summary)
-    if traces is not None:
-        print(f"bound audit: {total} violation(s)")
-        for trace in traces:
-            print(f"  {trace.channel}: {trace.violations} violation(s), "
-                  f"worst margin {trace.worst_margin:.6g}")
+    if audited:
+        print(f"bound audit: {sum(summary.audit_violations)} violation(s)")
+        for channel, count, margin in zip(analysis.CHANNELS, summary.audit_violations,
+                                          audit.worst_margins.tolist()):
+            print(f"  {channel}: {count} violation(s), worst margin {margin:.6g}")
     elif args.audit:
-        print(f"bound audit: skipped, {len(log)} sample(s) logged "
+        print(f"bound audit: skipped, {summary.steps} sample(s) logged "
               f"(needs {analysis.MIN_AUDIT_SAMPLES})")
     if args.summary_json:
         Path(args.summary_json).write_text(

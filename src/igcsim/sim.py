@@ -13,6 +13,7 @@ import math
 import os
 import pickle
 from array import array
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -39,8 +40,9 @@ OUTCOME_TIMEOUT = "timeout"
 # past this band the model terms are meaningless and integration aborts
 # rather than emitting garbage.
 GUARD = 1.2
-# Most steps one run takes, whatever its t_max and dt: a log row is 25
-# floats, so the cap holds the step table to about 200 MB.
+# Most steps one run takes, whatever its t_max and dt.  A log row is 25
+# floats, so the cap holds the step table of :func:`run` to about 200 MB;
+# :func:`stream` holds one block of it.
 MAX_STEPS = 1_000_000
 
 # The variables GUARD bounds: (name in messages, index in STATE_FIELDS).
@@ -146,7 +148,7 @@ def _log_columns() -> tuple[dict[str, int | slice], int]:
 
 _COLUMNS, LOG_WIDTH = _log_columns()
 
-# Rows per block of the log, as :func:`run` hands it on and as the CSV
+# Rows per block of the log, as :func:`stream` hands it on and as the CSV
 # writer formats it.
 LOG_BLOCK = 256
 
@@ -404,19 +406,6 @@ def _step(k: Kernel, signals, y, t: float, dt: float, k1: list[float], held) -> 
             y14 + w * (((a14 + 2.0 * b14) + 2.0 * c14) + d14)]
 
 
-def _miss_distance(log: SimLog) -> float:
-    """Final range, refined by linear interpolation across the last step
-    when the range rate changed sign inside it."""
-    r = log.r
-    if len(log) < 2:
-        return float(r[-1])
-    vr0, vr1 = log.vr[-2], log.vr[-1]
-    if vr0 < 0.0 <= vr1:
-        w = vr0 / (vr0 - vr1)
-        return float(r[-2] + w * (r[-1] - r[-2]))
-    return float(r[-1])
-
-
 def inputs(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """:meth:`Scenario.signals` at the times ``t``: (rate (n, 3), accel (n, 3),
     lift (n,), side (n,), evader (n, 3)).  At a log's ``t`` these are, bit for
@@ -435,16 +424,19 @@ def inputs(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, ...]:
     return out[:, 0:3], out[:, 3:6], out[:, 6], out[:, 7], out[:, 8:11]
 
 
-def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
+def stream(scenario: Scenario, on_block) -> SimSummary:
     """Integrate the closed loop until intercept, miss, guard breach, or timeout:
     ``t_max`` reached, or MAX_STEPS steps logged, which the summary's message
     names.  Each RK4 stage is one :func:`evaluate`, whose envelope check is
     the one check of each state the run reaches.
 
-    ``on_block``, if given, is called with each completed LOG_BLOCK rows of
-    the step table as they are logged, then with the remaining rows at the
-    end: an ``array('d')`` of the rows' floats, back to back.  An exception
-    it raises ends the run and propagates."""
+    The step table goes to ``on_block`` as it is logged: each completed
+    LOG_BLOCK rows, then the remaining rows at the end, each an
+    ``array('d')`` of the rows' floats, back to back, that the run does not
+    touch again.  An exception it raises ends the run and propagates.  The
+    run keeps only the current block: the summary comes from the last two
+    rows and from the ``t``, ``x01`` and ``x02`` columns of the blocks that
+    can still fall in the final fifth of the flight."""
     dt = scenario.dt
     r0 = scenario.initial[0]
     hold = scenario.control_update == "hold"
@@ -456,9 +448,22 @@ def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
         def signals(_t):
             return u_const
 
-    logged = array("d")  # the step table's rows, back to back
+    recent = deque()  # (t, x01, x02) columns of each block that may reach the final fifth
+    tail = array("d")  # the last two rows
+
+    def hand_on(block) -> None:
+        nonlocal tail
+        on_block(block)
+        tail = (tail + block[-2 * LOG_WIDTH:])[-2 * LOG_WIDTH:]
+        # A slice with a step copies a column out of the rows, with no numpy call.
+        columns = tuple(block[_COLUMNS[name]::LOG_WIDTH] for name in ("t", "x01", "x02"))
+        while recent and recent[0][0][-1] < 0.8 * columns[0][-1]:
+            recent.popleft()  # its rows all come before 0.8 times any later time
+        recent.append(columns)
+
+    logged = array("d")  # the current block's rows, back to back
     n = 0  # logged rows, which is also the index of the current step
-    block_end = LOG_BLOCK if on_block is not None else 0  # n is never 0 after a row
+    block_end = LOG_BLOCK
 
     y = list(scenario.initial)
     t_end = scenario.t_max - 0.5 * dt
@@ -471,9 +476,6 @@ def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
             k1, (fins, x1_sharp, x2_cmd, saturated, _, _) = evaluate(k, signals(t), y)
             logged.fromlist([t, *y, *fins, *x1_sharp, *x2_cmd, saturated])  # _LOG_LAYOUT order
             n += 1
-            if n == block_end:
-                on_block(logged[(n - LOG_BLOCK) * LOG_WIDTH:])
-                block_end += LOG_BLOCK
 
             r, vr = y[0], y[1]
             if r <= scenario.r_intercept:
@@ -489,26 +491,54 @@ def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
                 y = _step(k, signals, y, t, dt, k1, held)
         except (GuardError, SingularityError) as exc:
             outcome, message = OUTCOME_GUARD, f"t={t:.6g}: {exc}"
+        # Outside the try: an error of a consumer is its own, not a guard breach.
+        if n == block_end:
+            hand_on(logged)
+            logged = array("d")
+            block_end += LOG_BLOCK
 
-    if on_block is not None and n % LOG_BLOCK:
-        on_block(logged[(n - n % LOG_BLOCK) * LOG_WIDTH:])
-    log = SimLog(np.frombuffer(logged, dtype=float).reshape(n, LOG_WIDTH))
-    if len(log) > 0:
-        post_transient = log.t >= 0.8 * log.t[-1]  # the final 20% of the flight
-        summary = SimSummary(
-            outcome=outcome,
-            final_r=float(log.r[-1]),
-            flight_time=float(log.t[-1]),
-            miss_distance=_miss_distance(log),
-            post_transient_sup_x0=float(log.x0_norm[post_transient].max()),
-            steps=len(log),
-            message=message,
-        )
-    else:
-        summary = SimSummary(outcome=outcome, final_r=r0, flight_time=0.0,
-                             miss_distance=r0, post_transient_sup_x0=float("nan"),
-                             steps=0, message=message)
-    return log, summary
+    if n % LOG_BLOCK:
+        hand_on(logged)
+    if n == 0:
+        return SimSummary(outcome=outcome, final_r=r0, flight_time=0.0, miss_distance=r0,
+                          post_transient_sup_x0=float("nan"), steps=0, message=message)
+    last, before = tail[-LOG_WIDTH:], tail[:-LOG_WIDTH]  # before is empty after one row
+    at_r, at_vr = _COLUMNS["r"], _COLUMNS["vr"]
+    miss_distance = last[at_r]
+    if before and before[at_vr] < 0.0 <= last[at_vr]:
+        # The range rate changed sign inside the last step: interpolate across it.
+        w = before[at_vr] / (before[at_vr] - last[at_vr])
+        miss_distance = before[at_r] + w * (last[at_r] - before[at_r])
+    columns = (array("d"), array("d"), array("d"))
+    for parts in recent:
+        for column, part in zip(columns, parts):
+            column.extend(part)
+    t, x01, x02 = (np.frombuffer(column) for column in columns)
+    post_transient = t >= 0.8 * t[-1]  # the final 20% of the flight
+    return SimSummary(
+        outcome=outcome,
+        final_r=last[at_r],
+        flight_time=last[_COLUMNS["t"]],
+        miss_distance=miss_distance,
+        post_transient_sup_x0=float(np.hypot(x01, x02)[post_transient].max()),
+        steps=n,
+        message=message,
+    )
+
+
+def run(scenario: Scenario, on_block=None) -> tuple[SimLog, SimSummary]:
+    """:func:`stream`, its blocks collected into the step table: returns the
+    run's log and summary.  ``on_block``, if given, is also called with each
+    block, as :func:`stream` calls it."""
+    logged = array("d")
+
+    def collect(block) -> None:
+        logged.extend(block)
+        if on_block is not None:
+            on_block(block)
+
+    summary = stream(scenario, collect)
+    return SimLog(np.frombuffer(logged, dtype=float).reshape(-1, LOG_WIDTH)), summary
 
 
 @dataclass(frozen=True)
@@ -679,7 +709,7 @@ def map_points(fn, items) -> list:
 
 def _sweep_point(scenario: Scenario, gains) -> SweepPoint:
     try:
-        _, summary = run(replace(scenario, gains=gains))
+        summary = stream(replace(scenario, gains=gains), lambda _block: None)
         return SweepPoint(gains=gains, summary=summary)
     except Exception as exc:  # per-point isolation is the contract
         return SweepPoint(gains=gains, summary=None, error=str(exc))

@@ -2,9 +2,10 @@
 the tests can hold it to them bit for bit: :func:`igcsim.sim.evaluate` to
 :func:`attitude_rates` and :func:`velocity_angle_derivatives` (composed
 with the package's own piecewise helpers), :func:`igcsim.sim._step` to
-:func:`rk4_tableau` over :func:`igcsim.sim.evaluate`, and
+:func:`rk4_tableau` over :func:`igcsim.sim.evaluate`,
 :func:`igcsim.analysis.bound_audit`, which walks the log in row blocks, to
-:func:`bound_audit_columns` over its whole columns."""
+:func:`bound_audit_columns` over its whole columns, and the running
+reductions of :func:`igcsim.sim.stream` to :func:`summary_from_log`."""
 
 import math
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from igcsim import airframe, engagement, frames, sim
 from igcsim.analysis import (DEFAULT_SLACK, MIN_AUDIT_SAMPLES, BoundTrace, _matvec, _norm,
-                             theorem2_bound, x0_bound)
+                             theorem2_bound)
 
 
 def rk4_tableau(deriv, y, t, dt, k1):
@@ -77,7 +78,7 @@ def bound_audit_columns(log, scenario):
     dt = steps[0]
     if not np.all(np.abs(steps - dt) <= 1e-9 * max(dt, 1.0)):
         raise ValueError("log timestamps are not uniform")
-    gains, cfg, r_min = scenario.gains, scenario.cfg, scenario.r_min
+    gains, cfg = scenario.gains, scenario.cfg
     rate, accel, lift, side, evader = sim.inputs(scenario, t)
 
     # The channels' input maps at every sample, each entry a column.  Each
@@ -92,17 +93,16 @@ def bound_audit_columns(log, scenario):
     g0 = engagement.guidance_entries(k, log.r, m)
 
     # Guidance channel: disturbance is (evader + force uncertainty)/r plus
-    # the attitude tracking error mapped through the input matrix.
+    # the attitude tracking error mapped through the input matrix; the first
+    # term's supremum is taken of its norm over each row's own range.
     x0_norm = log.x0_norm
     _, p0, p1 = frames.los_accel(m, 0.0, lift / cfg.mass, side / cfg.mass)
-    d0_norm = _norm(-p0 + evader[:, 1], -p1 + evader[:, 2])
+    d0_norm = _norm(-p0 + evader[:, 1], -p1 + evader[:, 2]) / log.r
     del m, singular, p0, p1
     y1_norm = _norm(*_matvec(g0, (log.alpha - log.alpha_cmd, log.beta - log.beta_cmd)))
     del g0
-    # Keep the 1/r scaling sound even if the final sample dips below r_min.
-    r_floor = min(r_min, float(log.r.min()))
-    bound_x0 = x0_bound(t, float(x0_norm[0]), gains, r_floor,
-                        np.maximum.accumulate(d0_norm), np.maximum.accumulate(y1_norm))
+    bound_x0 = theorem2_bound(t, float(x0_norm[0]), gains.k0, gains.delta0,
+                              np.maximum.accumulate(d0_norm) + np.maximum.accumulate(y1_norm))
 
     # Attitude channel: disturbance is the rate noise, the command
     # derivative, and the rate tracking error mapped through the mixer.
@@ -139,3 +139,27 @@ def bound_audit_columns(log, scenario):
         total += violations
         traces.append(BoundTrace(channel, t, measured, bound, violations))
     return tuple(traces), total
+
+
+def summary_from_log(log, outcome, message=""):
+    """The summary of a run from its whole log (one row or more), its
+    outcome and its note: the final range refined by linear interpolation
+    across the last step when the range rate changed sign inside it, and
+    the sup of |x0| over the final 20% of the flight time."""
+    r = log.r
+    miss_distance = float(r[-1])
+    if len(log) >= 2:
+        vr0, vr1 = log.vr[-2], log.vr[-1]
+        if vr0 < 0.0 <= vr1:
+            w = vr0 / (vr0 - vr1)
+            miss_distance = float(r[-2] + w * (r[-1] - r[-2]))
+    post_transient = log.t >= 0.8 * log.t[-1]
+    return sim.SimSummary(
+        outcome=outcome,
+        final_r=float(r[-1]),
+        flight_time=float(log.t[-1]),
+        miss_distance=miss_distance,
+        post_transient_sup_x0=float(log.x0_norm[post_transient].max()),
+        steps=len(log),
+        message=message,
+    )

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from igcsim.airframe import AeroConstants
 from igcsim.analysis import (
     AUDIT_BLOCK,
     MIN_AUDIT_SAMPLES,
+    BlockAudit,
     LinearGain,
     bound_audit,
     build_certificate,
@@ -239,9 +241,11 @@ def test_bound_audit_envelopes_from_frame_oracle(name):
     d0 = evader[:, 1:3] - np.einsum("nij,nj->ni", proj, np.column_stack([lift, side]) / cfg.mass)
     y1 = np.einsum("nij,nj->ni", g0, log.eta1[:, 1:])
     y3 = np.einsum("nij,nj->ni", g1, log.eta2)
-    r_floor = min(scenario.r_min, log.r.min())
+    # The guidance channel's disturbance is d0/r: its running sup is of each
+    # row's norm over that row's range.
+    d0_over_r = np.maximum.accumulate(np.linalg.norm(d0, axis=-1) / log.r)
     expected = (
-        theorem2_bound(log.t, log.x0_norm[0], g.k0, g.delta0, sup(d0) / r_floor + sup(y1)),
+        theorem2_bound(log.t, log.x0_norm[0], g.k0, g.delta0, d0_over_r + sup(y1)),
         theorem2_bound(log.t, log.eta1_norm[0], g.k1, g.delta1,
                        sup(rate) + sup(derivative(log.x1_cmd)) + sup(y3)),
         theorem2_bound(log.t, log.eta2_norm[0], g.k2, g.delta2,
@@ -281,6 +285,52 @@ def test_bound_audit_blocks_equal_whole_columns(shipped_runs, name, rows):
         assert np.array_equal(trace.time, want.time)
         assert np.array_equal(trace.measured, want.measured)
         assert np.array_equal(trace.bound, want.bound)
+
+
+@pytest.mark.parametrize("n", [MIN_AUDIT_SAMPLES, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1,
+                               2 * AUDIT_BLOCK + 1])
+def test_block_audit_of_streamed_blocks_equals_bound_audit(n):
+    # Fed sim.LOG_BLOCK rows at a time as array('d') blocks, as sim.stream
+    # hands them on, the audit's passes are the traces of bound_audit over
+    # the whole log, and their reductions its violation counts and worst
+    # margins.  A constant LOS rate violates its decaying envelope, so past
+    # the first rows neither is zero.
+    scenario = make_scenario(r_min=100.0)
+    log = _constant_log(n=n)
+    log.states[:, 4] = 0.05
+    passes = []
+    audit = BlockAudit(scenario, lambda lo, measured, bound: passes.append((lo, measured, bound)))
+    for lo in range(0, n, sim.LOG_BLOCK):
+        audit(array("d", log.table[lo:lo + sim.LOG_BLOCK].tobytes()))
+    audit.close()
+    traces, total = bound_audit(log, scenario)
+    assert [lo for lo, _, _ in passes] == list(range(0, n, AUDIT_BLOCK))
+    for c, trace in enumerate(traces):
+        assert np.array_equal(np.concatenate([m[c] for _, m, _ in passes]), trace.measured)
+        assert np.array_equal(np.concatenate([b[c] for _, _, b in passes]), trace.bound)
+    assert audit.violations.tolist() == [trace.violations for trace in traces]
+    assert audit.worst_margins.tolist() == [trace.worst_margin for trace in traces]
+    if n > MIN_AUDIT_SAMPLES:  # three rows are too early for a violation
+        assert total > 0 and traces[0].worst_margin < 0.0
+
+
+def test_bound_audit_causal_los_term_on_an_intercept():
+    # weave_disturbed.cfg run to t_max = 25 s intercepts at about 20.6 s;
+    # its range is below r_min = 500 m from about 17.2 s on.  The LOS
+    # channel's evader and force term is the running sup of |d0|/r, the
+    # sup of the channel's disturbance so far: no sample of the whole log
+    # violates it, and where the analysis holds (r >= r_min), after the
+    # first 0.5 s, the measured LOS rate takes a fair share of its bound.
+    # Dividing sup|d0| by the final range instead gave a ratio of 0.0018.
+    scenario = replace(parse_scenario(SCENARIO_DIR / "weave_disturbed.cfg"), t_max=25.0)
+    log, summary = run(scenario)
+    assert summary.outcome == "intercept"
+    assert summary.flight_time == pytest.approx(20.6, abs=0.05)
+    traces, total = bound_audit(log, scenario)
+    assert total == 0
+    los = traces[0]
+    domain = (log.t >= 0.5) & (log.r >= scenario.r_min)
+    assert 0.1 < (los.measured[domain] / los.bound[domain]).max() < 1.0
 
 
 def test_bound_audit_clean_short_run():

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from igcsim.cli import (
     CSV_COLUMNS,
 )
 from igcsim import cli, sim
+from igcsim.analysis import AUDIT_BLOCK, bound_audit
 from igcsim.engagement import AxisSignal, DisturbanceModel, EvaderModel, VectorSignal
 from igcsim.errors import ScenarioError
 from igcsim.sim import run
@@ -437,7 +439,7 @@ def test_forked_csv_writer_raises_its_own_error():
 def test_cmd_run_reports_missing_directory(tmp_path, capsys, monkeypatch, streamed):
     # The log's file is opened before the first step, forked writer or not.
     _force_log_writer(monkeypatch, streamed)
-    monkeypatch.setattr(sim, "run", lambda *args: pytest.fail("ran before opening the log"))
+    monkeypatch.setattr(sim, "stream", lambda *args: pytest.fail("ran before opening the log"))
     scenario = write_variant(tmp_path, "s.cfg", {"t_max = 15.0": "t_max = 0.1"})
     out_csv = tmp_path / "missing" / "out.csv"
     assert main(["run", str(scenario), str(out_csv)]) == 1
@@ -452,22 +454,75 @@ def test_cmd_run_reaps_writer_when_run_raises(tmp_path, capsys, monkeypatch):
     # An exception escaping the run, after blocks went to the writer, still
     # closes the pipe and reaps the writer, and propagates unchanged.
     _force_log_writer(monkeypatch, True)
-    real_run = sim.run
+    real_stream = sim.stream
 
-    def failing_run(scenario, on_block=None):
+    def failing_stream(scenario, on_block):
         def fail_after_first(rows):
             on_block(rows)
             raise KeyError("stop")
 
-        return real_run(scenario, fail_after_first)
+        return real_stream(scenario, fail_after_first)
 
-    monkeypatch.setattr(sim, "run", failing_run)
+    monkeypatch.setattr(sim, "stream", failing_stream)
     out_csv = tmp_path / "out.csv"
     with pytest.raises(KeyError, match="stop"):
         main(["run", str(NOMINAL), str(out_csv)])
     _assert_no_child_process()
     assert capsys.readouterr().out == ""
     assert len(out_csv.read_text().splitlines()) == 1 + sim.LOG_BLOCK
+
+
+@pytest.mark.parametrize("rows", [3, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1,
+                                  2 * AUDIT_BLOCK + 1])
+def test_cmd_run_streamed_audit_equals_bound_audit(tmp_path, capsys, monkeypatch, rows):
+    # `run --audit` audits each block as the run hands it on and keeps only
+    # the counts and worst margins, which equal those of bound_audit over
+    # the whole log.  A fin limit keeps the rate error outside its envelope,
+    # so past the first rows neither is zero.
+    _force_log_writer(monkeypatch, False)
+    t_max = (rows - 1) * 0.002  # weave_disturbed.cfg's dt
+    variant = write_variant(tmp_path, "s.cfg", {"t_max = 8.0": f"t_max = {t_max!r}",
+                                               "[sim]": "[sim]\ndelta_max = 0.01"}, WEAVE)
+    assert main(["run", str(variant), str(tmp_path / "out.csv"), "--audit"]) == 2
+    printed = capsys.readouterr().out.splitlines()
+    scenario = parse_scenario(variant)
+    log, _ = run(scenario)
+    assert len(log) == rows
+    traces, total = bound_audit(log, scenario)
+    assert printed[-4:] == [f"bound audit: {total} violation(s)"] + [
+        f"  {trace.channel}: {trace.violations} violation(s), worst margin "
+        f"{trace.worst_margin:.6g}" for trace in traces]
+    if rows > 3:
+        assert total > 0 and traces[2].worst_margin < 0.0
+
+
+def _heap_peak(argv) -> int:
+    """The tracemalloc peak of ``main(argv)`` [B]."""
+    tracemalloc.start()
+    try:
+        main(argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cmd_run_audit_memory_is_flat_in_run_length(tmp_path, capsys, monkeypatch):
+    # `run --audit` holds no log: each block goes to the CSV formatter and
+    # the audit, and then only the summary's and the audit's running
+    # reductions remain.  Twice the steps (nominal.cfg at half its dt) add
+    # less than 0.25 MB to the heap peak; holding the log and the audit's
+    # output columns added 1.8 MB.  In process, so the formatter's memory
+    # counts too.
+    _force_log_writer(monkeypatch, False)
+    fine = write_variant(tmp_path, "fine.cfg", {"dt = 0.001": "dt = 0.0005"})
+    peaks = []
+    for scenario, steps in ((NOMINAL, 8065), (fine, 16128)):
+        summary = tmp_path / "summary.json"
+        peaks.append(_heap_peak(["run", str(scenario), str(tmp_path / "out.csv"), "--audit",
+                                 "--summary-json", str(summary)]))
+        assert json.loads(summary.read_text())["steps"] == steps
+    assert "bound audit: 0 violation(s)" in capsys.readouterr().out
+    assert abs(peaks[1] - peaks[0]) < 0.25e6
 
 
 def test_cmd_sweep_table(tmp_path, capsys):

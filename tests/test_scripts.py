@@ -58,16 +58,23 @@ def test_bound_audit_report_short_log(tmp_path):
 
 def test_audit_memory(tmp_path, short_weave):
     done = run_script("audit_memory.py", "--scenario", str(short_weave), "--t-max", "0.1",
-                      "--t-max", "0.2", cwd=tmp_path)
+                      "--t-max", "0.2", "--dt", "0.002", "--dt", "0.001", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     header, *lines = done.stdout.splitlines()
     assert header == "scenario t_max rows audit_ms heap_peak_mb rss_growth_mb"
+    lines, (command_header, *command_lines) = lines[:2], lines[2:]
     # One line per run length, in a process of its own: 51 and 101 rows at dt = 0.002.
     assert [line.split()[:3] for line in lines] == [[short_weave.name, "0.1", "51"],
                                                     [short_weave.name, "0.2", "101"]]
     for line in lines:
         audit_ms, heap_peak_mb, rss_growth_mb = map(float, line.split()[3:])
         assert audit_ms > 0.0 and heap_peak_mb > 0.0 and rss_growth_mb >= 0.0
+    # Then one line per step of the whole command over the scenario's 0.2 s.
+    assert command_header == "scenario dt steps run_rss_growth_mb"
+    assert [line.split()[:3] for line in command_lines] == [[short_weave.name, "0.002", "101"],
+                                                            [short_weave.name, "0.001", "201"]]
+    for line in command_lines:
+        assert float(line.split()[3]) >= 0.0
 
 
 def test_module_entry_point(tmp_path, short_weave):

@@ -40,7 +40,7 @@ from igcsim.sim import (
 from .conftest import (
     IN_ENVELOPE, SCENARIO_DIR, make_gains, make_initial, make_scenario,
 )
-from .oracles import attitude_rates, rk4_tableau, velocity_angle_derivatives
+from .oracles import attitude_rates, rk4_tableau, summary_from_log, velocity_angle_derivatives
 
 
 def test_rk4_scalar_decay():
@@ -620,14 +620,14 @@ def test_sweep_survives_worker_death(monkeypatch):
     scenario = make_scenario(t_max=0.2)
     grid = [make_gains(k1=k, k2=k) for k in (5.0, 7.0, 10.0, 12.0, 15.0, 20.0)]
     serial = [run(replace(scenario, gains=g))[1] for g in grid]
-    real_run = sim.run
+    real_stream = sim.stream
 
-    def dying_run(s):
+    def dying_stream(s, on_block):
         if s.gains.k1 == 7.0:
             os._exit(1)  # the worker process dies, as under a kill signal
-        return real_run(s)
+        return real_stream(s, on_block)
 
-    monkeypatch.setattr(sim, "run", dying_run)  # before the workers fork
+    monkeypatch.setattr(sim, "stream", dying_stream)  # before the workers fork
     with _time_bound(60):
         points = sweep(scenario, grid)
     assert [p.gains for p in points] == grid
@@ -863,6 +863,46 @@ def test_loop_tableau_matches_array_rk4(name, control_update, delta_max):
         t, y = float(log.t[n]), log.states[n]
         assert np.array_equal(rk4_step(deriv, y, t, scenario.dt), log.states[n + 1]), n
         assert np.array_equal(_array_rk4(deriv, y, t, scenario.dt), log.states[n + 1]), n
+
+
+# Runs of make_scenario's dt = 1e-3 that log exactly so many rows.
+_ROWS = {"1-row": 1, "2-rows": 2, "LOG_BLOCK-rows": sim.LOG_BLOCK,
+         "LOG_BLOCK+1-rows": sim.LOG_BLOCK + 1}
+
+
+def _summary_run(name):
+    """The scenario of a case of test_stream_summary_equals_log_oracle."""
+    if name.endswith(".cfg"):
+        return parse_scenario(SCENARIO_DIR / name)
+    if name == "guard-breach":  # sideslip breaches the guard at t=0.022
+        blown = DisturbanceModel(rate=VectorSignal(kind="constant", amplitude=(0.0, 0.0, 60.0)))
+        return make_scenario(disturbances=blown, t_max=2.0)
+    if name == "range-rate-turns":  # vr turns from -1 m/s to >= 0 in the last step
+        return make_scenario(initial=make_initial(vr=-1.0), t_max=0.196)
+    return make_scenario(t_max=(_ROWS[name] - 1) * 1e-3)
+
+
+@pytest.mark.parametrize("name", ["nominal.cfg", "weave_disturbed.cfg", "guard-breach",
+                                  "range-rate-turns", *_ROWS])
+def test_stream_summary_equals_log_oracle(name):
+    # stream keeps one block and reduces as it goes; its summary equals the
+    # one computed from the whole log it hands on, field for field, and run
+    # collects that log.
+    scenario = _summary_run(name)
+    blocks = []
+    summary = sim.stream(scenario, blocks.append)
+    log = sim.SimLog(np.frombuffer(b"".join(blocks)).reshape(-1, LOG_WIDTH))
+    assert summary == summary_from_log(log, summary.outcome, summary.message)
+    assert [len(block) for block in blocks[:-1]] == [sim.LOG_BLOCK * LOG_WIDTH] * (len(blocks) - 1)
+    run_log, run_summary = run(scenario)
+    assert run_summary == summary and np.array_equal(run_log.table, log.table)
+    if name in _ROWS:
+        assert summary.outcome == "timeout" and summary.steps == _ROWS[name]
+    if name == "guard-breach":
+        assert summary.outcome == "guard-breach" and summary.steps > 1
+    if name == "range-rate-turns":
+        assert log.vr[-2] < 0.0 <= log.vr[-1]
+        assert summary.miss_distance < summary.final_r
 
 
 def test_law_and_plant_make_no_numpy_call(monkeypatch):
