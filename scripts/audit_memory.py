@@ -2,15 +2,21 @@
 runs, and the memory of the whole ``igcsim run --audit`` command.
 
 Each scenario runs at each run length in a fresh Python process, which then
-audits the log (``analysis.bound_audit``) and reports one line of the first
-table:
+audits the log (``analysis.bound_audit``) and the run's blocks as
+``sim.stream`` hands them on (``analysis.BlockAudit``, what ``igcsim run
+--audit`` pays), and reports one line of the first table:
 
 - ``rows``: the logged rows;
-- ``audit_ms``: the audit's wall time, best of five calls after that one;
-- ``heap_peak_mb``: the audit's heap peak above its inputs (tracemalloc);
+- ``audit_ms``: ``bound_audit``'s wall time, best of five calls after that
+  one;
+- ``heap_peak_mb``: ``bound_audit``'s heap peak above its inputs
+  (tracemalloc), its output columns among it;
 - ``rss_growth_mb``: how far the process's peak RSS rose during the first
-  audit of the whole log (``ru_maxrss``, read as kilobytes, as Linux
-  reports it), after an audit of its first rows.
+  ``bound_audit`` of the whole log (``ru_maxrss``, read as kilobytes, as
+  Linux reports it), after an audit of its first rows;
+- ``stream_audit_ms``: the wall time of ``BlockAudit`` fed the run's
+  blocks, one pass per block, then closed: best of five;
+- ``stream_heap_peak_mb``: its heap peak above the blocks it is fed.
 
 Then, in a fresh Python process per scenario and step ``dt``, ``igcsim run
 <scenario> out.csv --audit`` runs through ``cli.main`` and reports one line
@@ -38,9 +44,10 @@ import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-from igcsim.analysis import MIN_AUDIT_SAMPLES, bound_audit
+from igcsim.analysis import MIN_AUDIT_SAMPLES, BlockAudit, bound_audit
 from igcsim.cli import main as igcsim_main, parse_scenario, serialize_scenario
 from igcsim.sim import SimLog, run
 
@@ -48,7 +55,8 @@ HERE = Path(__file__).resolve().parent
 SHIPPED = [str(HERE / "scenarios" / name) for name in ("nominal.cfg", "weave_disturbed.cfg")]
 T_MAX = [1.0, 4.0, None]  # None: the scenario's own
 DT = [1e-3, 1e-4]
-COLUMNS = ("scenario", "t_max", "rows", "audit_ms", "heap_peak_mb", "rss_growth_mb")
+COLUMNS = ("scenario", "t_max", "rows", "audit_ms", "heap_peak_mb", "rss_growth_mb",
+           "stream_audit_ms", "stream_heap_peak_mb")
 COMMAND_COLUMNS = ("scenario", "dt", "steps", "run_rss_growth_mb")
 
 
@@ -57,7 +65,8 @@ def measure(path: str, t_max: float | None) -> str:
     scenario = parse_scenario(path)
     if t_max is not None:
         scenario = replace(scenario, t_max=t_max)
-    log, _ = run(scenario)
+    blocks = []  # the run's blocks, as sim.stream hands them on
+    log, _ = run(scenario, blocks.append)
     # A first audit of the log's first rows loads what the audit loads once
     # per process, so that the RSS growth below is the audit's own.
     bound_audit(SimLog(log.table[:MIN_AUDIT_SAMPLES]), scenario)
@@ -66,21 +75,29 @@ def measure(path: str, t_max: float | None) -> str:
     bound_audit(log, scenario)
     rss_growth_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
 
-    times = []
-    for _ in range(5):
-        start = time.perf_counter()
-        bound_audit(log, scenario)
-        times.append(time.perf_counter() - start)
+    def audit_blocks() -> None:
+        audit = BlockAudit(scenario)
+        for block in blocks:
+            audit(block)
+        audit.close()
 
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        bound_audit(log, scenario)
-        heap_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return (f"{Path(path).name} {scenario.t_max:g} {len(log)} {1e3 * min(times):.2f} "
-            f"{heap_peak / 2**20:.3f} {rss_growth_kb / 1024:.3f}")
+    cells = []
+    for audit in (partial(bound_audit, log, scenario), audit_blocks):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            audit()
+            times.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            audit()
+            heap_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        cells.append(f"{1e3 * min(times):.2f} {heap_peak / 2**20:.3f}")
+    return (f"{Path(path).name} {scenario.t_max:g} {len(log)} {cells[0]} "
+            f"{rss_growth_kb / 1024:.3f} {cells[1]}")
 
 
 def measure_command(path: str, dt: float) -> str:

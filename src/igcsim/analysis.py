@@ -42,11 +42,6 @@ G1_SCAN_ANGLE = 0.3
 # The central differences of the command derivatives need three samples.
 MIN_AUDIT_SAMPLES = 3
 
-# Rows the audit takes per pass.  Each pass holds its own temporaries and
-# pays numpy's per-call cost once more: at 256 rows the audit of
-# nominal.cfg's log took twice as long.
-AUDIT_BLOCK = 4 * sim.LOG_BLOCK
-
 
 @dataclass(frozen=True)
 class LinearGain:
@@ -88,14 +83,15 @@ class BoundTrace:
 def theorem2_bound(t, x0_norm: float, k: float, delta: float, d_sup) -> float | np.ndarray:
     """ISS decay-plus-gain envelope for the drift-cancelling controller.
 
-    Vectorized over t (and over a matching running-supremum array d_sup).
+    Vectorized over t and a matching running-supremum array d_sup, and over
+    channels given as (channels, 1) columns of x0_norm, k and delta.
     """
     t = np.asarray(t, dtype=float)
     # 1 - exp(-2 k t) as -expm1(-2 k t): the difference cancels for small k t
     # and would break the bound's monotonicity in k.
     bound = (
         np.exp(-k * t) * x0_norm
-        + delta / math.sqrt(2.0 * k) * np.sqrt(-np.expm1(-2.0 * k * t)) * d_sup
+        + delta / np.sqrt(2.0 * k) * np.sqrt(-np.expm1(-2.0 * k * t)) * d_sup
     )
     return float(bound) if bound.ndim == 0 else bound
 
@@ -247,18 +243,37 @@ def _norm(*components) -> np.ndarray:
     return np.sqrt(sum((c * c for c in components[1:]), components[0] * components[0]))
 
 
-def _disturbance_norms(window: np.ndarray, lo: int, hi: int, scenario: sim.Scenario,
-                       k: airframe.AeroConstants, dt: float) -> np.ndarray:
+def _derivative(f: np.ndarray, lo: int, hi: int, dt) -> np.ndarray:
+    """Rows ``lo:hi`` of ``np.gradient(f, dt, axis=0)``, bit for bit: central
+    differences, one-sided at the first and last rows of ``f``."""
+    a, b = max(lo, 1), min(hi, len(f) - 1)  # the rows with a row on each side
+    d = (f[a + 1:b + 1] - f[a - 1:b - 1]) / (2.0 * dt)
+    if a > lo or b < hi:
+        d = np.concatenate([(f[1:2] - f[:1]) / dt] * (a > lo) + [d]
+                           + [(f[-1:] - f[-2:-1]) / dt] * (b < hi))
+    return d
+
+
+def _input_terms(scenario: sim.Scenario, k: airframe.AeroConstants, t: np.ndarray) -> tuple:
+    """The inputs at the times ``t`` as the audit reads them: the force
+    uncertainty's (a_theta, a_psi), the evader's elevation and azimuth
+    accelerations, and the rate and moment noise norms."""
+    rate, accel, lift, side, evader = sim.inputs(scenario, t)
+    return (lift / k.mass, side / k.mass, evader[:, 1], evader[:, 2],
+            _norm(*rate.T), _norm(*accel.T))
+
+
+def _disturbance_norms(window: np.ndarray, lo: int, hi: int, eta1, eta2, terms,
+                       k: airframe.AeroConstants, dt) -> tuple:
     """The norms of the channels' seven disturbance terms at rows ``lo:hi`` of
-    the step-table rows ``window``, as a (7, hi - lo) array; the rows of
-    ``window`` around them are their neighbours in the log.  Guidance: the
-    evader and force uncertainty, divided by each row's range, and the
-    attitude tracking error mapped through the input matrix.  Attitude: the
-    rate noise, the command derivative, and the rate tracking error mapped
-    through the mixer.  Rate: the moment noise and the rate-command
-    derivative."""
+    the step-table rows ``window``, whose other rows are their neighbours in
+    the log; ``eta1``, ``eta2`` are the rows' tracking errors and ``terms``
+    their :func:`_input_terms`.  Guidance: the evader and force uncertainty
+    over each row's range, and the attitude error through the input matrix.
+    Attitude: the command derivative, the rate error through the mixer, the
+    rate noise.  Rate: the rate-command derivative, the moment noise."""
+    a_theta, a_psi, evader_theta, evader_phi, rate, accel = terms
     rows = sim.SimLog(window[lo:hi])
-    rate, accel, lift, side, evader = sim.inputs(scenario, rows.t)
     m = frames.los_rows(rows.theta_l, rows.phi_l, rows.theta_v, rows.psi_v, trig=np)
     singular = np.abs(engagement.projection_det(m)) < engagement.GEOMETRY_SINGULARITY
     if singular.any():
@@ -266,22 +281,16 @@ def _disturbance_norms(window: np.ndarray, lo: int, hi: int, scenario: sim.Scena
         # The law's gate raises its own error on the first singular sample.
         engagement.guidance_map(k, float(rows.r[i]), [float(c[i]) for c in m])
     g0 = engagement.guidance_entries(k, rows.r, m)
-    _, p0, p1 = frames.los_accel(m, 0.0, lift / k.mass, side / k.mass)
+    _, p0, p1 = frames.los_accel(m, 0.0, a_theta, a_psi)
     g1 = airframe.mixer(rows.gamma, rows.alpha, rows.beta, rows.pitch, trig=np)
-    # The central differences reach the rows of the window around lo:hi,
-    # and are one-sided only at the log's two ends.
+    # The commanded roll and its derivative are zero, and add nothing to a norm.
     around = sim.SimLog(window)
-    y0 = -np.gradient(around.x1_cmd, dt, axis=0)[lo:hi]
-    y2 = -np.gradient(around.x2_cmd, dt, axis=0)[lo:hi]
-    return np.stack((
-        _norm(-p0 + evader[:, 1], -p1 + evader[:, 2]) / rows.r,
-        _norm(*_matvec(g0, (rows.alpha - rows.alpha_cmd, rows.beta - rows.beta_cmd))),
-        np.linalg.norm(rate, axis=-1),
-        np.linalg.norm(y0, axis=-1),
-        _norm(*_matvec(g1, rows.eta2.T)),
-        np.linalg.norm(accel, axis=-1),
-        np.linalg.norm(y2, axis=-1),
-    ))
+    return (_norm(-p0 + evader_theta, -p1 + evader_phi) / rows.r,
+            _norm(*_matvec(g0, eta1[1:])),
+            _norm(*_derivative(around.x1_sharp_cmd, lo, hi, dt).T),
+            _norm(*_matvec(g1, eta2)),
+            _norm(*_derivative(around.x2_cmd, lo, hi, dt).T),
+            rate, accel)
 
 
 CHANNELS = ("los_rate", "attitude_error", "rate_error")
@@ -292,83 +301,78 @@ class BlockAudit:
     order, block by block: call it with each block of rows (a 2-D table, or
     the ``array('d')`` of :func:`sim.stream`), then :meth:`close` it.
 
-    It audits AUDIT_BLOCK rows per pass, once the row after them has come,
-    and keeps one row of the last pass for the central differences: it
-    holds at most a pass, the block that completed it and that row.  For
-    each pass ``on_pass(lo, measured, bound)``, if given, receives the
-    (3, rows) measured norms and bounds of the channels (CHANNELS order)
-    from log row ``lo`` on.  ``violations`` and ``worst_margins`` reduce
-    them, per channel, as :func:`bound_audit`'s traces do."""
+    Each block is one pass, once the next block's first row, or close(),
+    supplies its halo row after it.  Beside that block it carries only its
+    last row (the next pass's halo), the running suprema and row 0's
+    measured norms.  ``on_pass(lo, measured, bound)``, if given, receives
+    each pass's (3, rows) measured norms and bounds (CHANNELS order) from
+    log row ``lo`` on; ``violations`` and ``worst_margins`` reduce them
+    per channel as :func:`bound_audit`'s traces do."""
 
     def __init__(self, scenario: sim.Scenario, on_pass=None):
         self._scenario, self._on_pass = scenario, on_pass
         self._k = airframe.AeroConstants(scenario.cfg)
-        self._tables = []   # the last audited row, if any, then the rows not yet audited
-        self._start = 0     # the log index of the first row of self._tables
-        self._end = 0       # rows received
-        self._next = 0      # the log index of the first row not yet audited
-        self._dt = None
-        self._first = None  # the measured norms of row 0
-        self._sups = np.full((7, 1), -math.inf)  # the running suprema at the last pass's end
+        self._terms = None  # the inputs, when they are the same at every time: sampled once
+        if scenario.time_invariant:
+            self._terms = tuple(float(c[0]) for c in _input_terms(scenario, self._k, np.zeros(1)))
+        g = scenario.gains
+        self._gains = np.array([[g.k0], [g.k1], [g.k2]]), np.array([[g.delta0], [g.delta1], [g.delta2]])
+        self._block = None  # the rows not yet audited
+        self._before = np.empty((0, sim.LOG_WIDTH))  # the row before them, if any
+        self._row = 0  # the log index of their first row
+        self._dt = self._first = None  # the step, and row 0's (3, 1) measured norms
+        self._sups = np.full((5 if self._terms else 7, 1), -math.inf)  # of the varying terms
         self.violations = np.zeros(3, dtype=int)
         self.worst_margins = np.full(3, math.inf)
 
     def __call__(self, rows) -> None:
         if not isinstance(rows, np.ndarray):
             rows = np.frombuffer(rows).reshape(-1, sim.LOG_WIDTH)
-        self._tables.append(rows)
-        self._end += len(rows)
-        if self._end - self._next > AUDIT_BLOCK:
-            self._audit(final=False)
+        if self._block is not None:
+            self._pass(rows[:1])
+        self._block = rows
 
     def close(self) -> None:
-        """Audit the rows not yet audited, the log's last row among them."""
-        if self._end < MIN_AUDIT_SAMPLES:
-            raise ValueError(f"log too short for finite differences: {self._end} samples")
-        self._audit(final=True)  # a call leaves at least its last row unaudited
+        """Audit the last block, whose last row is the log's."""
+        received = self._row + (0 if self._block is None else len(self._block))
+        if received < MIN_AUDIT_SAMPLES:
+            raise ValueError(f"log too short for finite differences: {received} samples")
+        self._pass(self._before[:0])
+        self._block = None
 
-    def _audit(self, final: bool) -> None:
-        """Audit AUDIT_BLOCK rows per pass while the row after them has come,
-        and then, if ``final``, the rows left."""
-        tables, start = self._tables, self._start
-        table = tables[0] if len(tables) == 1 else np.concatenate(tables)
-        lo = self._next
-        while self._end - lo > AUDIT_BLOCK or (final and lo < self._end):
-            hi = min(lo + AUDIT_BLOCK, self._end)
-            a = max(lo - 1, 0)  # one row of halo on each side, where the log has one
-            self._pass(table[a - start:hi + 1 - start], lo - a, hi - a, lo)
-            lo = hi
-        self._next, self._start = lo, lo - 1
-        self._tables = [table[lo - 1 - start:]]
-
-    def _pass(self, window: np.ndarray, lo: int, hi: int, row: int) -> None:
-        """Audit rows ``lo:hi`` of ``window``, the log's rows from ``row`` on;
-        the other rows of ``window`` are their halo."""
+    def _pass(self, after: np.ndarray) -> None:
+        """Audit the held block; ``after``, the log's next row if any, and
+        the row before it are its halo."""
+        block, before = self._block, self._before
+        window = np.concatenate((before, block, after))
+        lo, hi = len(before), len(before) + len(block)
         t = window[:, 0]
-        if self._dt is None:
-            self._dt = t[1] - t[0]
-        dt = self._dt
+        dt = self._dt = t[1] - t[0] if self._dt is None else self._dt
         if not np.all(np.abs(np.diff(t) - dt) <= 1e-9 * max(dt, 1.0)):
             raise ValueError("log timestamps are not uniform")
-        norms = _disturbance_norms(window, lo, hi, self._scenario, self._k, dt)
-        running = np.maximum(np.maximum.accumulate(norms, axis=1), self._sups)
-        self._sups = running[:, -1:]
-        d0, y1, rate, y0, y3, accel, y2 = running
         rows = sim.SimLog(window[lo:hi])
-        measured = np.stack((rows.x0_norm, rows.eta1_norm, rows.eta2_norm))
+        # SimLog's eta1 and eta2, whose commanded roll is zero.
+        eta1 = (rows.gamma, rows.alpha - rows.alpha_cmd, rows.beta - rows.beta_cmd)
+        eta2 = (rows.omega - rows.x2_cmd).T
+        with np.errstate(over="ignore"):  # as SimLog's eta1_norm and eta2_norm
+            measured = np.array((rows.x0_norm, _norm(*eta1), _norm(*eta2)))
+        terms = self._terms or _input_terms(self._scenario, self._k, rows.t)
+        *varying, rate, accel = _disturbance_norms(window, lo, hi, eta1, eta2, terms, self._k, dt)
+        running = np.maximum(np.maximum.accumulate(
+            np.array(varying + ([] if self._terms else [rate, accel])), axis=1), self._sups)
+        self._sups = running[:, -1:]
+        d0, y1, y0, y3, y2, *noise = running
+        rate, accel = noise or (rate, accel)
         if self._first is None:
-            self._first = measured[:, 0].tolist()
-        x0_first, eta1_first, eta2_first = self._first
-        g = self._scenario.gains
-        bound = np.stack((
-            theorem2_bound(rows.t, x0_first, g.k0, g.delta0, d0 + y1),
-            theorem2_bound(rows.t, eta1_first, g.k1, g.delta1, rate + y0 + y3),
-            theorem2_bound(rows.t, eta2_first, g.k2, g.delta2, accel + y2),
-        ))
+            self._first = measured[:, :1].copy()
+        bound = theorem2_bound(rows.t, self._first, *self._gains,
+                               np.array((d0 + y1, rate + y0 + y3, accel + y2)))
         self.violations += np.count_nonzero(measured > bound * (1.0 + DEFAULT_SLACK), axis=1)
         self.worst_margins = np.minimum(self.worst_margins, (bound - measured).min(axis=1))
         if self._on_pass is not None:
-            self._on_pass(row, measured, bound)
+            self._on_pass(self._row, measured, bound)
+        self._before = block[-1:].copy()
+        self._row += len(block)
 
 
 def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTrace, ...], int]:
@@ -378,30 +382,26 @@ def bound_audit(log: sim.SimLog, scenario: sim.Scenario) -> tuple[tuple[BoundTra
     Returns one trace per channel (LOS rate, attitude error, rate error) and
     the total violation count; a sample violates when measured exceeds
     bound * (1 + DEFAULT_SLACK).  The LOS channel's evader and force term is
-    the running supremum of its norm divided by the range, row by row: the
-    sup over [0, t] of the channel's disturbance d0/r, which the ISS
-    estimate at time t takes.  Command derivatives are estimated by central
-    finite differences (``np.gradient``, one-sided at the log's two ends), so
-    that slack covers the discretization and integration error of a smooth
-    run.  It is :class:`BlockAudit` fed the whole log: the input maps are
-    the law's own helpers, called once over each pass's columns, and each
-    running supremum carries on from the previous pass's last value, so
-    the traces are those of one pass over the whole columns.  A state where
-    the guidance map is singular, which no run logs, raises the law's
-    SingularityError for the first such state.
+    the running sup over [0, t] of its norm over each row's range, the
+    channel's disturbance d0/r, which the ISS estimate at time t takes.
+    Command derivatives are central differences (one-sided at the log's two
+    ends), so that slack covers the discretization and integration error of
+    a smooth run.  It is :class:`BlockAudit` fed the log as sim.LOG_BLOCK-row
+    views, one pass each, writing each pass into its six output columns:
+    the traces equal, bit for bit, those of one pass over the whole columns.
+    A state where the guidance map is singular, which no run logs, raises
+    the law's SingularityError for the first such state.
     """
-    # Only the measured norms and the bounds span the log; every other
-    # temporary spans one pass.
     n = len(log)
-    measured, bound = np.empty((3, n)), np.empty((3, n))
+    measured, bound = np.empty((3, n)), np.empty((3, n))  # the only temporaries that span the log
 
     def store(lo: int, pass_measured: np.ndarray, pass_bound: np.ndarray) -> None:
-        hi = lo + pass_measured.shape[1]
-        measured[:, lo:hi] = pass_measured
-        bound[:, lo:hi] = pass_bound
+        measured[:, lo:lo + pass_measured.shape[1]] = pass_measured
+        bound[:, lo:lo + pass_bound.shape[1]] = pass_bound
 
     audit = BlockAudit(scenario, store)
-    audit(log.table)
+    for lo in range(0, n, sim.LOG_BLOCK):
+        audit(log.table[lo:lo + sim.LOG_BLOCK])
     audit.close()
     traces = tuple(BoundTrace(channel, log.t, measured[c], bound[c], int(audit.violations[c]))
                    for c, channel in enumerate(CHANNELS))

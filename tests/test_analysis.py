@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from igcsim import sim
 from igcsim.airframe import AeroConstants
 from igcsim.analysis import (
-    AUDIT_BLOCK,
     MIN_AUDIT_SAMPLES,
     BlockAudit,
     LinearGain,
@@ -27,7 +26,7 @@ from igcsim.cli import parse_scenario
 from igcsim.engagement import AxisSignal, DisturbanceModel, EngagementState, guidance_map
 from igcsim.errors import SingularityError
 from igcsim.frames import los_rows
-from igcsim.sim import LOG_WIDTH, SimLog, inputs, run
+from igcsim.sim import LOG_BLOCK, LOG_WIDTH, SimLog, inputs, run
 
 from .conftest import SCENARIO_DIR, g1_matrix, make_gains, make_scenario
 from .oracles import bound_audit_columns
@@ -145,7 +144,7 @@ def test_bound_audit_rejects_singular_geometry():
     # orthogonal to the LOS, with |cos| = 0 and 5e-10: rows 3 and 7 of a
     # one-block log, then two rows after the first block of a longer one.
     scenario = make_scenario(r_min=100.0)
-    for n, first, second in ((10, 3, 7), (AUDIT_BLOCK + 10, AUDIT_BLOCK + 3, AUDIT_BLOCK + 7)):
+    for n, first, second in ((10, 3, 7), (LOG_BLOCK + 10, LOG_BLOCK + 3, LOG_BLOCK + 7)):
         log = _constant_log(n=n)
         log.psi_v[first] = 0.0
         log.psi_v[second] = 5e-10
@@ -171,15 +170,39 @@ def _audit_peak(log, scenario):
 
 
 def test_bound_audit_memory_of_nominal_log():
-    # The audit reads the log in blocks of AUDIT_BLOCK rows and holds only
-    # its six output columns at the log's length: on the full nominal.cfg
-    # log (8,065 rows, a 1.6 MB table) its heap peaks at most 1.2 MB above
-    # its inputs, below the 1.6 MB of bound_audit_columns, which holds
-    # whole-column temporaries.
+    # The audit reads the log in views of LOG_BLOCK rows, one pass each, and
+    # holds only its six output columns at the log's length (387 KB here):
+    # on the full nominal.cfg log (8,065 rows, a 1.6 MB table) its heap
+    # peaks at most 0.6 MB above its inputs, below the 1.6 MB of
+    # bound_audit_columns, which holds whole-column temporaries.  Passes of
+    # four blocks, concatenated from the blocks they span, peaked at 0.78 MB.
     scenario = parse_scenario(SCENARIO_DIR / "nominal.cfg")
     log, _ = run(scenario)
     assert len(log) == 8065
-    assert _audit_peak(log, scenario) <= 1.2e6
+    assert _audit_peak(log, scenario) <= 0.6e6
+
+
+def test_block_audit_memory_of_streamed_blocks():
+    # Fed nominal.cfg's 32 streamed blocks, the audit holds one block, its
+    # halo rows and one pass's temporaries, whatever the run's length: its
+    # heap peaks at most 0.45 MB above its inputs.  Buffering four blocks
+    # per pass peaked at 0.90 MB.
+    scenario = parse_scenario(SCENARIO_DIR / "nominal.cfg")
+    blocks = []
+    sim.stream(scenario, lambda block: blocks.append(array("d", block)))
+    assert len(blocks) == 32
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        audit = BlockAudit(scenario)
+        for block in blocks:
+            audit(block)
+        audit.close()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit.violations.tolist() == [0, 0, 0]
+    assert peak - base <= 0.45e6
 
 
 def test_bound_audit_memory_scales_with_outputs():
@@ -255,6 +278,14 @@ def test_bound_audit_envelopes_from_frame_oracle(name):
         assert_close(trace.bound, bound)
 
 
+# Log lengths at the edges of the audit's passes, one per LOG_BLOCK-row
+# block: one and two blocks, a last block of one or two rows, and around
+# four blocks, which were one pass before a pass was a block.
+PASS_EDGES = [LOG_BLOCK - 1, LOG_BLOCK, LOG_BLOCK + 1, LOG_BLOCK + 2, 2 * LOG_BLOCK,
+              2 * LOG_BLOCK + 1, 4 * LOG_BLOCK - 1, 4 * LOG_BLOCK, 4 * LOG_BLOCK + 1,
+              8 * LOG_BLOCK + 1]
+
+
 @pytest.fixture(scope="module")
 def shipped_runs():
     """Each shipped scenario with the log of its full run."""
@@ -265,13 +296,12 @@ def shipped_runs():
     return runs
 
 
-@pytest.mark.parametrize("rows", [None, MIN_AUDIT_SAMPLES, AUDIT_BLOCK - 1, AUDIT_BLOCK,
-                                  AUDIT_BLOCK + 1, 2 * AUDIT_BLOCK + 1])
+@pytest.mark.parametrize("rows", [None, MIN_AUDIT_SAMPLES, *PASS_EDGES])
 @pytest.mark.parametrize("name", ["nominal.cfg", "weave_disturbed.cfg"])
 def test_bound_audit_blocks_equal_whole_columns(shipped_runs, name, rows):
     # The block walk reproduces the audit over the whole columns bit for
     # bit: on the full run (rows None) and on its first rows, at the
-    # shortest audited log and around one and two blocks.  Every operation
+    # shortest audited log and at each of PASS_EDGES.  Every operation
     # is elementwise, or a running maximum carried across blocks, so no
     # tolerance is allowed.
     scenario, log = shipped_runs[name]
@@ -287,24 +317,23 @@ def test_bound_audit_blocks_equal_whole_columns(shipped_runs, name, rows):
         assert np.array_equal(trace.bound, want.bound)
 
 
-@pytest.mark.parametrize("n", [MIN_AUDIT_SAMPLES, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1,
-                               2 * AUDIT_BLOCK + 1])
+@pytest.mark.parametrize("n", [MIN_AUDIT_SAMPLES, *PASS_EDGES])
 def test_block_audit_of_streamed_blocks_equals_bound_audit(n):
     # Fed sim.LOG_BLOCK rows at a time as array('d') blocks, as sim.stream
-    # hands them on, the audit's passes are the traces of bound_audit over
-    # the whole log, and their reductions its violation counts and worst
-    # margins.  A constant LOS rate violates its decaying envelope, so past
+    # hands them on, the audit makes one pass per block; the passes are the
+    # traces of bound_audit over the whole log, and their reductions its
+    # violation counts and worst margins.  A constant LOS rate violates its decaying envelope, so past
     # the first rows neither is zero.
     scenario = make_scenario(r_min=100.0)
     log = _constant_log(n=n)
     log.states[:, 4] = 0.05
     passes = []
     audit = BlockAudit(scenario, lambda lo, measured, bound: passes.append((lo, measured, bound)))
-    for lo in range(0, n, sim.LOG_BLOCK):
-        audit(array("d", log.table[lo:lo + sim.LOG_BLOCK].tobytes()))
+    for lo in range(0, n, LOG_BLOCK):
+        audit(array("d", log.table[lo:lo + LOG_BLOCK].tobytes()))
     audit.close()
     traces, total = bound_audit(log, scenario)
-    assert [lo for lo, _, _ in passes] == list(range(0, n, AUDIT_BLOCK))
+    assert [lo for lo, _, _ in passes] == list(range(0, n, LOG_BLOCK))
     for c, trace in enumerate(traces):
         assert np.array_equal(np.concatenate([m[c] for _, m, _ in passes]), trace.measured)
         assert np.array_equal(np.concatenate([b[c] for _, _, b in passes]), trace.bound)
@@ -358,7 +387,7 @@ def test_bound_audit_flags_violations():
     # decaying envelope.  Over three blocks, each block counts its own
     # violations: as many in all as over the whole columns.
     scenario = make_scenario(r_min=100.0)
-    for n in (50, 2 * AUDIT_BLOCK + 1):
+    for n in (50, 2 * LOG_BLOCK + 1):
         log = _constant_log(n=n)
         log.states[:, 4] = 0.05
         traces, total = bound_audit(log, scenario)

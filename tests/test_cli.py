@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from igcsim.cli import (
     CSV_COLUMNS,
 )
 from igcsim import cli, sim
-from igcsim.analysis import AUDIT_BLOCK, bound_audit
+from igcsim.analysis import bound_audit
 from igcsim.engagement import AxisSignal, DisturbanceModel, EvaderModel, VectorSignal
 from igcsim.errors import ScenarioError
 from igcsim.sim import run
@@ -472,8 +473,9 @@ def test_cmd_run_reaps_writer_when_run_raises(tmp_path, capsys, monkeypatch):
     assert len(out_csv.read_text().splitlines()) == 1 + sim.LOG_BLOCK
 
 
-@pytest.mark.parametrize("rows", [3, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1,
-                                  2 * AUDIT_BLOCK + 1])
+@pytest.mark.parametrize("rows", [3, sim.LOG_BLOCK - 1, sim.LOG_BLOCK, sim.LOG_BLOCK + 1,
+                                  2 * sim.LOG_BLOCK + 1, 4 * sim.LOG_BLOCK - 1, 4 * sim.LOG_BLOCK,
+                                  4 * sim.LOG_BLOCK + 1, 8 * sim.LOG_BLOCK + 1])
 def test_cmd_run_streamed_audit_equals_bound_audit(tmp_path, capsys, monkeypatch, rows):
     # `run --audit` audits each block as the run hands it on and keeps only
     # the counts and worst margins, which equal those of bound_audit over
@@ -512,11 +514,25 @@ def test_cmd_run_audit_memory_is_flat_in_run_length(tmp_path, capsys, monkeypatc
     # reductions remain.  Twice the steps (nominal.cfg at half its dt) add
     # less than 0.25 MB to the heap peak; holding the log and the audit's
     # output columns added 1.8 MB.  In process, so the formatter's memory
-    # counts too.
+    # counts too.  Traced, the step loop runs about 70 times slower, so
+    # each run's blocks and summary are recorded once, untraced, and
+    # sim.stream then hands on fresh copies of those blocks;
+    # test_sim.py::test_stream_memory_is_flat_in_run_length traces the
+    # stream itself.
     _force_log_writer(monkeypatch, False)
     fine = write_variant(tmp_path, "fine.cfg", {"dt = 0.001": "dt = 0.0005"})
+    real_stream = sim.stream
     peaks = []
     for scenario, steps in ((NOMINAL, 8065), (fine, 16128)):
+        blocks = []
+        recorded = real_stream(parse_scenario(scenario), lambda block: blocks.append(bytes(block)))
+
+        def replay(_scenario, on_block, blocks=blocks, recorded=recorded):
+            for block in blocks:
+                on_block(array("d", block))
+            return recorded
+
+        monkeypatch.setattr(sim, "stream", replay)
         summary = tmp_path / "summary.json"
         peaks.append(_heap_peak(["run", str(scenario), str(tmp_path / "out.csv"), "--audit",
                                  "--summary-json", str(summary)]))

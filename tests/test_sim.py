@@ -5,6 +5,7 @@ import pickle
 import re
 import signal
 import time
+import tracemalloc
 import warnings
 from array import array
 from collections import Counter
@@ -903,6 +904,26 @@ def test_stream_summary_equals_log_oracle(name):
     if name == "range-rate-turns":
         assert log.vr[-2] < 0.0 <= log.vr[-1]
         assert summary.miss_distance < summary.final_r
+
+
+def test_stream_memory_is_flat_in_run_length():
+    # stream holds the current block, the last two rows and the (t, x01,
+    # x02) columns of the blocks that can still fall in the final fifth,
+    # not the log: a run of twice the steps adds less than 0.1 MB to its
+    # heap peak, where holding the log would add 0.22 MB.  An untraced
+    # run first loads what a run loads once per process.
+    scenario = parse_scenario(SCENARIO_DIR / "nominal.cfg")
+    sim.stream(replace(scenario, t_max=0.1), lambda block: None)
+    peaks = []
+    for t_max in (1.0, 2.0):
+        tracemalloc.start()
+        try:
+            summary = sim.stream(replace(scenario, t_max=t_max), lambda block: None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert summary.outcome == "timeout" and summary.steps == round(t_max / scenario.dt) + 1
+    assert abs(peaks[1] - peaks[0]) < 0.1e6
 
 
 def test_law_and_plant_make_no_numpy_call(monkeypatch):
