@@ -83,15 +83,14 @@ class BoundTrace:
 def theorem2_bound(t, x0_norm: float, k: float, delta: float, d_sup) -> float | np.ndarray:
     """ISS decay-plus-gain envelope for the drift-cancelling controller.
 
-    Vectorized over t and a matching running-supremum array d_sup, and over
-    channels given as (channels, 1) columns of x0_norm, k and delta.
+    Vectorized over t (and over a matching running-supremum array d_sup).
     """
     t = np.asarray(t, dtype=float)
     # 1 - exp(-2 k t) as -expm1(-2 k t): the difference cancels for small k t
     # and would break the bound's monotonicity in k.
     bound = (
         np.exp(-k * t) * x0_norm
-        + delta / np.sqrt(2.0 * k) * np.sqrt(-np.expm1(-2.0 * k * t)) * d_sup
+        + delta / math.sqrt(2.0 * k) * np.sqrt(-np.expm1(-2.0 * k * t)) * d_sup
     )
     return float(bound) if bound.ndim == 0 else bound
 
@@ -254,26 +253,18 @@ def _derivative(f: np.ndarray, lo: int, hi: int, dt) -> np.ndarray:
     return d
 
 
-def _input_terms(scenario: sim.Scenario, k: airframe.AeroConstants, t: np.ndarray) -> tuple:
-    """The inputs at the times ``t`` as the audit reads them: the force
-    uncertainty's (a_theta, a_psi), the evader's elevation and azimuth
-    accelerations, and the rate and moment noise norms."""
-    rate, accel, lift, side, evader = sim.inputs(scenario, t)
-    return (lift / k.mass, side / k.mass, evader[:, 1], evader[:, 2],
-            _norm(*rate.T), _norm(*accel.T))
-
-
-def _disturbance_norms(window: np.ndarray, lo: int, hi: int, eta1, eta2, terms,
-                       k: airframe.AeroConstants, dt) -> tuple:
+def _disturbance_norms(window: np.ndarray, lo: int, hi: int, eta1, eta2, scenario: sim.Scenario,
+                       k: airframe.AeroConstants, dt) -> np.ndarray:
     """The norms of the channels' seven disturbance terms at rows ``lo:hi`` of
-    the step-table rows ``window``, whose other rows are their neighbours in
-    the log; ``eta1``, ``eta2`` are the rows' tracking errors and ``terms``
-    their :func:`_input_terms`.  Guidance: the evader and force uncertainty
-    over each row's range, and the attitude error through the input matrix.
-    Attitude: the command derivative, the rate error through the mixer, the
-    rate noise.  Rate: the rate-command derivative, the moment noise."""
-    a_theta, a_psi, evader_theta, evader_phi, rate, accel = terms
+    the step-table rows ``window``, as a (7, hi - lo) array; the other rows
+    of ``window`` are their neighbours in the log, and ``eta1``, ``eta2``
+    the rows' tracking errors.  Guidance: the evader and force uncertainty,
+    divided by each row's range, and the attitude tracking error mapped
+    through the input matrix.  Attitude: the rate noise, the command
+    derivative, and the rate tracking error mapped through the mixer.  Rate:
+    the moment noise and the rate-command derivative."""
     rows = sim.SimLog(window[lo:hi])
+    rate, accel, lift, side, evader = sim.inputs(scenario, rows.t)
     m = frames.los_rows(rows.theta_l, rows.phi_l, rows.theta_v, rows.psi_v, trig=np)
     singular = np.abs(engagement.projection_det(m)) < engagement.GEOMETRY_SINGULARITY
     if singular.any():
@@ -281,16 +272,19 @@ def _disturbance_norms(window: np.ndarray, lo: int, hi: int, eta1, eta2, terms,
         # The law's gate raises its own error on the first singular sample.
         engagement.guidance_map(k, float(rows.r[i]), [float(c[i]) for c in m])
     g0 = engagement.guidance_entries(k, rows.r, m)
-    _, p0, p1 = frames.los_accel(m, 0.0, a_theta, a_psi)
+    _, p0, p1 = frames.los_accel(m, 0.0, lift / k.mass, side / k.mass)
     g1 = airframe.mixer(rows.gamma, rows.alpha, rows.beta, rows.pitch, trig=np)
     # The commanded roll and its derivative are zero, and add nothing to a norm.
     around = sim.SimLog(window)
-    return (_norm(-p0 + evader_theta, -p1 + evader_phi) / rows.r,
-            _norm(*_matvec(g0, eta1[1:])),
-            _norm(*_derivative(around.x1_sharp_cmd, lo, hi, dt).T),
-            _norm(*_matvec(g1, eta2)),
-            _norm(*_derivative(around.x2_cmd, lo, hi, dt).T),
-            rate, accel)
+    return np.array((
+        _norm(-p0 + evader[:, 1], -p1 + evader[:, 2]) / rows.r,
+        _norm(*_matvec(g0, eta1[1:])),
+        _norm(*rate.T),
+        _norm(*_derivative(around.x1_sharp_cmd, lo, hi, dt).T),
+        _norm(*_matvec(g1, eta2)),
+        _norm(*accel.T),
+        _norm(*_derivative(around.x2_cmd, lo, hi, dt).T),
+    ))
 
 
 CHANNELS = ("los_rate", "attitude_error", "rate_error")
@@ -312,16 +306,11 @@ class BlockAudit:
     def __init__(self, scenario: sim.Scenario, on_pass=None):
         self._scenario, self._on_pass = scenario, on_pass
         self._k = airframe.AeroConstants(scenario.cfg)
-        self._terms = None  # the inputs, when they are the same at every time: sampled once
-        if scenario.time_invariant:
-            self._terms = tuple(float(c[0]) for c in _input_terms(scenario, self._k, np.zeros(1)))
-        g = scenario.gains
-        self._gains = np.array([[g.k0], [g.k1], [g.k2]]), np.array([[g.delta0], [g.delta1], [g.delta2]])
         self._block = None  # the rows not yet audited
         self._before = np.empty((0, sim.LOG_WIDTH))  # the row before them, if any
         self._row = 0  # the log index of their first row
-        self._dt = self._first = None  # the step, and row 0's (3, 1) measured norms
-        self._sups = np.full((5 if self._terms else 7, 1), -math.inf)  # of the varying terms
+        self._dt = self._first = None  # the step, and row 0's measured norms
+        self._sups = np.full((7, 1), -math.inf)  # the running suprema at the last pass's end
         self.violations = np.zeros(3, dtype=int)
         self.worst_margins = np.full(3, math.inf)
 
@@ -356,17 +345,19 @@ class BlockAudit:
         eta2 = (rows.omega - rows.x2_cmd).T
         with np.errstate(over="ignore"):  # as SimLog's eta1_norm and eta2_norm
             measured = np.array((rows.x0_norm, _norm(*eta1), _norm(*eta2)))
-        terms = self._terms or _input_terms(self._scenario, self._k, rows.t)
-        *varying, rate, accel = _disturbance_norms(window, lo, hi, eta1, eta2, terms, self._k, dt)
-        running = np.maximum(np.maximum.accumulate(
-            np.array(varying + ([] if self._terms else [rate, accel])), axis=1), self._sups)
+        norms = _disturbance_norms(window, lo, hi, eta1, eta2, self._scenario, self._k, dt)
+        running = np.maximum(np.maximum.accumulate(norms, axis=1), self._sups)
         self._sups = running[:, -1:]
-        d0, y1, y0, y3, y2, *noise = running
-        rate, accel = noise or (rate, accel)
+        d0, y1, rate, y0, y3, accel, y2 = running
         if self._first is None:
-            self._first = measured[:, :1].copy()
-        bound = theorem2_bound(rows.t, self._first, *self._gains,
-                               np.array((d0 + y1, rate + y0 + y3, accel + y2)))
+            self._first = measured[:, 0].tolist()
+        x0_first, eta1_first, eta2_first = self._first
+        g = self._scenario.gains
+        bound = np.array((
+            theorem2_bound(rows.t, x0_first, g.k0, g.delta0, d0 + y1),
+            theorem2_bound(rows.t, eta1_first, g.k1, g.delta1, rate + y0 + y3),
+            theorem2_bound(rows.t, eta2_first, g.k2, g.delta2, accel + y2),
+        ))
         self.violations += np.count_nonzero(measured > bound * (1.0 + DEFAULT_SLACK), axis=1)
         self.worst_margins = np.minimum(self.worst_margins, (bound - measured).min(axis=1))
         if self._on_pass is not None:
