@@ -272,8 +272,10 @@ def _disturbance_norms(window: np.ndarray, lo: int, hi: int, eta1, eta2, scenari
         # The law's gate raises its own error on the first singular sample.
         engagement.guidance_map(k, float(rows.r[i]), [float(c[i]) for c in m])
     g0 = engagement.guidance_entries(k, rows.r, m)
-    _, p0, p1 = frames.los_accel(m, 0.0, lift / k.mass, side / k.mass)
+    # frames.los_accel of (0, lift, side) / mass, less the radial row and the 0 terms.
+    p0, p1 = _matvec((m[4], m[5], m[7], m[8]), (lift / k.mass, side / k.mass))
     g1 = airframe.mixer(rows.gamma, rows.alpha, rows.beta, rows.pitch, trig=np)
+    e0, e1, e2 = eta2
     # The commanded roll and its derivative are zero, and add nothing to a norm.
     around = sim.SimLog(window)
     return np.array((
@@ -281,7 +283,9 @@ def _disturbance_norms(window: np.ndarray, lo: int, hi: int, eta1, eta2, scenari
         _norm(*_matvec(g0, eta1[1:])),
         _norm(*rate.T),
         _norm(*_derivative(around.x1_sharp_cmd, lo, hi, dt).T),
-        _norm(*_matvec(g1, eta2)),
+        # g1 @ eta2 less the products by g1[0] = g1[5] = 1 (g1[8] = 0 stays: 0 * inf is NaN).
+        _norm(e0 + g1[1] * e1 + g1[2] * e2, g1[3] * e0 + g1[4] * e1 + e2,
+              g1[6] * e0 + g1[7] * e1 + g1[8] * e2),
         _norm(*accel.T),
         _norm(*_derivative(around.x2_cmd, lo, hi, dt).T),
     ))

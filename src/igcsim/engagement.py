@@ -67,20 +67,20 @@ class EvaderModel:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite")
 
-    def sample(self, t: float) -> tuple[float, float, float]:
-        """Acceleration (a_r, a_theta, a_phi) [m/s^2] at time t."""
+    def sample(self, t, trig=math) -> tuple:
+        """Acceleration (a_r, a_theta, a_phi) [m/s^2] at ``t``, one formula per
+        kind; ``trig`` as in :func:`frames.los_rows`: with ``numpy``, a column
+        ``t`` gives a step's or a weave's components as columns."""
         amplitudes = (self.accel_r, self.accel_theta, self.accel_phi)
         if self.kind == "constant":
             return amplitudes
-        if self.kind == "step":
-            return amplitudes if t >= self.step_time else (0.0, 0.0, 0.0)
-        s = math.sin(self.frequency * t + self.phase)
+        s = t >= self.step_time if self.kind == "step" else trig.sin(self.frequency * t + self.phase)
         return amplitudes[0] * s, amplitudes[1] * s, amplitudes[2] * s
 
 
 @dataclass(frozen=True)
 class AxisSignal:
-    """Scalar disturbance generator: zero, constant, or sinusoid."""
+    """Scalar disturbance generator: zero, constant, or sinusoid, one formula each."""
 
     kind: str = "zero"
     amplitude: float = 0.0
@@ -94,17 +94,16 @@ class AxisSignal:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite")
 
-    def value(self, t: float) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.amplitude
-        return self.amplitude * math.sin(self.frequency * t + self.phase)
+    def value(self, t, trig=math):
+        """The disturbance at time ``t``; ``trig`` as in :meth:`EvaderModel.sample`."""
+        if self.kind == "sinusoid":
+            return self.amplitude * trig.sin(self.frequency * t + self.phase)
+        return self.amplitude if self.kind == "constant" else 0.0
 
 
 @dataclass(frozen=True)
 class VectorSignal:
-    """Three-axis disturbance generator with shared frequency and phase."""
+    """Three-axis disturbance generator with shared frequency and phase, one formula per kind."""
 
     kind: str = "zero"
     amplitude: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -120,13 +119,14 @@ class VectorSignal:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite")
 
-    def sample(self, t: float) -> tuple[float, float, float]:
+    def sample(self, t, trig=math) -> tuple:
+        """The three axes at time ``t``; ``trig`` as in :meth:`EvaderModel.sample`."""
         if self.kind == "zero":
             return 0.0, 0.0, 0.0
         ax, ay, az = self.amplitude
         if self.kind == "constant":
             return ax, ay, az
-        s = math.sin(self.frequency * t + self.phase)
+        s = trig.sin(self.frequency * t + self.phase)
         return ax * s, ay * s, az * s
 
 

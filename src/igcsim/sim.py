@@ -110,12 +110,13 @@ class Scenario:
                     f"got frequency={signal.frequency!r}, phase={signal.phase!r}, "
                     f"t_max={self.t_max!r}")
 
-    def signals(self, t: float) -> tuple:
-        """The exogenous inputs at time ``t``, (rate, accel, lift, side, evader):
-        the one sampler of both the plant derivative and :func:`inputs`."""
+    def signals(self, t, trig=math) -> tuple:
+        """The exogenous inputs at ``t``, (rate, accel, lift, side, evader): the one
+        sampler of the plant derivative and of :func:`inputs`.  Floats under ``trig``
+        ``math``; under ``numpy``, a column ``t`` gives columns where they vary."""
         d = self.disturbances
-        return (d.rate.sample(t), d.accel.sample(t), d.lift.value(t), d.side.value(t),
-                self.evader.sample(t))
+        return (d.rate.sample(t, trig), d.accel.sample(t, trig), d.lift.value(t, trig),
+                d.side.value(t, trig), self.evader.sample(t, trig))
 
     @property
     def time_invariant(self) -> bool:
@@ -407,21 +408,14 @@ def _step(k: Kernel, signals, y, t: float, dt: float, k1: list[float], held) -> 
 
 
 def inputs(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:meth:`Scenario.signals` at the times ``t``: (rate (n, 3), accel (n, 3),
-    lift (n,), side (n,), evader (n, 3)).  At a log's ``t`` these are, bit for
-    bit, the inputs the run saw at its logged steps.  Time-invariant signals
-    are sampled once: the five are then read-only views that repeat that one
-    sample in every row, and take no memory per row."""
-    if scenario.time_invariant:
-        rate, accel, lift, side, evader = scenario.signals(0.0)
-        out = np.broadcast_to(np.array((*rate, *accel, lift, side, *evader), dtype=float),
-                              (len(t), 11))
-    else:
-        out = np.empty((len(t), 11))
-        for row, ti in zip(out, t.tolist()):
-            rate, accel, lift, side, evader = scenario.signals(ti)
-            row[:] = (*rate, *accel, lift, side, *evader)
-    return out[:, 0:3], out[:, 3:6], out[:, 6], out[:, 7], out[:, 8:11]
+    """:meth:`Scenario.signals` over the column ``t``: (rate (n, 3), accel
+    (n, 3), lift (n,), side (n,), evader (n, 3)), read-only.  At a log's ``t``
+    these are, bit for bit, the inputs the run saw at its logged steps.  A
+    constant or zero signal is sampled once: its array repeats that one
+    sample in every row, and takes no memory per row."""
+    n = len(t)
+    return tuple(np.broadcast_to(np.asarray(v, dtype=float).T, shape) for v, shape in
+                 zip(scenario.signals(t, np), ((n, 3), (n, 3), (n,), (n,), (n, 3))))
 
 
 def stream(scenario: Scenario, on_block) -> SimSummary:

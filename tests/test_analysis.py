@@ -317,6 +317,25 @@ def test_bound_audit_blocks_equal_whole_columns(shipped_runs, name, rows):
         assert np.array_equal(trace.bound, want.bound)
 
 
+def test_bound_audit_of_a_non_finite_rate_command(shipped_runs):
+    # A logged yaw-rate command that is not finite: the audit still equals
+    # the whole-column audit, NaN for NaN.  The mixer's 0 entry times the
+    # infinite yaw-rate error is NaN, so the attitude channel's bound is NaN
+    # from that row on; the command's derivative makes the rate channel's
+    # bound inf from the row before it on.
+    scenario, full = shipped_runs["weave_disturbed.cfg"]
+    log, row = SimLog(full.table[:600].copy()), 300
+    log.x2_cmd[row, 2] = math.inf
+    with np.errstate(invalid="ignore"):  # 0 * inf in the norms, inf - inf in the margins
+        traces, total = bound_audit(log, scenario)
+        expected, expected_total = bound_audit_columns(log, scenario)
+    assert total == expected_total
+    assert np.isnan(traces[1].bound[row:]).all() and np.isposinf(traces[2].bound[row - 1:]).all()
+    for trace, want in zip(traces, expected, strict=True):
+        assert np.array_equal(trace.measured, want.measured)
+        assert np.array_equal(trace.bound, want.bound, equal_nan=True)
+
+
 @pytest.mark.parametrize("n", [MIN_AUDIT_SAMPLES, *PASS_EDGES])
 def test_block_audit_of_streamed_blocks_equals_bound_audit(n):
     # Fed sim.LOG_BLOCK rows at a time as array('d') blocks, as sim.stream

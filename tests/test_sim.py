@@ -370,9 +370,8 @@ def test_log_columns_are_table_views():
 
 
 def test_time_invariant_signals_sampled_once(monkeypatch):
-    # Constant signals are sampled once per run and per audit; the run and
-    # the inputs are bit-identical to sampling them at every time.  The
-    # inputs are then read-only views of the one sample, repeated per row.
+    # A run samples constant signals once, not three times a step, and its
+    # table is bit-identical to sampling them at every time.
     constant = DisturbanceModel(rate=VectorSignal(kind="constant", amplitude=(0.01, -0.02, 0.03)),
                                 lift=AxisSignal(kind="constant", amplitude=5.0))
     scenario = make_scenario(disturbances=constant, t_max=0.2)
@@ -380,25 +379,59 @@ def test_time_invariant_signals_sampled_once(monkeypatch):
     assert not replace(scenario, evader=EvaderModel(kind="step", accel_theta=1.0)).time_invariant
     wavy = DisturbanceModel(side=AxisSignal(kind="sinusoid", amplitude=1.0, frequency=2.0))
     assert not replace(scenario, disturbances=wavy).time_invariant
+    calls = []
+    signals = sim.Scenario.signals
+    monkeypatch.setattr(sim.Scenario, "signals", lambda self, t: calls.append(t) or signals(self, t))
     log, _ = run(scenario)
-    sampled_once = inputs(scenario, log.t)
-    for once in sampled_once:
-        assert once.strides[0] == 0 and not once.flags.writeable
+    assert calls == [0.0]
     monkeypatch.setattr(sim.Scenario, "time_invariant", False)
     log_each, _ = run(scenario)
+    assert len(calls) == 1 + 3 * len(log) - 2  # three a step, one at the last logged row
     assert np.array_equal(log.table, log_each.table)
-    for once, each in zip(sampled_once, inputs(scenario, log.t)):
-        assert np.array_equal(once, each)
 
 
-def test_inputs_sample_the_plant_signals():
-    rate = VectorSignal(kind="sinusoid", amplitude=(1.0, 2.0, 3.0), frequency=7.0, phase=0.5)
-    scenario = make_scenario(disturbances=DisturbanceModel(rate=rate))
-    t = np.arange(5) * 0.1
+_AMPLITUDE = st.floats(-50.0, 50.0)
+_FREQUENCY = st.floats(0.0, 30.0)
+_PHASE = st.floats(-10.0, 10.0)
+_VECTOR_SIGNALS = st.builds(VectorSignal, kind=st.sampled_from(["zero", "constant", "sinusoid"]),
+                            amplitude=st.tuples(_AMPLITUDE, _AMPLITUDE, _AMPLITUDE),
+                            frequency=_FREQUENCY, phase=_PHASE)
+_AXIS_SIGNALS = st.builds(AxisSignal, kind=st.sampled_from(["zero", "constant", "sinusoid"]),
+                          amplitude=_AMPLITUDE, frequency=_FREQUENCY, phase=_PHASE)
+
+
+@given(rate=_VECTOR_SIGNALS, accel=_VECTOR_SIGNALS, lift=_AXIS_SIGNALS, side=_AXIS_SIGNALS,
+       kind=st.sampled_from(["constant", "step", "weave"]),
+       amplitudes=st.tuples(_AMPLITUDE, _AMPLITUDE, _AMPLITUDE), frequency=_FREQUENCY,
+       phase=_PHASE, step_row=st.integers(-2, 60), between=st.booleans(), n=st.integers(0, 50))
+@example(rate=VectorSignal(kind="sinusoid", amplitude=(1.0, 2.0, 3.0), frequency=7.0, phase=0.5),
+         accel=VectorSignal(), lift=AxisSignal(), side=AxisSignal(), kind="step",
+         amplitudes=(-3.0, -2.0, -1.0), frequency=0.0, phase=0.0, step_row=20, between=False, n=41)
+def test_inputs_sample_the_plant_signals(rate, accel, lift, side, kind, amplitudes, frequency,
+                                         phase, step_row, between, n):
+    # sim.inputs over a log's t column is Scenario.signals at each of its
+    # times, bit for bit, for every kind of the three signal models: the
+    # step loop's math.sin and the column's np.sin agree, and a step that
+    # switches on at or between grid times is on from the same row.  A
+    # constant or zero signal is one read-only sample repeated per row, and
+    # the step loop's samples are floats, never numpy scalars.
+    dt = 0.05
+    evader = EvaderModel(kind, *amplitudes, frequency=frequency, phase=phase,
+                         step_time=(step_row + 0.5 * between) * dt)
+    scenario = make_scenario(evader=evader, dt=dt, t_max=3.0,
+                             disturbances=DisturbanceModel(rate, accel, lift, side))
+    t = np.arange(n) * dt
     sampled = inputs(scenario, t)
-    assert [a.shape for a in sampled] == [(5, 3), (5, 3), (5,), (5,), (5, 3)]
-    assert np.array_equal(sampled[0], [rate.sample(ti) for ti in t.tolist()])
-    assert not np.any(np.concatenate([a.reshape(5, -1) for a in sampled[1:]], axis=1))
+    assert [a.shape for a in sampled] == [(n, 3), (n, 3), (n,), (n,), (n, 3)]
+    rows = [scenario.signals(ti) for ti in t.tolist()]
+    for i, (a, signal) in enumerate(zip(sampled, (rate, accel, lift, side, evader))):
+        assert np.array_equal(a, np.reshape([row[i] for row in rows], a.shape))
+        assert not a.flags.writeable
+        if signal.kind in ("zero", "constant"):
+            assert a.strides[0] == 0
+    for row in rows:
+        values = [*row[0], *row[1], row[2], row[3], *row[4]]
+        assert all(type(v) is float for v in values), values
 
 
 def test_run_long_horizon_intercepts():
